@@ -16,8 +16,8 @@ from .controller import (AgentCtrlState, AgentTriggerState, AlgorithmParams,
                          trigger_check)
 from .cost import (CostSpec, RegularityEstimate, centralized_optimum,
                    estimate_regularity, gradient)
-from .errors import (AssumptionViolatedError, CapabilityError,
-                     ConvexityViolatedError, DivergenceError, RegulationError,
+from .errors import (AssumptionViolatedError, ConvexityViolatedError,
+                     DivergenceError, InvariantViolatedError, RegulationError,
                      ResoptError, UnboundedObjectiveError, ValidationError)
 from .graph import (GraphProcess, StationaryWeighting, SwitchingPath,
                     WeightedDigraph, laplacian, disagreement_lower_bound,

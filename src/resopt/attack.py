@@ -14,6 +14,7 @@ its start time, which keeps counts additive over adjacent windows.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -212,14 +213,16 @@ def check_frequency_condition(schedule: AttackSchedule, budget: AttackBudget,
     threshold = budget.t_f_star_event if event_variant else budget.t_f_star
     points = np.unique(np.clip(
         np.concatenate([[t1, t2], starts, schedule.ends()]), t1, t2))
+    # Attacks starting before each point; [points[i], points[j]) holds
+    # started[j] - started[i] of them.
+    started = np.searchsorted(starts, points, side="left")
     best_rate = 0.0
-    for i in range(len(points)):
-        lo = np.searchsorted(starts, points[i], side="left")
-        for j in range(i + 1, len(points)):
-            hi = np.searchsorted(starts, points[j], side="left")
-            excess = (hi - lo) - budget.n0
-            if excess > 0.0:
-                best_rate = max(best_rate, excess / (points[j] - points[i]))
+    for i in range(len(points) - 1):
+        excess = (started[i + 1:] - started[i]) - budget.n0
+        over = excess > 0.0
+        if over.any():
+            rates = excess[over] / (points[i + 1:][over] - points[i])
+            best_rate = max(best_rate, float(rates.max()))
     tightest = math.inf if best_rate == 0.0 else 1.0 / best_rate
     return ConditionReport(kind="frequency", threshold=threshold, tightest=tightest,
                            passed=tightest > threshold, window=(t1, t2),
@@ -230,9 +233,18 @@ def check_duration_condition(schedule: AttackSchedule, budget: AttackBudget,
                              window, event_variant: bool = False) -> ConditionReport:
     """Check the attack-duration budget over ``window``.
 
-    With ``event_variant`` every attack is first extended by ``kappa_star``
-    (the retry dwell keeps errors zeroed a little past each burst), so the
-    check is never more permissive than the plain one.
+    The tightest admissible ``T_a`` maximizes
+    ``(|attacked time in w| - T0) / |w|`` over all sub-windows whose
+    endpoints are attack starts/ends or the window bounds.  With
+    ``event_variant`` every attack is first extended by ``kappa_star`` (the
+    retry dwell keeps errors zeroed a little past each burst), so the check
+    is never more permissive than the plain one.
+
+    For each left endpoint the right endpoint sweeps forward once, adding
+    the attacked time of each interval it passes, so the check is O(P^2) in
+    the number of endpoints P.  Intervals are added in schedule order, the
+    float additions of a direct per-window sum over the schedule, so
+    ``tightest`` is bit-identical to measuring every sub-window separately.
     """
     t1, t2 = float(window[0]), float(window[1])
     if not t2 > t1:
@@ -241,17 +253,25 @@ def check_duration_condition(schedule: AttackSchedule, budget: AttackBudget,
     merged = _merged_intervals(schedule, inflate)
     points = np.unique(np.clip(
         np.concatenate([[t1, t2]] + [[a, b] for a, b in merged]) if merged
-        else np.array([t1, t2]), t1, t2))
-
-    def measure(lo: float, hi: float) -> float:
-        return sum(max(0.0, min(b, hi) - max(a, lo)) for a, b in merged)
+        else np.array([t1, t2]), t1, t2)).tolist()
+    ends = [b for _, b in merged]
 
     best_rate = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            excess = measure(points[i], points[j]) - budget.t0
+    for i, lo in enumerate(points):
+        # Intervals ending at or before lo add nothing to any window from lo.
+        m = bisect.bisect_right(ends, lo)
+        closed = 0.0  # attacked time of the intervals ending at or before hi
+        for hi in points[i + 1:]:
+            while m < len(merged) and merged[m][1] <= hi:
+                a, b = merged[m]
+                closed += b - max(a, lo)
+                m += 1
+            attacked = closed
+            if m < len(merged) and merged[m][0] < hi:
+                attacked += hi - max(merged[m][0], lo)
+            excess = attacked - budget.t0
             if excess > 0.0:
-                best_rate = max(best_rate, excess / (points[j] - points[i]))
+                best_rate = max(best_rate, excess / (hi - lo))
     tightest = math.inf if best_rate == 0.0 else 1.0 / best_rate
     return ConditionReport(kind="duration", threshold=budget.t_a_star,
                            tightest=tightest, passed=tightest > budget.t_a_star,

@@ -8,7 +8,8 @@ attacks, case2 adds a periodic DoS schedule that satisfies the frequency and
 duty budgets, and case3 runs the event-triggered law in the same attack
 environment.
 
-Exit codes: 0 success, 2 validation failure, 3 divergence, 4 I/O error.
+Exit codes: 0 success, 2 validation failure, 3 divergence or a violated
+run-time invariant, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .attack import (AttackBudget, AttackSchedule, attack_metrics,
                      check_duration_condition, check_frequency_condition)
 from .controller import AlgorithmParams, TriggerParams
 from .cost import CostSpec, centralized_optimum
-from .errors import DivergenceError, ResoptError, ValidationError
+from .errors import (DivergenceError, InvariantViolatedError, ResoptError,
+                     ValidationError)
 from .graph import GraphProcess, WeightedDigraph
 from .plant import AgentModel
 from .sim import InitialCondition, Scenario, convergence_report, final_spread, run
@@ -405,6 +407,11 @@ def preset_scenario(name: str) -> LoadedScenario:
 # CSV emission
 # ---------------------------------------------------------------------------
 
+# Rows of trajectory.csv gathered per block.  Larger blocks format no
+# faster and raise the peak memory of a run.
+CSV_CHUNK_ROWS = 64
+
+
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
@@ -443,23 +450,31 @@ def trajectory_header(scenario: Scenario) -> list:
 
 
 def _trajectory_lines(scenario: Scenario, traj):
+    """Header and rows of trajectory.csv.
+
+    The float columns are gathered ``CSV_CHUNK_ROWS`` rows at a time into
+    one array, and each row is written as ``repr`` of its cells as Python
+    floats, which is what ``_fmt`` writes for a float cell.
+    """
     yield ",".join(trajectory_header(scenario))
     q = scenario.q
+    columns = [traj.times[:, None]]  # the float columns in header order
+    for i in range(scenario.n_agents):
+        s0, s1 = traj.state_slices[i]
+        u0, u1 = traj.input_slices[i]
+        c0, c1 = i * q, (i + 1) * q
+        columns += [traj.x[:, s0:s1], traj.y[:, c0:c1], traj.rho[:, c0:c1],
+                    traj.z[:, c0:c1], traj.u[:, u0:u1], traj.eta_g[:, i:i + 1],
+                    traj.eta_h[:, i:i + 1]]
     n_rows = traj.times.shape[0]
-    for row in range(n_rows):
-        parts = [_fmt(traj.times[row])]
-        for i in range(scenario.n_agents):
-            s0, s1 = traj.state_slices[i]
-            u0, u1 = traj.input_slices[i]
-            c0, c1 = i * q, (i + 1) * q
-            parts += [_fmt(v) for v in traj.x[row, s0:s1]]
-            parts += [_fmt(v) for v in traj.y[row, c0:c1]]
-            parts += [_fmt(v) for v in traj.rho[row, c0:c1]]
-            parts += [_fmt(v) for v in traj.z[row, c0:c1]]
-            parts += [_fmt(v) for v in traj.u[row, u0:u1]]
-            parts += [_fmt(traj.eta_g[row, i]), _fmt(traj.eta_h[row, i])]
-        parts += [str(int(traj.r_state[row])), _fmt(bool(traj.attack_on[row]))]
-        yield ",".join(parts)
+    for r0 in range(0, n_rows, CSV_CHUNK_ROWS):
+        r1 = r0 + CSV_CHUNK_ROWS
+        block = np.hstack([c[r0:r1] for c in columns])
+        r_state = traj.r_state[r0:r1].tolist()
+        attack_on = traj.attack_on[r0:r1].tolist()
+        for cells, r, attacked in zip(block, r_state, attack_on):
+            yield (f"{','.join(map(repr, cells.tolist()))},{int(r)},"
+                   f"{'1' if attacked else '0'}")
 
 
 def _report_lines(scenario: Scenario, traj, report, diverged_at):
@@ -656,7 +671,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             overrides = [parse_override(o) for o in args.overrides]
             return check_command(args.scenario, overrides)
-    except DivergenceError as exc:
+    except (DivergenceError, InvariantViolatedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:

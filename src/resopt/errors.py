@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: validation problems exit 2, divergence
-exits 3, I/O failures exit 4.
+Exit-code mapping used by the CLI: validation problems exit 2, a run that
+fails numerically (divergence, or a violated run-time invariant) exits 3,
+I/O failures exit 4.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ class ValidationError(ResoptError):
 class AssumptionViolatedError(ValidationError):
     """The joint-connectivity hypothesis fails: no common positive stationary
     vector, or the union mirror graph has a non-positive minimum cut."""
-
-
-class CapabilityError(ResoptError):
-    """Input is outside the range the exhaustive/oracle implementation supports."""
 
 
 class RegulationError(ValidationError):
@@ -44,3 +41,12 @@ class DivergenceError(ResoptError):
         super().__init__(f"state became non-finite or exceeded 1e9 at t={time:.6f}")
         self.time = time
         self.trajectory = trajectory
+
+
+class InvariantViolatedError(ResoptError):
+    """A run-time invariant of the integrator failed: an event-triggered run's
+    auxiliary trigger variable stopped being positive.  Carries the time."""
+
+    def __init__(self, message: str, time: float):
+        super().__init__(message)
+        self.time = time

@@ -32,7 +32,7 @@ import numpy as np
 from .attack import AttackSchedule, activity_series
 from .controller import AlgorithmParams, TriggerParams
 from .cost import CostSpec, gradient
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, InvariantViolatedError, ValidationError
 from .graph import GraphProcess, SwitchingPath, laplacian, sample_switching_path, \
     stationary_weighting
 
@@ -275,8 +275,10 @@ def run(scenario: Scenario) -> Trajectory:
     """Integrate the scenario; deterministic given the scenario (incl. seed).
 
     Raises DivergenceError (with the truncated trajectory attached) when any
-    state leaves the finite range, and AssumptionViolatedError when the graph
-    process fails the joint-connectivity hypothesis.
+    state leaves the finite range, InvariantViolatedError when an
+    event-triggered run's trigger variable stops being positive, and
+    AssumptionViolatedError when the graph process fails the
+    joint-connectivity hypothesis.
     """
     stationary_weighting(scenario.graph_process)  # Assumption check, result unused
     st = _Stacked(scenario)
@@ -454,8 +456,9 @@ def run(scenario: Scenario) -> Trajectory:
                     step_val = (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
                     eta += np.where(frozen, 0.0, step_val)
                 if not (np.all(eta_g > 0.0) and np.all(eta_h > 0.0)):
-                    raise AssertionError(
-                        f"trigger variable lost positivity at t={times[k + 1]:.6f}")
+                    t_next = float(times[k + 1])
+                    raise InvariantViolatedError(
+                        f"trigger variable lost positivity at t={t_next:.6f}", t_next)
 
             bad = not (np.all(np.isfinite(x)) and np.all(np.isfinite(rho))
                        and np.all(np.isfinite(z)))

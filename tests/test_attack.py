@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resopt.attack import (AttackBudget, AttackSchedule, attack_active,
-                           attack_metrics, check_duration_condition,
-                           check_frequency_condition)
+from resopt.attack import (AttackBudget, AttackSchedule, _merged_intervals,
+                           attack_active, attack_metrics,
+                           check_duration_condition, check_frequency_condition)
 from resopt.errors import ValidationError
 
 
@@ -186,6 +187,99 @@ class TestDurationCondition:
         assert event.tightest <= plain.tightest + 1e-9
         if event.passed:
             assert plain.passed
+
+
+def reference_tightest_t_f(schedule, budget, window):
+    """Reference frequency check: every endpoint pair, each count looked up
+    separately (O(P^2 log P))."""
+    t1, t2 = float(window[0]), float(window[1])
+    starts = schedule.starts()
+    points = np.unique(np.clip(
+        np.concatenate([[t1, t2], starts, schedule.ends()]), t1, t2))
+    best_rate = 0.0
+    for i in range(len(points)):
+        lo = np.searchsorted(starts, points[i], side="left")
+        for j in range(i + 1, len(points)):
+            hi = np.searchsorted(starts, points[j], side="left")
+            excess = (hi - lo) - budget.n0
+            if excess > 0.0:
+                best_rate = max(best_rate, excess / (points[j] - points[i]))
+    return math.inf if best_rate == 0.0 else 1.0 / best_rate
+
+
+def reference_tightest_t_a(schedule, budget, window, event_variant):
+    """Reference duration check: every endpoint pair, each attacked time
+    summed over every interval (O(P^3))."""
+    t1, t2 = float(window[0]), float(window[1])
+    inflate = budget.kappa_star if event_variant else 0.0
+    merged = _merged_intervals(schedule, inflate)
+    points = np.unique(np.clip(
+        np.concatenate([[t1, t2]] + [[a, b] for a, b in merged]) if merged
+        else np.array([t1, t2]), t1, t2))
+
+    def measure(lo, hi):
+        return sum(max(0.0, min(b, hi) - max(a, lo)) for a, b in merged)
+
+    best_rate = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            excess = measure(points[i], points[j]) - budget.t0
+            if excess > 0.0:
+                best_rate = max(best_rate, excess / (points[j] - points[i]))
+    return math.inf if best_rate == 0.0 else 1.0 / best_rate
+
+
+class TestBudgetChecksMatchReference:
+    """The budget checks report the reference loops' tightest values bit for
+    bit: conditions.csv prints them with full precision."""
+
+    @given(schedules(max_attacks=12),
+           st.sampled_from([0.0, 1.0, 2.5]), st.sampled_from([0.0, 0.02, 1.5]),
+           st.floats(0.0, 2.0), st.floats(0.0, 40.0), st.floats(0.5, 100.0),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_tightest_equal(self, sched, n0, t0, kappa, t1, width, event_variant):
+        # windows starting and ending inside bursts clip them at both ends
+        b = budget(n0=n0, t0=t0, kappa_star=kappa)
+        window = (t1, t1 + width)
+        freq = check_frequency_condition(sched, b, window, event_variant)
+        dur = check_duration_condition(sched, b, window, event_variant)
+        assert freq.tightest == reference_tightest_t_f(sched, b, window)
+        assert dur.tightest == reference_tightest_t_a(sched, b, window,
+                                                      event_variant)
+
+    @pytest.mark.parametrize("event_variant", [False, True])
+    def test_empty_schedule(self, event_variant):
+        sched = AttackSchedule.empty(30.0)
+        b = budget(n0=0.0, t0=0.0, kappa_star=0.5)
+        freq = check_frequency_condition(sched, b, (0.0, 30.0), event_variant)
+        dur = check_duration_condition(sched, b, (0.0, 30.0), event_variant)
+        assert freq.tightest == reference_tightest_t_f(sched, b, (0.0, 30.0)) \
+            == math.inf
+        assert dur.tightest == reference_tightest_t_a(sched, b, (0.0, 30.0),
+                                                      event_variant) == math.inf
+
+    @pytest.mark.parametrize("event_variant", [False, True])
+    def test_window_inside_one_burst(self, event_variant):
+        sched = AttackSchedule(intervals=((1.0, 0.2), (2.0, 5.0)), horizon=10.0)
+        b = budget(n0=0.0, t0=0.0, kappa_star=0.3)
+        window = (2.5, 6.25)
+        dur = check_duration_condition(sched, b, window, event_variant)
+        assert dur.tightest == reference_tightest_t_a(sched, b, window,
+                                                      event_variant) == 1.0
+
+    @pytest.mark.parametrize("event_variant", [False, True])
+    def test_many_short_bursts(self, event_variant):
+        # 105 bursts of 10 ms, the benchmark's bursty pattern
+        sched = AttackSchedule.periodic(period=0.05, active=0.01, phase=0.025,
+                                        horizon=5.25)
+        b = budget(mu=1.001, n0=1.0, t0=0.02, kappa_star=0.004)
+        window = (0.0, 5.25)
+        freq = check_frequency_condition(sched, b, window, event_variant)
+        dur = check_duration_condition(sched, b, window, event_variant)
+        assert freq.tightest == reference_tightest_t_f(sched, b, window)
+        assert dur.tightest == reference_tightest_t_a(sched, b, window,
+                                                      event_variant)
 
 
 class TestBudgetValidation:

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from resopt.cli import (build_scenario, load_scenario, load_scenario_file,
+from resopt.cli import (CSV_CHUNK_ROWS, _fmt, _trajectory_lines,
+                        build_scenario, load_scenario, load_scenario_file,
                         main, parse_override, preset, preset_scenario,
                         run_command, trajectory_header)
-from resopt.errors import ValidationError
+from resopt.errors import DivergenceError, ValidationError
+from resopt.sim import run
 
 CASE1_HEADER = (
     "t,"
@@ -31,6 +34,14 @@ def fast_doc():
                 "initial": {"mode": "explicit",
                             "states": [{"x": [1.0], "rho": [0.0], "z": [0.0]}]}},
     }
+
+
+def short_case3_doc(horizon=0.6):
+    """case3 with its first burst inside a short horizon."""
+    doc = preset("case3")
+    doc["sim"]["horizon"] = horizon
+    doc["attacks"]["periodic"]["phase"] = 0.2
+    return doc
 
 
 class TestPresets:
@@ -161,6 +172,67 @@ class TestRunCommand:
         assert ",".join(trajectory_header(scen)) == CASE1_HEADER
 
 
+def per_cell_trajectory_lines(scenario, traj):
+    """Reference trajectory.csv writer: every cell formatted through _fmt."""
+    yield ",".join(trajectory_header(scenario))
+    q = scenario.q
+    for row in range(traj.times.shape[0]):
+        parts = [_fmt(traj.times[row])]
+        for i in range(scenario.n_agents):
+            s0, s1 = traj.state_slices[i]
+            u0, u1 = traj.input_slices[i]
+            c0, c1 = i * q, (i + 1) * q
+            parts += [_fmt(v) for v in traj.x[row, s0:s1]]
+            parts += [_fmt(v) for v in traj.y[row, c0:c1]]
+            parts += [_fmt(v) for v in traj.rho[row, c0:c1]]
+            parts += [_fmt(v) for v in traj.z[row, c0:c1]]
+            parts += [_fmt(v) for v in traj.u[row, u0:u1]]
+            parts += [_fmt(traj.eta_g[row, i]), _fmt(traj.eta_h[row, i])]
+        parts += [str(int(traj.r_state[row])), _fmt(bool(traj.attack_on[row]))]
+        yield ",".join(parts)
+
+
+class TestTrajectoryWriter:
+    def assert_matches_reference(self, scenario, traj):
+        assert list(_trajectory_lines(scenario, traj)) == \
+            list(per_cell_trajectory_lines(scenario, traj))
+
+    def test_event_based_run(self):
+        scenario = build_scenario(short_case3_doc()).scenario
+        traj = run(scenario)
+        assert np.any(traj.eta_g != 0.0) and np.any(traj.eta_h != 0.0)
+        assert traj.attack_on.any() and not traj.attack_on.all()
+        assert len(traj.times) > CSV_CHUNK_ROWS
+        assert len(traj.times) % CSV_CHUNK_ROWS != 0
+        self.assert_matches_reference(scenario, traj)
+
+    def test_diverged_run_truncated(self):
+        doc = fast_doc()
+        doc["costs"] = [{"kind": "custom_polynomial",
+                         "parameters": [0.0, 0.0, 0.0, 0.0, -1.0]}]
+        doc["sim"]["horizon"] = 5.0
+        scenario = build_scenario(doc).scenario
+        with pytest.raises(DivergenceError) as info:
+            run(scenario)
+        traj = info.value.trajectory
+        assert len(traj.times) < scenario.n_steps + 1
+        self.assert_matches_reference(scenario, traj)
+
+    def test_nan_inf_and_signed_zero_cells(self):
+        scenario = build_scenario(short_case3_doc(horizon=0.01)).scenario
+        traj = run(scenario)
+        x, y, u, eta_h = traj.x.copy(), traj.y.copy(), traj.u.copy(), \
+            traj.eta_h.copy()
+        x[1, 0] = np.nan
+        y[2, 1] = np.inf
+        u[3, 2] = -np.inf
+        eta_h[4, 2] = -0.0
+        traj = dataclasses.replace(traj, x=x, y=y, u=u, eta_h=eta_h)
+        lines = list(_trajectory_lines(scenario, traj))
+        assert "nan" in lines[2] and "inf" in lines[3] and "-inf" in lines[4]
+        self.assert_matches_reference(scenario, traj)
+
+
 class TestExitCodes:
     def test_success(self, tmp_path, capsys):
         path = tmp_path / "fast.json"
@@ -189,6 +261,20 @@ class TestExitCodes:
         report = open(tmp_path / "o" / "report.csv").read().splitlines()
         values = dict(zip(report[0].split(","), report[1].split(",")))
         assert values["diverged"] == "1"
+
+    def test_trigger_positivity_lost(self, tmp_path, capsys):
+        # a tiny sigma lets the trigger functions grow to eta / sigma, and a
+        # large delta then drives eta through zero within one step
+        doc = short_case3_doc(horizon=0.2)
+        doc["params"]["trigger"].update(sigma_g=1e-4, sigma_h=1e-4,
+                                        delta_g=0.99, delta_h=0.99,
+                                        k_g=200.0, k_h=200.0,
+                                        theta_g=0.0, theta_h=0.0)
+        path = tmp_path / "eta.json"
+        path.write_text(json.dumps(doc))
+        code = main(["run", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "lost positivity" in capsys.readouterr().err
 
     def test_io_error(self, tmp_path, capsys):
         path = tmp_path / "fast.json"

@@ -6,8 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import GENERATOR, RAW_DIST, single_edge
-from resopt.errors import (AssumptionViolatedError, CapabilityError,
-                           ValidationError)
+from resopt.errors import AssumptionViolatedError, ValidationError
 from resopt.graph import (GraphProcess, WeightedDigraph, laplacian,
                           disagreement_lower_bound, disagreement_weighting_matrix,
                           minimum_cut, mirror_union_laplacian,
@@ -107,11 +106,25 @@ class TestMinimumCut:
         l_s = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
         assert minimum_cut(l_s) == pytest.approx(1.0)
 
-    def test_capability_limit(self):
-        with pytest.raises(CapabilityError):
-            minimum_cut(np.zeros((21, 21)))
+    def test_beyond_twenty_vertices(self):
+        # a directed ring of weight 200 mirrors to an undirected ring of
+        # weight 100; a cut severs at least two ring edges
+        n = 30
+        a = np.zeros((n, n))
+        a[np.arange(n), (np.arange(n) - 1) % n] = 200.0
+        proc = GraphProcess(graphs=(WeightedDigraph(a),),
+                            generator=[[0.0]], initial_distribution=[1.0])
+        assert minimum_cut(mirror_union_laplacian(proc)) == 200.0
+        assert stationary_weighting(proc).min_cut == 200.0
+        assert minimum_cut(np.zeros((21, 21))) == 0.0
 
-    @given(st.integers(2, 8), st.integers(0, 10_000))
+    def test_rejects_asymmetric_or_negative_weights(self):
+        with pytest.raises(ValidationError, match="symmetric"):
+            minimum_cut(np.array([[1.0, -1.0], [0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="nonpositive"):
+            minimum_cut(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+
+    @given(st.integers(2, 12), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, n, seed):
         g = random_graph(np.random.default_rng(seed), n)
