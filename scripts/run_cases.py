@@ -14,10 +14,8 @@ import json
 import os
 import sys
 
-from resopt.cli import build_scenario, preset, write_outputs
-from resopt.cost import centralized_optimum
-from resopt.errors import DivergenceError
-from resopt.sim import convergence_report, run, zeno_audit
+from resopt.cli import build_scenario, execute, preset
+from resopt.sim import zeno_audit
 
 
 def main() -> int:
@@ -36,19 +34,12 @@ def main() -> int:
             json.dump(doc, fh, indent=2)
 
         loaded = build_scenario(doc)
-        theta_star = centralized_optimum(list(loaded.scenario.costs), 1e-12)
-        try:
-            traj = run(loaded.scenario)
-            diverged_at = None
-        except DivergenceError as exc:
-            traj, diverged_at = exc.trajectory, exc.time
-        report = convergence_report(traj, theta_star)
-        write_outputs(loaded, os.path.join(args.out, name), traj, report,
-                      diverged_at)
-        if diverged_at is not None:
-            print(f"{name}: DIVERGED at t={diverged_at:.3f}")
+        result = execute(loaded, os.path.join(args.out, name))
+        if result.diverged_at is not None:
+            print(f"{name}: DIVERGED at t={result.diverged_at:.3f}")
             continue
-        line = (f"{name}: theta*={theta_star:+.6f}  "
+        report, traj = result.report, result.trajectory
+        line = (f"{name}: theta*={report.theta_star:+.6f}  "
                 f"final_error={report.final_error:.3e}  "
                 f"fitted_rate={report.fitted_rate:+.4f}")
         if loaded.scenario.algorithm == "event_based":

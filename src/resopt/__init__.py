@@ -9,11 +9,8 @@ and denial-of-service attacks periodically sever every channel.
 from .attack import (AttackBudget, AttackMetrics, AttackSchedule, attack_active,
                      attack_metrics, check_duration_condition,
                      check_frequency_condition)
-from .controller import (AgentCtrlState, AgentTriggerState, AlgorithmParams,
-                         TriggerParams, consensus_errors_eventbased,
-                         consensus_errors_timebased, ctrl_derivative_timebased,
-                         eta_derivative, schedule_after_attacked_attempt,
-                         trigger_check)
+from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
+                         eta_step, firing, trigger_functions)
 from .cost import (CostSpec, RegularityEstimate, centralized_optimum,
                    estimate_regularity, gradient)
 from .errors import (AssumptionViolatedError, ConvexityViolatedError,
@@ -24,8 +21,8 @@ from .graph import (GraphProcess, StationaryWeighting, SwitchingPath,
                     disagreement_weighting_matrix, minimum_cut,
                     mirror_union_laplacian, sample_switching_path,
                     stationary_weighting, union_graph)
-from .plant import (AgentModel, check_rank_condition, is_hurwitz, output,
-                    plant_derivative, solve_regulation)
+from .plant import (AgentModel, check_rank_condition, is_hurwitz,
+                    solve_regulation)
 from .sim import (ConvergenceReport, InitialCondition, Scenario, Trajectory,
                   compare_beta_sweep, convergence_report, final_spread, run,
                   zeno_audit)

@@ -5,8 +5,11 @@ keys are rejected) before any numeric invariant is checked, so error messages
 carry a JSON path.  The bundled presets reproduce the three demonstration
 cases: case1 runs the time-based law over the switching digraphs with no
 attacks, case2 adds a periodic DoS schedule that satisfies the frequency and
-duty budgets, and case3 runs the event-triggered law in the same attack
-environment.
+duty budgets, and case3 runs the event-triggered law under the same
+schedule.  case3's 0.1 s retry dwell inflates the event-triggered frequency
+threshold to 102.2 s, above the 101 s its two bursts admit, so its
+``inflated`` row in conditions.csv fails the frequency check (the duration
+check passes).
 
 Exit codes: 0 success, 2 validation failure, 3 divergence or a violated
 run-time invariant, 4 I/O error.
@@ -15,7 +18,6 @@ run-time invariant, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -29,11 +31,11 @@ from .attack import (AttackBudget, AttackSchedule, attack_metrics,
                      check_duration_condition, check_frequency_condition)
 from .controller import AlgorithmParams, TriggerParams
 from .cost import CostSpec, centralized_optimum
-from .errors import (DivergenceError, InvariantViolatedError, ResoptError,
-                     ValidationError)
+from .errors import DivergenceError, ResoptError, ValidationError
 from .graph import GraphProcess, WeightedDigraph
 from .plant import AgentModel
-from .sim import InitialCondition, Scenario, convergence_report, final_spread, run
+from .sim import (ConvergenceReport, InitialCondition, Scenario, Trajectory,
+                  convergence_report, final_spread, run)
 
 _matrix_schema = {"type": "array", "minItems": 1,
                   "items": {"type": "array", "minItems": 1,
@@ -173,6 +175,16 @@ class RunOutputs:
     conditions_csv: str
 
 
+@dataclass
+class RunResult:
+    """What ``execute`` produced; ``diverged_at`` is None for a finished run."""
+
+    outputs: RunOutputs
+    trajectory: Trajectory
+    report: ConvergenceReport
+    diverged_at: float | None
+
+
 def validate_document(doc: dict) -> None:
     """Schema-check a scenario document, reporting the offending JSON path."""
     validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
@@ -267,36 +279,69 @@ def load_scenario(path: str) -> Scenario:
     return load_scenario_file(path).scenario
 
 
+def _loads(text: str, where: str):
+    """``json.loads`` that rejects the non-finite tokens NaN and +-Infinity.
+
+    Raises JSONDecodeError for text that is not JSON at all.
+    """
+    constants = []
+    value = json.loads(text, parse_constant=constants.append)
+    if constants:
+        raise ValidationError(f"{where}: non-finite number {constants[0]} "
+                              "is not allowed")
+    return value
+
+
 def load_scenario_file(path: str, overrides=()) -> LoadedScenario:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        doc = _loads(text, path)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     for key, value in overrides:
         _apply_override(doc, key, value)
     return build_scenario(doc)
 
 
+def _child_key(node, part: str, dotted: str):
+    if not isinstance(node, list):
+        return part
+    if not (part.isdecimal() and int(part) < len(node)):
+        raise ValidationError(f"override {dotted}: {part!r} is not an index "
+                              f"of a {len(node)}-element list")
+    return int(part)
+
+
 def _apply_override(doc: dict, dotted: str, value):
-    parts = dotted.split(".")
+    """Set ``value`` at a dotted path; list elements are named by index.
+
+    A missing or scalar object along the path becomes an empty object.
+    """
+    *parents, leaf = dotted.split(".")
     node = doc
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            node[part] = {}
-        node = node[part]
-    node[parts[-1]] = value
+    for part in parents:
+        key = _child_key(node, part, dotted)
+        child = node[key] if isinstance(node, list) else node.get(key)
+        if not isinstance(child, (dict, list)):
+            child = node[key] = {}
+        node = child
+    node[_child_key(node, leaf, dotted)] = value
+
+
+def parse_value(raw: str):
+    """An override or sweep value: JSON if it parses, else the raw string."""
+    try:
+        return _loads(raw, f"value {raw!r}")
+    except json.JSONDecodeError:
+        return raw
 
 
 def parse_override(text: str):
     if "=" not in text:
         raise ValidationError(f"override {text!r} must look like key=value")
     key, raw = text.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return key, value
+    return key, parse_value(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +523,16 @@ def _trajectory_lines(scenario: Scenario, traj):
 
 
 def _report_lines(scenario: Scenario, traj, report, diverged_at):
-    n = scenario.n_agents
-    header = ["theta_star", "final_error", "fitted_rate", "final_spread",
-              "diverged", "divergence_time"]
-    for i in range(1, n + 1):
+    q = scenario.q
+    header = ["theta_star"] if q == 1 else [f"theta_star_{d}" for d in range(1, q + 1)]
+    header += ["final_error", "fitted_rate", "final_spread", "diverged",
+               "divergence_time"]
+    for i in range(1, scenario.n_agents + 1):
         header += [f"events{i}", f"min_gap{i}", f"mean_gap{i}"]
     yield ",".join(header)
-    parts = [_fmt(report.theta_star), _fmt(report.final_error),
-             _fmt(report.fitted_rate), _fmt(final_spread(traj)),
+    parts = [_fmt(v) for v in np.atleast_1d(report.theta_star)]
+    parts += [_fmt(report.final_error), _fmt(report.fitted_rate),
+              _fmt(final_spread(traj)),
              "1" if diverged_at is not None else "0",
              _fmt(diverged_at) if diverged_at is not None else "nan"]
     for stats in report.trigger_stats:
@@ -551,61 +598,56 @@ def write_outputs(loaded: LoadedScenario, out_dir: str, traj, report,
                       events_csv=events_path, conditions_csv=conditions_path)
 
 
+def execute(loaded: LoadedScenario, out_dir: str) -> RunResult:
+    """Oracle, run, convergence report and CSV outputs of one scenario.
+
+    A diverged run still writes its truncated trajectory and a report flagged
+    as diverged; ``diverged_at`` says when.
+    """
+    theta_star = centralized_optimum(list(loaded.scenario.costs), 1e-12)
+    try:
+        traj, diverged_at = run(loaded.scenario), None
+    except DivergenceError as exc:
+        traj, diverged_at = exc.trajectory, exc.time
+    report = convergence_report(traj, theta_star)
+    outputs = write_outputs(loaded, out_dir, traj, report, diverged_at)
+    return RunResult(outputs, traj, report, diverged_at)
+
+
 def run_command(scenario_path: str, out_dir: str, overrides=()) -> RunOutputs:
     """Load, simulate, and emit the CSV outputs.
 
-    On divergence the truncated trajectory and a flagged report are still
-    written before the DivergenceError (with ``.outputs`` attached) is
-    re-raised for the caller to turn into exit code 3.
+    On divergence the outputs are still written, then a DivergenceError
+    (with ``.outputs`` attached) is raised for the caller to turn into exit
+    code 3.
     """
-    loaded = load_scenario_file(scenario_path, overrides)
-    theta_star = centralized_optimum(list(loaded.scenario.costs), 1e-12)
-    try:
-        traj = run(loaded.scenario)
-        diverged_at = None
-    except DivergenceError as exc:
-        traj = exc.trajectory
-        diverged_at = exc.time
-    report = convergence_report(traj, theta_star)
-    outputs = write_outputs(loaded, out_dir, traj, report, diverged_at)
-    if diverged_at is not None:
-        err = DivergenceError(diverged_at, traj)
-        err.outputs = outputs
+    result = execute(load_scenario_file(scenario_path, overrides), out_dir)
+    if result.diverged_at is not None:
+        err = DivergenceError(result.diverged_at, result.trajectory)
+        err.outputs = result.outputs
         raise err
-    return outputs
+    return result.outputs
 
 
 def sweep_command(scenario_path: str, out_dir: str, param: str, values,
-                  overrides=(), max_workers: int = 4) -> str:
-    """Fan out one run per parameter value and merge a summary, sorted by name."""
-    os.makedirs(out_dir, exist_ok=True)
+                  overrides=()) -> str:
+    """One run per parameter value, one after another, and a summary sorted
+    by name.  Every member's scenario is built and validated before any runs.
+    """
     key = param if "." in param else f"params.{param}"
-    jobs = []
+    members = []
     for value in values:
         label = f"{param}={value:g}" if isinstance(value, float) else f"{param}={value}"
-        jobs.append((label, tuple(overrides) + ((key, value),)))
-
-    def one(job):
-        label, ovr = job
-        sub = os.path.join(out_dir, label)
-        loaded = load_scenario_file(scenario_path, ovr)
-        theta_star = centralized_optimum(list(loaded.scenario.costs), 1e-12)
-        try:
-            traj = run(loaded.scenario)
-            diverged_at = None
-        except DivergenceError as exc:
-            traj, diverged_at = exc.trajectory, exc.time
-        rep = convergence_report(traj, theta_star)
-        write_outputs(loaded, sub, traj, rep, diverged_at)
-        return label, rep.final_error, rep.fitted_rate, diverged_at is not None
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(pool.map(one, jobs))
-    rows.sort(key=lambda r: r[0])
-    summary = os.path.join(out_dir, "sweep.csv")
+        members.append((label, load_scenario_file(
+            scenario_path, tuple(overrides) + ((key, value),))))
+    os.makedirs(out_dir, exist_ok=True)
     lines = ["name,final_error,fitted_rate,diverged"]
-    lines += [f"{name},{_fmt(err)},{_fmt(rate)},{'1' if div else '0'}"
-              for name, err, rate, div in rows]
+    for label, loaded in sorted(members, key=lambda m: m[0]):
+        result = execute(loaded, os.path.join(out_dir, label))
+        lines.append(f"{label},{_fmt(result.report.final_error)},"
+                     f"{_fmt(result.report.fitted_rate)},"
+                     f"{'0' if result.diverged_at is None else '1'}")
+    summary = os.path.join(out_dir, "sweep.csv")
     _write_atomic(summary, lines)
     return summary
 
@@ -663,7 +705,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "sweep":
             overrides = [parse_override(o) for o in args.overrides]
-            values = [json.loads(v) for v in args.values.split(",")]
+            values = [parse_value(v) for v in args.values.split(",")]
             summary = sweep_command(args.scenario, args.out, args.param, values,
                                     overrides)
             print(f"wrote {summary}")
@@ -671,15 +713,9 @@ def main(argv=None) -> int:
         if args.command == "check":
             overrides = [parse_override(o) for o in args.overrides]
             return check_command(args.scenario, overrides)
-    except (DivergenceError, InvariantViolatedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResoptError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -1,22 +1,26 @@
-"""The three control laws as pure per-agent evaluations.
+"""The three control laws as the vectorized pieces the integrator runs.
 
-All operations here are side-effect free; the integrator owns every piece of
-mutable state.  Consensus errors come in two flavors: the time-based law
-reads live neighbour states, the event-based law only reads each agent's own
-last successfully broadcast values.  Under an active attack (or after an
-attacked broadcast attempt) the error terms are exactly zero vectors, never
-merely small, so agents fall back to plain local gradient descent.
+Every function here is side-effect free and works on the whole team at once:
+per-agent values are the rows of (N, q) tables, and the integrator owns all
+mutable state.  Consensus errors come in two flavors: the time-based law reads
+live states, the event-based law only each agent's last successfully
+broadcast values.  The rows of silenced agents (the whole team while an attack
+is active in the time-based law, an agent whose governing attempt was attacked
+in the event-based law) are exact zeros, never merely small, so those agents
+fall back to plain local gradient descent.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .plant import AgentModel
+
+# Slack on the retry time, so that a retry lands on the grid point that the
+# dwell reaches despite rounding in ``t + dwell_kappa``.
+RETRY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,139 +76,68 @@ class TriggerParams:
             raise ValidationError("dwell_kappa must be positive")
 
 
-@dataclass
-class AgentCtrlState:
-    """Auxiliary optimization states of one agent."""
+def consensus_errors(lap: np.ndarray, s: np.ndarray, y: np.ndarray, silenced):
+    """Consensus errors ``(lap @ s, lap @ y)`` of every agent.
 
-    rho: np.ndarray
-    z: np.ndarray
-
-
-@dataclass
-class AgentTriggerState:
-    """Event-trigger bookkeeping of one agent.
-
-    ``last_broadcast`` holds the agent's own most recent successful
-    (y, rho, z) broadcast and its timestamp; ``next_attempt`` is the retry
-    time scheduled after an attacked attempt; ``governing_attacked`` is true
-    while the most recent attempt fell under attack (errors are zeroed and
-    the trigger variables are frozen until the next successful attempt).
+    ``s`` stacks rho + z and ``y`` the outputs as (N, q) tables, live or
+    broadcast; ``lap`` is the active graph's Laplacian.  ``silenced`` is a
+    bool for the whole team or an (N,) mask; silenced rows are exactly 0.0.
     """
-
-    eta_g: float
-    eta_h: float
-    y_hat: np.ndarray
-    rho_hat: np.ndarray
-    z_hat: np.ndarray
-    last_time: float
-    governing_attacked: bool = False
-    next_attempt: float = math.inf
+    e_s = lap @ s
+    e_y = lap @ y
+    if np.any(silenced):
+        e_s[silenced] = 0.0
+        e_y[silenced] = 0.0
+    return e_s, e_y
 
 
-def consensus_errors_timebased(i: int, rho: np.ndarray, z: np.ndarray,
-                               y: np.ndarray, weights: np.ndarray,
-                               attacked: bool):
-    """Live consensus errors of agent ``i``; exact zeros while attacked.
+def trigger_functions(s_hat, y_hat, s, y, e_s, e_y, params: TriggerParams):
+    """The trigger functions ``g`` and ``h`` of every agent, as (N,) arrays.
 
-    ``rho``, ``z``, ``y`` stack all agents' values as rows (shape (N, q));
-    ``weights`` is the active graph's adjacency.
+    ``g`` compares the squared drift of y away from the agent's own last
+    broadcast ``y_hat`` against a fraction of its squared consensus error;
+    ``h`` does the same for rho + z.  The squared sizes are Euclidean over
+    the q columns.
     """
-    q = rho.shape[1]
-    if attacked:
-        zero = np.zeros(q)
-        return zero, zero.copy()
-    a_row = weights[i]
-    s = rho + z
-    e_rho_z = a_row @ (s[i] - s)
-    e_y = a_row @ (y[i] - y)
-    return e_rho_z, e_y
-
-
-def consensus_errors_eventbased(i: int, rho_hat: np.ndarray, z_hat: np.ndarray,
-                                y_hat: np.ndarray, weights: np.ndarray,
-                                last_attempt_attacked: bool):
-    """Broadcast-table consensus errors of agent ``i``.
-
-    Every hat value is the owner's last successful broadcast.  When agent
-    ``i``'s own governing attempt was attacked the errors are exact zeros.
-    """
-    q = rho_hat.shape[1]
-    if last_attempt_attacked:
-        zero = np.zeros(q)
-        return zero, zero.copy()
-    a_row = weights[i]
-    s = rho_hat + z_hat
-    e_rho_z = a_row @ (s[i] - s)
-    e_y = a_row @ (y_hat[i] - y_hat)
-    return e_rho_z, e_y
-
-
-def ctrl_derivative_timebased(i: int, x_i: np.ndarray, ctrl: AgentCtrlState,
-                              errors, grad: np.ndarray,
-                              params: AlgorithmParams, model: AgentModel):
-    """Input and auxiliary-state derivatives of one agent.
-
-    Returns ``(u_i, d_rho, d_z)`` where the intermediate variable is
-    ``theta = -grad - beta * e_rho_z - alpha*beta * e_y``; ``d_rho`` equals
-    theta and ``d_z = alpha*beta * e_y``.
-    """
-    e_rho_z, e_y = errors
-    ab = params.alpha * params.beta
-    theta = -np.asarray(grad, dtype=float) - params.beta * e_rho_z - ab * e_y
-    u = (-model.K @ np.asarray(x_i, dtype=float)
-         - (model.U - model.K @ model.X) @ ctrl.rho
-         + model.W @ theta)
-    return u, theta, ab * e_y
-
-
-def measurement_errors(trig: AgentTriggerState, y_i: np.ndarray,
-                       rho_i: np.ndarray, z_i: np.ndarray):
-    """Drift of the current state away from the agent's own last broadcast."""
-    e_y = trig.y_hat - y_i
-    e_rho_z = (trig.rho_hat + trig.z_hat) - (rho_i + z_i)
-    return e_y, e_rho_z
-
-
-def trigger_functions(trig: AgentTriggerState, y_i, rho_i, z_i, errors,
-                      params: TriggerParams):
-    """The scalar trigger functions ``g`` and ``h``.
-
-    ``g`` compares the squared broadcast drift of y against a fraction of the
-    squared consensus error; ``h`` does the same for rho + z.  Both squared
-    sizes are Euclidean, which reduces to the plain square for q = 1.
-    """
-    e_bar_rho_z, e_bar_y = errors
-    me_y, me_rho_z = measurement_errors(trig, y_i, rho_i, z_i)
-    g = float(me_y @ me_y) - params.theta_g * float(e_bar_y @ e_bar_y)
-    h = float(me_rho_z @ me_rho_z) - params.theta_h * float(e_bar_rho_z @ e_bar_rho_z)
+    drift_y = y_hat - y
+    drift_s = s_hat - s
+    g = (drift_y * drift_y).sum(axis=1) - params.theta_g * (e_y * e_y).sum(axis=1)
+    h = (drift_s * drift_s).sum(axis=1) - params.theta_h * (e_s * e_s).sum(axis=1)
     return g, h
 
 
-def trigger_check(i: int, current, trig: AgentTriggerState, errors,
-                  params: TriggerParams) -> bool:
-    """Whether agent ``i`` should attempt a new broadcast now.
+def firing(first: bool, t: float, g, h, eta_g, eta_h, attacked_last,
+           attacked_at, params: TriggerParams) -> np.ndarray:
+    """Which agents attempt a broadcast at time ``t``, as an (N,) mask.
 
-    Fires when the scaled trigger condition is violated, i.e. when
-    ``sigma_g * g > eta_g`` or ``sigma_h * h > eta_h``.  Immediately after a
-    successful broadcast both drifts are zero and the auxiliary variables are
-    positive, so this never fires.
+    Every agent fires at the first grid point.  After that an agent fires
+    when ``sigma_g * g > eta_g`` or ``sigma_h * h > eta_h``, unless its last
+    attempt (at ``attacked_at``) fell under attack: then it retries once
+    ``t`` reaches ``attacked_at + dwell_kappa``.  Right after a successful
+    broadcast both drifts are zero and eta is positive, so it never fires.
     """
-    y_i, rho_i, z_i = current
-    g, h = trigger_functions(trig, y_i, rho_i, z_i, errors, params)
-    return (params.sigma_g * g > trig.eta_g) or (params.sigma_h * h > trig.eta_h)
+    if first:
+        return np.ones(len(g), dtype=bool)
+    triggered = (params.sigma_g * g > eta_g) | (params.sigma_h * h > eta_h)
+    retry = t >= attacked_at + params.dwell_kappa - RETRY_SLACK
+    return np.where(attacked_last, retry, triggered)
 
 
-def eta_derivative(trig: AgentTriggerState, g: float, h: float,
-                   params: TriggerParams, last_attempt_attacked: bool):
-    """Derivatives of the auxiliary trigger variables; frozen under attack."""
-    if last_attempt_attacked:
-        return 0.0, 0.0
-    d_g = -params.k_g * trig.eta_g - params.delta_g * g
-    d_h = -params.k_h * trig.eta_h - params.delta_h * h
-    return d_g, d_h
+def _rk4_decay(eta, rate: float, force, step: float):
+    d1 = -rate * eta - force
+    d2 = -rate * (eta + 0.5 * step * d1) - force
+    d3 = -rate * (eta + 0.5 * step * d2) - force
+    d4 = -rate * (eta + step * d3) - force
+    return (step / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
 
 
-def schedule_after_attacked_attempt(t_attempt: float,
-                                    params: TriggerParams) -> float:
-    """Retry time after an attempt that landed during an attack."""
-    return t_attempt + params.dwell_kappa
+def eta_step(eta_g, eta_h, g, h, frozen, step: float, params: TriggerParams):
+    """One RK4 step of ``d eta = -k eta - delta * (g or h)``, g and h frozen.
+
+    Agents in the ``frozen`` mask (governing attempt attacked) keep their
+    trigger variables.
+    """
+    return (eta_g + np.where(frozen, 0.0, _rk4_decay(eta_g, params.k_g,
+                                                     params.delta_g * g, step)),
+            eta_h + np.where(frozen, 0.0, _rk4_decay(eta_h, params.k_h,
+                                                     params.delta_h * h, step)))

@@ -11,6 +11,8 @@ from __future__ import annotations
 class ResoptError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 2
+
 
 class ValidationError(ResoptError):
     """A scenario file, matrix, or parameter violates a documented invariant."""
@@ -37,6 +39,8 @@ class DivergenceError(ResoptError):
     """A simulated state left the finite range. Carries the abort time and the
     trajectory truncated to the last finite grid point."""
 
+    exit_code = 3
+
     def __init__(self, time: float, trajectory=None):
         super().__init__(f"state became non-finite or exceeded 1e9 at t={time:.6f}")
         self.time = time
@@ -46,6 +50,8 @@ class DivergenceError(ResoptError):
 class InvariantViolatedError(ResoptError):
     """A run-time invariant of the integrator failed: an event-triggered run's
     auxiliary trigger variable stopped being positive.  Carries the time."""
+
+    exit_code = 3
 
     def __init__(self, message: str, time: float):
         super().__init__(message)

@@ -167,19 +167,3 @@ class AgentModel:
     def q(self) -> int:
         return self.C.shape[0]
 
-
-def plant_derivative(model: AgentModel, x, u) -> np.ndarray:
-    """State derivative ``A x + B u``."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if x.shape != (model.n,) or u.shape != (model.p,):
-        raise ValidationError("state or input dimension mismatch")
-    return model.A @ x + model.B @ u
-
-
-def output(model: AgentModel, x) -> np.ndarray:
-    """Output map ``y = C x``."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (model.n,):
-        raise ValidationError("state dimension mismatch")
-    return model.C @ x

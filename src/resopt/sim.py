@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attack import AttackSchedule, activity_series
-from .controller import AlgorithmParams, TriggerParams
+from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
+                         eta_step, firing, trigger_functions)
 from .cost import CostSpec, gradient
 from .errors import DivergenceError, InvariantViolatedError, ValidationError
 from .graph import GraphProcess, SwitchingPath, laplacian, sample_switching_path, \
@@ -244,7 +245,7 @@ class _Stacked:
         self.grad_eval = grad_eval
 
 
-def _draw_initial(scenario: Scenario, stacked: _Stacked):
+def _draw_initial(scenario: Scenario):
     q = scenario.q
     if scenario.initial.mode == "explicit":
         xs, rhos, zs = [], [], []
@@ -302,7 +303,7 @@ def run(scenario: Scenario) -> Trajectory:
 
     laplacians = [laplacian(g) for g in scenario.graph_process.graphs]
 
-    x, rho, z = _draw_initial(scenario, st)
+    x, rho, z = _draw_initial(scenario)
     hist_x = np.empty((n_steps + 1, st.nx))
     hist_y = np.empty((n_steps + 1, st.nq))
     hist_rho = np.empty((n_steps + 1, st.nq))
@@ -310,41 +311,37 @@ def run(scenario: Scenario) -> Trajectory:
     hist_u = np.empty((n_steps + 1, st.pu))
     hist_eg = np.zeros((n_steps + 1, big_n))
     hist_eh = np.zeros((n_steps + 1, big_n))
+    # Broadcast attempts per grid point; with attack_on they give the
+    # successful and the blocked attempts of every agent.
+    hist_fired = np.zeros((n_steps + 1, big_n), dtype=bool)
 
     trig = scenario.trigger
-    events = [[] for _ in range(big_n)]
-    blocked = [[] for _ in range(big_n)]
     if event_mode:
         eta_g = np.full(big_n, trig.eta_g0)
         eta_h = np.full(big_n, trig.eta_h0)
-        y_hat = np.zeros(st.nq)
-        rho_hat = np.zeros(st.nq)
-        z_hat = np.zeros(st.nq)
-        gov_attacked = np.zeros(big_n, dtype=bool)
-        next_attempt = np.full(big_n, math.inf)
-    else:
-        eta_g = eta_h = None
+        y_hat = np.zeros((big_n, q))       # each agent's last successful broadcast
+        s_hat = np.zeros((big_n, q))       # of y and of rho + z
+        attacked_last = np.zeros(big_n, dtype=bool)
+        attacked_at = np.full(big_n, math.inf)
 
     grad_eval = st.grad_eval
     m_a, m_bukx, m_bw, c_blk = st.m_a, st.m_bukx, st.m_bw, st.c_blk
 
     def finish(last: int, diverged_at: float | None):
+        fired, on, t = hist_fired[:last + 1], attack_on[:last + 1], times[:last + 1]
         traj = Trajectory(
-            times=times[:last + 1], x=hist_x[:last + 1], y=hist_y[:last + 1],
+            times=t, x=hist_x[:last + 1], y=hist_y[:last + 1],
             rho=hist_rho[:last + 1], z=hist_z[:last + 1], u=hist_u[:last + 1],
             eta_g=hist_eg[:last + 1], eta_h=hist_eh[:last + 1],
-            r_state=r_series[:last + 1], attack_on=attack_on[:last + 1],
-            events=tuple(np.array(e) for e in events),
-            blocked_attempts=tuple(np.array(b) for b in blocked),
+            r_state=r_series[:last + 1], attack_on=on,
+            events=tuple(t[fired[:, i] & ~on] for i in range(big_n)),
+            blocked_attempts=tuple(t[fired[:, i] & on] for i in range(big_n)),
             switching=path, algorithm=scenario.algorithm, step=h, q=q,
             state_slices=tuple(st.state_slices),
             input_slices=tuple(st.input_slices))
         if diverged_at is not None:
             raise DivergenceError(diverged_at, traj)
         return traj
-
-    def mat(flat):
-        return flat.reshape(big_n, q)
 
     # Divergence is detected by letting inf/nan propagate to the step-end
     # guard, so arithmetic warnings along that path are expected noise.
@@ -353,69 +350,35 @@ def run(scenario: Scenario) -> Trajectory:
             y = c_blk @ x
             lap = laplacians[r_series[k]]
             attacked = bool(attack_on[k])
+            y_m = y.reshape(big_n, q)
+            s_m = rho.reshape(big_n, q) + z.reshape(big_n, q)
 
             if event_mode:
-                # Trigger decisions first (against the pre-update broadcast table),
-                # then all broadcasts land simultaneously at this instant.
-                s_hat = mat(rho_hat) + mat(z_hat)
-                ebar_rz_pre = lap @ s_hat
-                ebar_y_pre = lap @ mat(y_hat)
-                y_m, rho_m, z_m = mat(y), mat(rho), mat(z)
-                t_now = times[k]
-                attempting = np.zeros(big_n, dtype=bool)
-                for i in range(big_n):
-                    if k == 0:
-                        attempting[i] = True
-                    elif gov_attacked[i]:
-                        attempting[i] = t_now >= next_attempt[i] - 1e-12
-                    else:
-                        me_y = mat(y_hat)[i] - y_m[i]
-                        me_rz = s_hat[i] - (rho_m[i] + z_m[i])
-                        row_y, row_rz = ebar_y_pre[i], ebar_rz_pre[i]
-                        g_i = float(me_y @ me_y) - trig.theta_g * float(row_y @ row_y)
-                        h_i = float(me_rz @ me_rz) - trig.theta_h * float(row_rz @ row_rz)
-                        attempting[i] = (trig.sigma_g * g_i > eta_g[i]
-                                         or trig.sigma_h * h_i > eta_h[i])
-                for i in np.flatnonzero(attempting):
-                    if attacked:
-                        gov_attacked[i] = True
-                        next_attempt[i] = t_now + trig.dwell_kappa
-                        blocked[i].append(t_now)
-                    else:
-                        sl = slice(i * q, (i + 1) * q)
-                        y_hat[sl] = y[sl]
-                        rho_hat[sl] = rho[sl]
-                        z_hat[sl] = z[sl]
-                        gov_attacked[i] = False
-                        next_attempt[i] = math.inf
-                        events[i].append(t_now)
+                # Trigger decisions first (against the pre-update broadcast
+                # table), then all broadcasts land simultaneously at this instant.
+                e_s, e_y = consensus_errors(lap, s_hat, y_hat, attacked_last)
+                g, h_val = trigger_functions(s_hat, y_hat, s_m, y_m, e_s, e_y, trig)
+                fired = firing(k == 0, times[k], g, h_val, eta_g, eta_h,
+                               attacked_last, attacked_at, trig)
+                hist_fired[k] = fired
+                if attacked:
+                    attacked_at[fired] = times[k]
+                else:
+                    y_hat[fired] = y_m[fired]
+                    s_hat[fired] = s_m[fired]
+                attacked_last[fired] = attacked
 
-                s_hat = mat(rho_hat) + mat(z_hat)
-                e_rz = lap @ s_hat
-                e_y = lap @ mat(y_hat)
-                if gov_attacked.any():
-                    e_rz[gov_attacked] = 0.0
-                    e_y[gov_attacked] = 0.0
+                e_s, e_y = consensus_errors(lap, s_hat, y_hat, attacked_last)
                 # Frozen trigger-function values for this step's eta dynamics.
-                me_y_all = mat(y_hat) - mat(y)
-                me_rz_all = s_hat - (mat(rho) + mat(z))
-                g_vals = (me_y_all * me_y_all).sum(axis=1) \
-                    - trig.theta_g * (e_y * e_y).sum(axis=1)
-                h_vals = (me_rz_all * me_rz_all).sum(axis=1) \
-                    - trig.theta_h * (e_rz * e_rz).sum(axis=1)
+                g, h_val = trigger_functions(s_hat, y_hat, s_m, y_m, e_s, e_y, trig)
                 hist_eg[k] = eta_g
                 hist_eh[k] = eta_h
             else:
-                if attacked:
-                    e_rz = np.zeros((big_n, q))
-                    e_y = np.zeros((big_n, q))
-                else:
-                    e_rz = lap @ (mat(rho) + mat(z))
-                    e_y = lap @ mat(y)
+                e_s, e_y = consensus_errors(lap, s_m, y_m, attacked)
 
-            e_rz_flat = e_rz.reshape(-1)
+            e_s_flat = e_s.reshape(-1)
             e_y_flat = e_y.reshape(-1)
-            const_theta = -beta * e_rz_flat - ab * e_y_flat
+            const_theta = -beta * e_s_flat - ab * e_y_flat
             dz_const = ab * e_y_flat
 
             grads = grad_eval(y)
@@ -445,16 +408,7 @@ def run(scenario: Scenario) -> Trajectory:
             z = z + h * dz_const
 
             if event_mode:
-                # RK4 on the decoupled linear eta dynamics with frozen g, h.
-                frozen = gov_attacked
-                for eta, rate, force in ((eta_g, trig.k_g, trig.delta_g * g_vals),
-                                         (eta_h, trig.k_h, trig.delta_h * h_vals)):
-                    d1 = -rate * eta - force
-                    d2 = -rate * (eta + 0.5 * h * d1) - force
-                    d3 = -rate * (eta + 0.5 * h * d2) - force
-                    d4 = -rate * (eta + h * d3) - force
-                    step_val = (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-                    eta += np.where(frozen, 0.0, step_val)
+                eta_g, eta_h = eta_step(eta_g, eta_h, g, h_val, attacked_last, h, trig)
                 if not (np.all(eta_g > 0.0) and np.all(eta_h > 0.0)):
                     t_next = float(times[k + 1])
                     raise InvariantViolatedError(

@@ -5,10 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from resopt.cli import (CSV_CHUNK_ROWS, _fmt, _trajectory_lines,
-                        build_scenario, load_scenario, load_scenario_file,
-                        main, parse_override, preset, preset_scenario,
-                        run_command, trajectory_header)
+from resopt.cli import (CSV_CHUNK_ROWS, _conditions_lines, _fmt,
+                        _trajectory_lines, build_scenario, load_scenario,
+                        load_scenario_file, main, parse_override, preset,
+                        preset_scenario, run_command, trajectory_header)
 from resopt.errors import DivergenceError, ValidationError
 from resopt.sim import run
 
@@ -33,6 +33,25 @@ def fast_doc():
         "sim": {"horizon": 1.0, "step": 1e-3, "seed": 0,
                 "initial": {"mode": "explicit",
                             "states": [{"x": [1.0], "rho": [0.0], "z": [0.0]}]}},
+    }
+
+
+def q2_doc():
+    """Two agents with two-dimensional outputs and separable quadratic costs."""
+    agent = {"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+             "C": [[1.0, 0.0], [0.0, 1.0]], "K": [[1.0, 0.0], [0.0, 1.0]]}
+    return {
+        "agents": [agent, agent],
+        "costs": [{"kind": "custom_polynomial", "parameters": [0.0, -1.0, 0.5],
+                   "dimension": 2},
+                  {"kind": "custom_polynomial", "parameters": [0.0, 1.0, 0.5],
+                   "dimension": 2}],
+        "graph_process": {"weights": [[[0.0, 1.0], [1.0, 0.0]]],
+                          "generator": [[0.0]], "initial_distribution": [1.0]},
+        "algorithm": "time_based",
+        "params": {"alpha": 2.0, "beta": 1.0},
+        "sim": {"horizon": 0.5, "step": 1e-3, "seed": 0,
+                "initial": {"mode": "random", "low": -1.0, "high": 1.0}},
     }
 
 
@@ -148,11 +167,70 @@ class TestOverrides:
         assert parse_override("algorithm=event_based") == \
             ("algorithm", "event_based")
 
+    def test_list_index_edits_one_element(self, tmp_path):
+        doc = preset("case1")
+        path = tmp_path / "case1.json"
+        path.write_text(json.dumps(doc))
+        gain = [[3.0, 5.0], [1.5, 2.0]]
+        loaded = load_scenario_file(str(path), [parse_override(
+            f"agents.0.K={json.dumps(gain)}")])
+        assert loaded.raw["agents"][0]["K"] == gain
+        assert loaded.raw["agents"][1] == doc["agents"][1]
+        np.testing.assert_array_equal(loaded.scenario.agents[0].K, gain)
+
+    @pytest.mark.parametrize("key", ["agents.3.K", "agents.x.K", "agents.-1.K"])
+    def test_bad_list_index_rejected(self, tmp_path, key):
+        path = tmp_path / "case1.json"
+        path.write_text(json.dumps(preset("case1")))
+        with pytest.raises(ValidationError, match="not an index"):
+            load_scenario_file(str(path), [(key, [[1.0]])])
+
+    def test_non_finite_override_rejected(self, tmp_path, capsys):
+        path = tmp_path / "case2.json"
+        path.write_text(json.dumps(preset("case2")))
+        code = main(["check", str(path), "--set",
+                     "attacks.periodic.period=Infinity"])
+        assert code == 2
+        assert "non-finite number Infinity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_scenario_token_rejected(self, tmp_path, capsys, token):
+        text = json.dumps(preset("case2")).replace('"period": 100.0',
+                                                   f'"period": {token}')
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert f"non-finite number {token}" in capsys.readouterr().err
+
     def test_seed_override_applies(self, tmp_path):
         path = tmp_path / "fast.json"
         path.write_text(json.dumps(fast_doc()))
         loaded = load_scenario_file(str(path), [("sim.seed", 42)])
         assert loaded.scenario.seed == 42
+
+
+def pass_flags(name):
+    """(variant, frequency_pass, duration_pass) rows of a preset's
+    conditions.csv, computed without a simulation."""
+    loaded = preset_scenario(name)
+    lines = list(_conditions_lines(loaded.scenario, loaded.budget))
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    return [(r["variant"], r["frequency_pass"], r["duration_pass"]) for r in rows]
+
+
+class TestPresetBudgets:
+    def test_case1_has_no_budget(self):
+        assert pass_flags("case1") == [("plain", "", "")]
+
+    def test_case2_plain_passes_both(self):
+        assert pass_flags("case2") == [("plain", "1", "1")]
+
+    def test_case3_retry_dwell_breaks_frequency_budget(self):
+        # the 0.1 s dwell inflates the frequency threshold to 102.2 s, above
+        # the 101 s that two bursts 100 s apart admit
+        assert pass_flags("case3") == [("plain", "1", "1"),
+                                       ("inflated", "0", "1")]
 
 
 class TestRunCommand:
@@ -166,6 +244,22 @@ class TestRunCommand:
         assert out.events_csv is None
         header = open(out.trajectory_csv).readline().strip()
         assert header.startswith("t,x1_1,y1,rho1,z1,u1_1,eta_g1,eta_h1")
+
+    def test_q2_run(self, tmp_path, capsys):
+        path = tmp_path / "q2.json"
+        path.write_text(json.dumps(q2_doc()))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["conditions.csv", "report.csv",
+                                           "trajectory.csv"]
+        header = (out / "trajectory.csv").read_text().splitlines()[0]
+        assert header.startswith("t,x1_1,x1_2,y1_1,y1_2,rho1_1,rho1_2,z1_1,z1_2,"
+                                 "u1_1,u1_2,eta_g1,eta_h1,x2_1")
+        report = (out / "report.csv").read_text().splitlines()
+        values = dict(zip(report[0].split(","), report[1].split(",")))
+        assert report[0].startswith("theta_star_1,theta_star_2,final_error,")
+        assert float(values["theta_star_1"]) == pytest.approx(0.0, abs=1e-9)
+        assert float(values["theta_star_2"]) == pytest.approx(0.0, abs=1e-9)
 
     def test_golden_case1_header(self):
         scen = preset_scenario("case1").scenario
@@ -310,3 +404,13 @@ class TestSweep:
         names = [r.split(",")[0] for r in rows[1:]]
         assert names == sorted(names)
         assert (tmp_path / "sw" / "beta=0.5" / "report.csv").exists()
+
+    def test_bad_value_fails_before_any_member_runs(self, tmp_path, capsys):
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(fast_doc()))
+        out = tmp_path / "sw"
+        code = main(["sweep", str(path), "--param", "beta",
+                     "--values", "0.5,abc", "--out", str(out)])
+        assert code == 2
+        assert "schema violation at $.params.beta" in capsys.readouterr().err
+        assert not out.exists()

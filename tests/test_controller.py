@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from resopt.controller import (AgentCtrlState, AgentTriggerState,
-                               AlgorithmParams, TriggerParams,
-                               consensus_errors_eventbased,
-                               consensus_errors_timebased,
-                               ctrl_derivative_timebased, eta_derivative,
-                               schedule_after_attacked_attempt, trigger_check)
-from resopt.cost import CostSpec, gradient
+from resopt.attack import AttackSchedule
+from resopt.controller import (AlgorithmParams, TriggerParams, consensus_errors,
+                               eta_step, firing, trigger_functions)
+from resopt.cost import CostSpec
 from resopt.errors import ValidationError
-from resopt.plant import plant_derivative
+from resopt.graph import GraphProcess, WeightedDigraph, laplacian
+from resopt.plant import AgentModel
+from resopt.sim import InitialCondition, Scenario, run
 
 
 def trigger_params(**kw):
@@ -20,163 +19,162 @@ def trigger_params(**kw):
     return TriggerParams(**base)
 
 
-def trig_state(y_hat=0.0, rho_hat=0.0, z_hat=0.0, eta_g=1.0, eta_h=1.0):
-    return AgentTriggerState(eta_g=eta_g, eta_h=eta_h,
-                             y_hat=np.array([y_hat]),
-                             rho_hat=np.array([rho_hat]),
-                             z_hat=np.array([z_hat]), last_time=0.0)
+def lap(weights):
+    return laplacian(WeightedDigraph(np.asarray(weights, dtype=float)))
+
+
+def column(*values):
+    return np.array(values, dtype=float).reshape(-1, 1)
 
 
 class TestTimeBasedErrors:
     def test_attacked_branch_exact_zero(self):
-        rho = np.array([[1.0], [2.0]])
-        z = np.array([[3.0], [4.0]])
-        y = np.array([[5.0], [6.0]])
-        weights = np.array([[0.0, 1.0], [1.0, 0.0]])
-        e_rz, e_y = consensus_errors_timebased(0, rho, z, y, weights, attacked=True)
-        assert np.array_equal(e_rz, np.zeros(1)) and np.array_equal(e_y, np.zeros(1))
+        s = column(4.0, 6.0)
+        y = column(5.0, 6.0)
+        e_s, e_y = consensus_errors(lap([[0.0, 1.0], [1.0, 0.0]]), s, y, True)
+        assert np.array_equal(e_s, np.zeros((2, 1)))
+        assert np.array_equal(e_y, np.zeros((2, 1)))
 
     def test_consensus_fixed_point(self):
-        rho = np.full((3, 1), 2.0)
-        z = np.full((3, 1), -1.0)
+        s = np.full((3, 1), 1.0)
         y = np.full((3, 1), 0.5)
-        weights = np.ones((3, 3)) - np.eye(3)
-        e_rz, e_y = consensus_errors_timebased(1, rho, z, y, weights, attacked=False)
-        np.testing.assert_allclose(e_rz, 0.0)
+        e_s, e_y = consensus_errors(lap(np.ones((3, 3)) - np.eye(3)), s, y, False)
+        np.testing.assert_allclose(e_s, 0.0)
         np.testing.assert_allclose(e_y, 0.0)
 
     def test_two_agent_output_error(self):
-        rho = np.zeros((2, 1))
-        z = np.zeros((2, 1))
-        y = np.array([[1.0], [0.0]])
-        weights = np.array([[0.0, 1.0], [0.0, 0.0]])  # a_12 = 1
-        _, e_y = consensus_errors_timebased(0, rho, z, y, weights, attacked=False)
-        assert e_y[0] == pytest.approx(1.0)
-
-
-class TestCtrlDerivative:
-    def test_equilibrium_of_quartic(self, demo_agents):
-        cost = CostSpec("quartic", (1.0, 2.0, 2.0))
-        ctrl = AgentCtrlState(rho=np.zeros(1), z=np.zeros(1))
-        zero = np.zeros(1)
-        u, d_rho, d_z = ctrl_derivative_timebased(
-            0, np.zeros(2), ctrl, (zero, zero), gradient(cost, [0.0]),
-            AlgorithmParams(2.0, 1.0), demo_agents[0])
-        np.testing.assert_allclose(u, 0.0)
-        np.testing.assert_allclose(d_rho, 0.0)
-        np.testing.assert_allclose(d_z, 0.0)
-
-    def test_attacked_branch_is_pure_gradient_descent(self, demo_agents):
-        grad = np.array([1.7])
-        ctrl = AgentCtrlState(rho=np.array([4.0]), z=np.array([-2.0]))
-        zero = np.zeros(1)
-        _, d_rho, d_z = ctrl_derivative_timebased(
-            0, np.array([1.0, 2.0]), ctrl, (zero, zero), grad,
-            AlgorithmParams(2.0, 1.0), demo_agents[0])
-        np.testing.assert_allclose(d_rho, -grad)
-        np.testing.assert_array_equal(d_z, np.zeros(1))
-
-    def test_agent_one_arithmetic(self, demo_agents):
-        # x = 0, rho = 1, zero errors and gradient:
-        # u = -(U - K X) * 1 = [3; 0.75]
-        ctrl = AgentCtrlState(rho=np.array([1.0]), z=np.zeros(1))
-        zero = np.zeros(1)
-        u, d_rho, _ = ctrl_derivative_timebased(
-            0, np.zeros(2), ctrl, (zero, zero), np.zeros(1),
-            AlgorithmParams(2.0, 1.0), demo_agents[0])
-        np.testing.assert_allclose(u, [3.0, 0.75])
-        np.testing.assert_allclose(d_rho, 0.0)
+        s = np.zeros((2, 1))
+        y = column(1.0, 0.0)
+        # a_12 = 1: agent 1 hears agent 2
+        _, e_y = consensus_errors(lap([[0.0, 1.0], [0.0, 0.0]]), s, y, False)
+        assert e_y[0, 0] == pytest.approx(1.0)
 
 
 class TestEventBasedErrors:
     def test_attacked_governing_attempt(self):
-        hats = np.array([[1.0], [2.0]])
-        weights = np.ones((2, 2)) - np.eye(2)
-        e_rz, e_y = consensus_errors_eventbased(0, hats, hats, hats, weights,
-                                                last_attempt_attacked=True)
-        assert np.array_equal(e_rz, np.zeros(1)) and np.array_equal(e_y, np.zeros(1))
+        # agent 0's governing attempt was attacked, agents 1-2 were not
+        hats = column(1.0, 1.5, 1.5)
+        weights = np.ones((3, 3)) - np.eye(3)
+        silenced = np.array([True, False, False])
+        e_s, e_y = consensus_errors(lap(weights), hats, hats, silenced)
+        assert np.array_equal(e_s[0], np.zeros(1))
+        assert np.array_equal(e_y[0], np.zeros(1))
+        # rows 1 and 2 still see agent 0's broadcast of 1.0
+        np.testing.assert_allclose(e_y[1:, 0], 0.5)
 
     def test_equal_broadcasts(self):
         hats = np.full((3, 1), 1.5)
         weights = np.ones((3, 3)) - np.eye(3)
-        e_rz, e_y = consensus_errors_eventbased(2, hats, hats, hats, weights,
-                                                last_attempt_attacked=False)
-        np.testing.assert_allclose(e_rz, 0.0)
+        e_s, e_y = consensus_errors(lap(weights), hats, hats,
+                                    np.zeros(3, dtype=bool))
+        np.testing.assert_allclose(e_s, 0.0)
         np.testing.assert_allclose(e_y, 0.0)
 
     def test_broadcast_table_sum(self):
-        y_hat = np.array([[2.0], [0.0]])
+        y_hat = column(2.0, 0.0)
         zeros = np.zeros((2, 1))
-        weights = np.array([[0.0, 1.0], [0.0, 0.0]])
-        _, e_y = consensus_errors_eventbased(0, zeros, zeros, y_hat, weights,
-                                             last_attempt_attacked=False)
-        assert e_y[0] == pytest.approx(2.0)
+        _, e_y = consensus_errors(lap([[0.0, 1.0], [0.0, 0.0]]), zeros, y_hat,
+                                  np.zeros(2, dtype=bool))
+        assert e_y[0, 0] == pytest.approx(2.0)
+
+
+def fires(params, s_hat, y_hat, s, y, e_s, e_y, eta_g, eta_h):
+    g, h = trigger_functions(column(*s_hat), column(*y_hat), column(*s),
+                             column(*y), column(*e_s), column(*e_y), params)
+    n = len(g)
+    return firing(False, 1.0, g, h, np.asarray(eta_g, dtype=float),
+                  np.asarray(eta_h, dtype=float), np.zeros(n, dtype=bool),
+                  np.full(n, np.inf), params)
 
 
 class TestTriggerCheck:
     def test_fresh_broadcast_never_fires(self):
-        trig = trig_state(y_hat=1.0, rho_hat=2.0, z_hat=3.0)
-        current = (np.array([1.0]), np.array([2.0]), np.array([3.0]))
-        errors = (np.array([0.7]), np.array([-0.4]))
-        assert not trigger_check(0, current, trig, errors, trigger_params())
+        fired = fires(trigger_params(), s_hat=[5.0], y_hat=[1.0], s=[5.0],
+                      y=[1.0], e_s=[-0.4], e_y=[0.7], eta_g=[1.0], eta_h=[1.0])
+        assert not fired[0]
 
     def test_static_threshold_limit(self):
         params = trigger_params(theta_g=0.0, theta_h=0.0)
-        trig = trig_state(y_hat=1.0)
-        trig.eta_g = 1e-15
-        current = (np.array([0.0]), np.array([0.0]), np.array([0.0]))
-        errors = (np.zeros(1), np.zeros(1))
-        assert trigger_check(0, current, trig, errors, params)
+        fired = fires(params, s_hat=[0.0], y_hat=[1.0], s=[0.0], y=[0.0],
+                      e_s=[0.0], e_y=[0.0], eta_g=[1e-15], eta_h=[1.0])
+        assert fired[0]
 
     def test_numeric_example(self):
         # |e~_y|^2 = 0.5, theta_g |e_y|^2 = 0.1, sigma_g = 2:
-        # sigma_g * g = 0.8, fires only once eta_g drops below 0.8
+        # sigma_g * g = 0.8, fires only once eta_g drops below 0.8; the two
+        # rows are the same agent with eta_g = 1.0 and eta_g = 0.5
         params = trigger_params(sigma_g=2.0, theta_g=0.2, sigma_h=2.0,
                                 theta_h=0.0)
-        y_hat = np.sqrt(0.5)
-        e_y = np.array([np.sqrt(0.5)])  # theta_g * 0.5 = 0.1
-        errors = (np.zeros(1), e_y)     # (e_rho_z, e_y), matching the ops
-        current = (np.array([0.0]), np.array([0.0]), np.array([0.0]))
-        trig = trig_state(y_hat=y_hat)
-        trig.eta_g, trig.eta_h = 1.0, 1e6
-        assert not trigger_check(0, current, trig, errors, params)
-        trig.eta_g = 0.5
-        assert trigger_check(0, current, trig, errors, params)
+        r = np.sqrt(0.5)
+        fired = fires(params, s_hat=[0.0, 0.0], y_hat=[r, r], s=[0.0, 0.0],
+                      y=[0.0, 0.0], e_s=[0.0, 0.0], e_y=[r, r],
+                      eta_g=[1.0, 0.5], eta_h=[1e6, 1e6])
+        assert list(fired) == [False, True]
+
+    def test_everyone_fires_first(self):
+        params = trigger_params()
+        g = h = np.full(3, -1.0)
+        fired = firing(True, 0.0, g, h, np.ones(3), np.ones(3),
+                       np.zeros(3, dtype=bool), np.full(3, np.inf), params)
+        assert fired.all()
+
+
+class TestDwellScheduling:
+    def retries(self, t, attacked_at, params=None):
+        params = params or trigger_params()
+        big = np.full(1, 1e6)  # would fire at once if not governed by the retry
+        return bool(firing(False, t, big, big, np.ones(1), np.ones(1),
+                           np.array([True]), np.array([attacked_at]), params)[0])
+
+    def test_simple_shift(self):
+        assert not self.retries(5.1 - 1e-9, 5.0)
+        assert self.retries(5.1, 5.0)
+
+    def test_repeated_retries(self):
+        t = 5.0
+        for k in range(1, 4):
+            t_next = 5.0 + 0.1 * k
+            assert not self.retries(t_next - 1e-9, t)
+            assert self.retries(t_next, t)
+            t = t_next
+
+
+def rk4_decay_reference(eta, rate, force, step):
+    """RK4 of the linear ODE ``d eta = -rate eta - force`` is the fourth-order
+    Taylor polynomial of its exact flow."""
+    a = rate * step
+    return (eta * (1.0 - a + a * a / 2.0 - a ** 3 / 6.0 + a ** 4 / 24.0)
+            - force * step * (1.0 - a / 2.0 + a * a / 6.0 - a ** 3 / 24.0))
+
+
+def step_rows(eta_g, g, frozen, params, step=1e-3):
+    """eta_step on one row per agent; the h channel mirrors the g channel."""
+    eta_g = np.asarray(eta_g, dtype=float)
+    g = np.asarray(g, dtype=float)
+    return eta_step(eta_g, eta_g.copy(), g, g.copy(),
+                    np.asarray(frozen, dtype=bool), step, params)
 
 
 class TestEtaDerivative:
     def test_frozen_under_attack(self):
-        trig = trig_state()
-        assert eta_derivative(trig, 5.0, -3.0, trigger_params(),
-                              last_attempt_attacked=True) == (0.0, 0.0)
+        new_g, new_h = step_rows([1.0, 1.0], [5.0, -3.0], [True, True],
+                                 trigger_params())
+        assert list(new_g) == [1.0, 1.0] and list(new_h) == [1.0, 1.0]
 
     def test_pure_decay_with_zero_delta(self):
         params = trigger_params(delta_g=0.0, delta_h=0.0)
-        trig = trig_state()
-        trig.eta_g, trig.eta_h = 2.0, 3.0
-        d_g, d_h = eta_derivative(trig, 7.0, -7.0, params, False)
-        assert d_g == pytest.approx(-2.0)
-        assert d_h == pytest.approx(-3.0)
+        new_g, _ = step_rows([2.0, 3.0], [7.0, -7.0], [False, False], params)
+        assert new_g[0] == pytest.approx(rk4_decay_reference(2.0, 1.0, 0.0, 1e-3))
+        assert new_g[1] == pytest.approx(rk4_decay_reference(3.0, 1.0, 0.0, 1e-3))
 
     def test_numeric_example(self):
-        params = trigger_params(k_g=1.0, delta_g=0.5)
-        trig = trig_state()
-        trig.eta_g = 2.0
-        d_g, _ = eta_derivative(trig, -1.0, 0.0, params, False)
-        assert d_g == pytest.approx(-1.5)
-
-
-class TestDwellScheduling:
-    def test_simple_shift(self):
-        assert schedule_after_attacked_attempt(5.0, trigger_params()) \
-            == pytest.approx(5.1)
-
-    def test_repeated_retries(self):
-        params = trigger_params()
-        t = 5.0
-        for k in range(1, 4):
-            t = schedule_after_attacked_attempt(t, params)
-            assert t == pytest.approx(5.0 + 0.1 * k)
+        # k = 1, delta = 0.5, eta = 2, g = -1: d eta = -1.5; the second row
+        # is frozen and keeps its value
+        params = trigger_params(k_g=1.0, delta_g=0.5, k_h=1.0, delta_h=0.5)
+        new_g, _ = step_rows([2.0, 2.0], [-1.0, -1.0], [False, True], params)
+        assert new_g[0] == pytest.approx(rk4_decay_reference(2.0, 1.0, -0.5, 1e-3))
+        assert (new_g[0] - 2.0) / 1e-3 == pytest.approx(-1.5, rel=1e-3)
+        assert new_g[1] == 2.0
 
 
 class TestTriggerParamsValidation:
@@ -193,26 +191,66 @@ class TestTriggerParamsValidation:
             trigger_params(eta_g0=0.0)
 
 
+def team_run(models, cost, states, attacked=False, horizon=1e-3):
+    n = len(models)
+    proc = GraphProcess(graphs=(WeightedDigraph(np.ones((n, n)) - np.eye(n)),),
+                        generator=[[0.0]], initial_distribution=[1.0])
+    schedule = AttackSchedule(intervals=((0.0, horizon),), horizon=horizon) \
+        if attacked else None
+    init = InitialCondition(mode="explicit", states=states)
+    return run(Scenario(agents=tuple(models), costs=(cost,) * n,
+                        graph_process=proc, attack_schedule=schedule,
+                        algorithm="time_based", params=AlgorithmParams(2.0, 1.0),
+                        horizon=horizon, step=1e-3, seed=0, initial=init))
+
+
+class TestCtrlDerivative:
+    """The time-based input ``u = -K x - (U - K X) rho + W theta`` and the
+    auxiliary derivatives, read off the integrator's first grid point."""
+
+    def test_equilibrium_of_quartic(self, demo_agents):
+        traj = team_run(demo_agents[:1], CostSpec("quartic", (1.0, 2.0, 2.0)),
+                        (([0.0, 0.0], [0.0], [0.5]),))
+        np.testing.assert_allclose(traj.u[0], 0.0)
+        np.testing.assert_allclose(traj.rho[1], 0.0)
+        np.testing.assert_allclose(traj.z[1], 0.5)
+
+    def test_attacked_branch_is_pure_gradient_descent(self):
+        # two coupled agents in disagreement under attack, constant gradient
+        # 1.7: each rho descends at exactly that rate and z holds
+        model = AgentModel.build([[0.0]], [[1.0]], [[1.0]], [[1.0]])
+        traj = team_run((model, model), CostSpec("custom_polynomial", (0.0, 1.7)),
+                        (([1.0], [4.0], [0.5]), ([-1.0], [-2.0], [0.0])),
+                        attacked=True)
+        np.testing.assert_allclose((traj.rho[1] - traj.rho[0]) / 1e-3, -1.7)
+        np.testing.assert_array_equal(traj.z[1], [0.5, 0.0])
+
+    def test_agent_one_arithmetic(self, demo_agents):
+        # x = 0, rho = 1, zero errors and gradient:
+        # u = -(U - K X) * 1 = [3; 0.75]
+        traj = team_run(demo_agents[:1], CostSpec("custom_polynomial", (0.0,)),
+                        (([0.0, 0.0], [1.0], [0.5]),))
+        np.testing.assert_allclose(traj.u[0], [3.0, 0.75])
+        np.testing.assert_allclose(traj.rho[1], 1.0)
+
+
 class TestEquilibriumConsistency:
-    def test_shared_quadratic_equilibrium(self, demo_agents):
-        # identical quadratic costs centred at 0.8: every agent's gradient
-        # vanishes at the optimum, so with zero consensus errors all
-        # controller derivatives vanish and x = X rho is stationary
+    def test_shared_quadratic_equilibrium(self, demo_agents, bundled_process):
+        # identical quadratic costs centred at 0.8: every gradient vanishes at
+        # the optimum and all consensus errors are zero, so x = X theta,
+        # rho = theta is an equilibrium of the integrated closed loop
         target = 0.8
         cost = CostSpec("custom_polynomial", (0.5 * target ** 2, -target, 0.5))
-        assert gradient(cost, [target])[0] == pytest.approx(0.0, abs=1e-15)
-        params = AlgorithmParams(2.0, 1.0)
-        zero = np.zeros(1)
-        for model in demo_agents:
-            rho_bar = np.array([target])
-            x_bar = (model.X @ rho_bar).reshape(-1)
-            y_bar = model.C @ x_bar
-            np.testing.assert_allclose(y_bar, [target], atol=1e-12)
-            ctrl = AgentCtrlState(rho=rho_bar, z=np.array([0.3]))
-            u, d_rho, d_z = ctrl_derivative_timebased(
-                0, x_bar, ctrl, (zero, zero), gradient(cost, y_bar), params,
-                model)
-            assert np.linalg.norm(d_rho) < 1e-9
-            assert np.linalg.norm(d_z) < 1e-9
-            dx = plant_derivative(model, x_bar, u)
-            assert np.linalg.norm(dx) < 1e-9
+        states = tuple(((model.X @ [target]).reshape(-1), [target], [0.3])
+                       for model in demo_agents)
+        scen = Scenario(agents=demo_agents, costs=(cost,) * 3,
+                        graph_process=bundled_process, attack_schedule=None,
+                        algorithm="time_based", params=AlgorithmParams(2.0, 1.0),
+                        horizon=2.0, step=1e-3, seed=1,
+                        initial=InitialCondition(mode="explicit", states=states))
+        traj = run(scen)
+        x0 = np.concatenate([s[0] for s in states])
+        assert np.abs(traj.x - x0).max() < 1e-9
+        assert np.abs(traj.y - target).max() < 1e-9
+        assert np.abs(traj.rho - target).max() < 1e-9
+        assert np.abs(traj.z - 0.3).max() < 1e-9

@@ -5,8 +5,7 @@ import scipy.linalg
 from conftest import AGENT_DATA
 from resopt.errors import RegulationError, ValidationError
 from resopt.plant import (AgentModel, check_rank_condition, is_controllable,
-                          is_hurwitz, output, plant_derivative,
-                          solve_regulation)
+                          is_hurwitz, solve_regulation)
 
 
 class TestRankCondition:
@@ -113,27 +112,6 @@ class TestHurwitz:
             ref = scipy.linalg.eigvals(m).real.max()
             assert abscissa == pytest.approx(ref, abs=1e-9)
             assert ok == (ref < -1e-9)
-
-
-class TestPlantDerivative:
-    def test_zero(self, demo_agents):
-        m = demo_agents[0]
-        np.testing.assert_array_equal(
-            plant_derivative(m, np.zeros(2), np.zeros(2)), np.zeros(2))
-
-    def test_agent_one_columns(self, demo_agents):
-        m = demo_agents[0]
-        np.testing.assert_allclose(plant_derivative(m, [1.0, 0.0], [0.0, 0.0]),
-                                   [0.0, 0.0])
-        np.testing.assert_allclose(plant_derivative(m, [0.0, 1.0], [0.0, 0.0]),
-                                   [1.0, 0.0])
-
-    def test_output_map(self, demo_agents):
-        assert output(demo_agents[0], [1.0, 2.0]) == pytest.approx([3.0])
-
-    def test_dimension_mismatch(self, demo_agents):
-        with pytest.raises(ValidationError):
-            plant_derivative(demo_agents[0], [1.0, 0.0, 0.0], [0.0, 0.0])
 
 
 class TestAgentModel:

@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import THETA_STAR
-from resopt.controller import AlgorithmParams, TriggerParams, \
-    consensus_errors_timebased
+from resopt.controller import AlgorithmParams, TriggerParams, consensus_errors
 from resopt.cost import CostSpec
 from resopt.errors import DivergenceError, ValidationError
 from resopt.graph import (GraphProcess, SwitchingPath, WeightedDigraph,
@@ -273,18 +274,29 @@ class TestZenoAudit:
         assert sum(dense_report.counts) > sum(sparse_report.counts)
 
 
-class TestVectorizedErrorsMatchControllerOps:
-    def test_per_agent_equivalence(self, bundled_process):
+def reference_consensus_errors(weights, s, y, silenced):
+    """Per-agent definition: ``a_row @ (s[i] - s)``, zero rows when silenced."""
+    mask = np.broadcast_to(silenced, (s.shape[0],))
+    e_s = np.zeros_like(s)
+    e_y = np.zeros_like(y)
+    for i, a_row in enumerate(weights):
+        if not mask[i]:
+            e_s[i] = a_row @ (s[i] - s)
+            e_y[i] = a_row @ (y[i] - y)
+    return e_s, e_y
+
+
+class TestConsensusErrorsMatchPerAgentDefinition:
+    def test_bundled_graphs(self, bundled_process):
         rng = np.random.default_rng(3)
-        rho = rng.standard_normal((3, 1))
-        z = rng.standard_normal((3, 1))
-        y = rng.standard_normal((3, 1))
-        for g in bundled_process.graphs:
-            lap = laplacian(g)
-            e_rz_vec = lap @ (rho + z)
-            e_y_vec = lap @ y
-            for i in range(3):
-                e_rz, e_y = consensus_errors_timebased(i, rho, z, y, g.weights,
-                                                       attacked=False)
-                np.testing.assert_allclose(e_rz, e_rz_vec[i], atol=1e-12)
-                np.testing.assert_allclose(e_y, e_y_vec[i], atol=1e-12)
+        masks = (False, True, np.array([False, True, False]))
+        for q, silenced, g in itertools.product((1, 2), masks,
+                                                bundled_process.graphs):
+            s = rng.standard_normal((3, q))
+            y = rng.standard_normal((3, q))
+            e_s, e_y = consensus_errors(laplacian(g), s, y, silenced)
+            ref_s, ref_y = reference_consensus_errors(g.weights, s, y, silenced)
+            np.testing.assert_allclose(e_s, ref_s, atol=1e-12)
+            np.testing.assert_allclose(e_y, ref_y, atol=1e-12)
+            zero_rows = np.broadcast_to(silenced, (3,))
+            assert np.all(e_s[zero_rows] == 0.0) and np.all(e_y[zero_rows] == 0.0)
