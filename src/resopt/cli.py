@@ -633,13 +633,20 @@ def sweep_command(scenario_path: str, out_dir: str, param: str, values,
                   overrides=()) -> str:
     """One run per parameter value, one after another, and a summary sorted
     by name.  Every member's scenario is built and validated before any runs.
+    Values whose member labels (directory and row names) coincide, such as
+    ``1`` and ``1.0``, are rejected.
     """
     key = param if "." in param else f"params.{param}"
-    members = []
+    labelled = {}
     for value in values:
         label = f"{param}={value:g}" if isinstance(value, float) else f"{param}={value}"
-        members.append((label, load_scenario_file(
-            scenario_path, tuple(overrides) + ((key, value),))))
+        if label in labelled:
+            raise ValidationError(f"sweep values {labelled[label]!r} and {value!r} "
+                                  f"both give the member label {label!r}")
+        labelled[label] = value
+    members = [(label, load_scenario_file(
+        scenario_path, tuple(overrides) + ((key, value),)))
+        for label, value in labelled.items()]
     os.makedirs(out_dir, exist_ok=True)
     lines = ["name,final_error,fitted_rate,diverged"]
     for label, loaded in sorted(members, key=lambda m: m[0]):

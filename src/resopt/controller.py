@@ -1,8 +1,9 @@
 """The three control laws as the vectorized pieces the integrator runs.
 
 Every function here is side-effect free and works on the whole team at once:
-per-agent values are the rows of (N, q) tables, and the integrator owns all
-mutable state.  Consensus errors come in two flavors: the time-based law reads
+per-agent values are the rows of (N, q) tables and the columns of the (2, N)
+tables of trigger functions and trigger variables, and the integrator owns
+all mutable state.  Consensus errors come in two flavors: the time-based law reads
 live states, the event-based law only each agent's last successfully
 broadcast values.  The rows of silenced agents (the whole team while an attack
 is active in the time-based law, an agent whose governing attempt was attacked
@@ -13,6 +14,7 @@ fall back to plain local gradient descent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +77,13 @@ class TriggerParams:
         if not self.dwell_kappa > 0.0:
             raise ValidationError("dwell_kappa must be positive")
 
+    @cached_property
+    def columns(self):
+        """``sigma``, ``delta`` and ``k`` as (2, 1) columns over the g and h rows."""
+        return tuple(np.array([[a], [b]]) for a, b in (
+            (self.sigma_g, self.sigma_h), (self.delta_g, self.delta_h),
+            (self.k_g, self.k_h)))
+
 
 def consensus_errors(lap: np.ndarray, s: np.ndarray, y: np.ndarray, silenced):
     """Consensus errors ``(lap @ s, lap @ y)`` of every agent.
@@ -92,7 +101,8 @@ def consensus_errors(lap: np.ndarray, s: np.ndarray, y: np.ndarray, silenced):
 
 
 def trigger_functions(s_hat, y_hat, s, y, e_s, e_y, params: TriggerParams):
-    """The trigger functions ``g`` and ``h`` of every agent, as (N,) arrays.
+    """The trigger functions of every agent, as a (2, N) table: row 0 is
+    ``g``, row 1 is ``h``.
 
     ``g`` compares the squared drift of y away from the agent's own last
     broadcast ``y_hat`` against a fraction of its squared consensus error;
@@ -103,41 +113,41 @@ def trigger_functions(s_hat, y_hat, s, y, e_s, e_y, params: TriggerParams):
     drift_s = s_hat - s
     g = (drift_y * drift_y).sum(axis=1) - params.theta_g * (e_y * e_y).sum(axis=1)
     h = (drift_s * drift_s).sum(axis=1) - params.theta_h * (e_s * e_s).sum(axis=1)
-    return g, h
+    return np.array((g, h))
 
 
-def firing(first: bool, t: float, g, h, eta_g, eta_h, attacked_last,
-           attacked_at, params: TriggerParams) -> np.ndarray:
+def firing(first: bool, t: float, gh, eta, attacked_last, attacked_at,
+           params: TriggerParams) -> np.ndarray:
     """Which agents attempt a broadcast at time ``t``, as an (N,) mask.
 
-    Every agent fires at the first grid point.  After that an agent fires
-    when ``sigma_g * g > eta_g`` or ``sigma_h * h > eta_h``, unless its last
-    attempt (at ``attacked_at``) fell under attack: then it retries once
-    ``t`` reaches ``attacked_at + dwell_kappa``.  Right after a successful
-    broadcast both drifts are zero and eta is positive, so it never fires.
+    ``gh`` and ``eta`` are (2, N) tables, g and eta_g in row 0, h and eta_h
+    in row 1.  Every agent fires at the first grid point.  After that an
+    agent fires when ``sigma_g * g > eta_g`` or ``sigma_h * h > eta_h``,
+    unless its last attempt (at ``attacked_at``) fell under attack: then it
+    retries once ``t`` reaches ``attacked_at + dwell_kappa``.  Right after a
+    successful broadcast both drifts are zero and eta is positive, so it
+    never fires.
     """
     if first:
-        return np.ones(len(g), dtype=bool)
-    triggered = (params.sigma_g * g > eta_g) | (params.sigma_h * h > eta_h)
+        return np.ones(gh.shape[1], dtype=bool)
+    sigmas = params.columns[0]
+    triggered = (sigmas * gh > eta).any(axis=0)
     retry = t >= attacked_at + params.dwell_kappa - RETRY_SLACK
     return np.where(attacked_last, retry, triggered)
 
 
-def _rk4_decay(eta, rate: float, force, step: float):
-    d1 = -rate * eta - force
-    d2 = -rate * (eta + 0.5 * step * d1) - force
-    d3 = -rate * (eta + 0.5 * step * d2) - force
-    d4 = -rate * (eta + step * d3) - force
-    return (step / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-
-
-def eta_step(eta_g, eta_h, g, h, frozen, step: float, params: TriggerParams):
-    """One RK4 step of ``d eta = -k eta - delta * (g or h)``, g and h frozen.
+def eta_step(eta, gh, frozen, step: float, params: TriggerParams):
+    """One RK4 step of ``d eta = -k eta - delta * gh`` on the (2, N) table of
+    trigger variables, with the trigger functions ``gh`` frozen; ``k`` and
+    ``delta`` are the g-row and h-row coefficients.
 
     Agents in the ``frozen`` mask (governing attempt attacked) keep their
     trigger variables.
     """
-    return (eta_g + np.where(frozen, 0.0, _rk4_decay(eta_g, params.k_g,
-                                                     params.delta_g * g, step)),
-            eta_h + np.where(frozen, 0.0, _rk4_decay(eta_h, params.k_h,
-                                                     params.delta_h * h, step)))
+    _, deltas, rates = params.columns
+    neg_rate, force = -rates, deltas * gh
+    d1 = neg_rate * eta - force
+    d2 = neg_rate * (eta + 0.5 * step * d1) - force
+    d3 = neg_rate * (eta + 0.5 * step * d2) - force
+    d4 = neg_rate * (eta + step * d3) - force
+    return eta + np.where(frozen, 0.0, (step / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4))

@@ -15,6 +15,16 @@ of its scenario:
   event-based law, so the two laws coincide when the trigger fires at every
   step.
 
+The step loop is lean, as it is almost all numpy dispatch on short vectors.
+x and rho are one RK4 state ``xr = [x; rho]`` (a view of the state array
+``[x; rho; z]``; z is advanced exactly), and eta_g, eta_h one (2, N) table.
+On the event-based law the broadcast table's consensus errors are recomputed
+only when someone fires or the graph switches, and on a quiet step (no agent
+fires) the trigger values of the firing decision also freeze the eta forcing,
+since nothing they read has changed.  Every element sees the same floating-
+point operations in the same order, so trajectories are bit-for-bit those
+of the unfused loop.
+
 Initial states declared "random" are drawn uniformly from a box with the
 scenario's seeded generator (PCG64, ``low + (high-low) * u``), agent by
 agent in the order x_i, rho_i, z_i.  States are aborted (with the truncated
@@ -151,34 +161,37 @@ class Trajectory:
 
 
 def _scalar_gradient_fn(cost: CostSpec):
-    """Overflow-tolerant scalar gradient closure (q = 1 fast path)."""
+    """Scalar gradient closure of a q = 1 cost (the integrator's fast path);
+    ``exp`` saturates to +inf past the overflow guard instead of raising."""
     p = cost.parameters
-
-    def safe_exp(v: float) -> float:
-        return math.exp(v) if v < 700.0 else math.inf
+    exp, log1p, inf = math.exp, math.log1p, math.inf
 
     if cost.kind == "exp_pair":
-        c1, r1, c2, r2 = p
-        return lambda t: c1 * r1 * safe_exp(r1 * t) + c2 * r2 * safe_exp(r2 * t)
+        c1r1, r1, c2r2, r2 = p[0] * p[1], p[1], p[2] * p[3], p[3]
+
+        def grad_exp(t: float) -> float:
+            v1, v2 = r1 * t, r2 * t
+            return (c1r1 * (exp(v1) if v1 < 700.0 else inf)
+                    + c2r2 * (exp(v2) if v2 < 700.0 else inf))
+
+        return grad_exp
     if cost.kind == "quartic":
-        a, b = p[0], p[1]
-        return lambda t: 4.0 * a * t * t * t + 2.0 * b * t
+        a4, b2 = 4.0 * p[0], 2.0 * p[1]
+        return lambda t: a4 * t * t * t + b2 * t
     if cost.kind == "log_quadratic":
-        a, b = p[0], p[1]
+        a2, b2 = 2.0 * p[0], 2.0 * p[1]
 
         def grad_lq(t: float) -> float:
-            t2 = t * t
-            return (2.0 * a * t * math.log1p(t2)
-                    + 2.0 * a * t * t2 / (1.0 + t2) + 2.0 * b * t)
+            t2, a2t = t * t, a2 * t
+            return a2t * log1p(t2) + a2t * t2 / (1.0 + t2) + b2 * t
 
         return grad_lq
-    coeffs = p
+    scaled = [k * c for k, c in enumerate(p)][1:]
 
     def grad_poly(t: float) -> float:
-        acc = 0.0
-        power = 1.0
-        for k in range(1, len(coeffs)):
-            acc += k * coeffs[k] * power
+        acc, power = 0.0, 1.0
+        for kc in scaled:
+            acc += kc * power
             power *= t
         return acc
 
@@ -228,21 +241,25 @@ class _Stacked:
             self.ukx_blk[u0:u1, c0:c1] = ukx
             self.w_blk[u0:u1, c0:c1] = m.W
 
+        # theta = -grad f(y) + const_theta, the optimization input of every
+        # agent, from the stacked outputs y.
         if q == 1:
             fns = [_scalar_gradient_fn(c) for c in scenario.costs]
 
-            def grad_eval(y: np.ndarray) -> np.ndarray:
-                return np.array([fn(t) for fn, t in zip(fns, y)])
+            def theta_eval(y: np.ndarray, const_theta: np.ndarray) -> np.ndarray:
+                return np.array([-fn(t) + c for fn, t, c in
+                                 zip(fns, y.tolist(), const_theta.tolist())])
         else:
             costs = scenario.costs
 
-            def grad_eval(y: np.ndarray) -> np.ndarray:
+            def theta_eval(y: np.ndarray, const_theta: np.ndarray) -> np.ndarray:
                 if not np.all(np.isfinite(y)):
-                    return np.full_like(y, np.nan)
-                return np.concatenate(
-                    [gradient(c, y[i * q:(i + 1) * q]) for i, c in enumerate(costs)])
+                    return -np.full_like(y, np.nan) + const_theta
+                return -np.concatenate(
+                    [gradient(c, y[i * q:(i + 1) * q])
+                     for i, c in enumerate(costs)]) + const_theta
 
-        self.grad_eval = grad_eval
+        self.theta_eval = theta_eval
 
 
 def _draw_initial(scenario: Scenario):
@@ -303,29 +320,42 @@ def run(scenario: Scenario) -> Trajectory:
 
     laplacians = [laplacian(g) for g in scenario.graph_process.graphs]
 
-    x, rho, z = _draw_initial(scenario)
+    # One state array [x; rho; z], advanced in place.  x and rho form the
+    # RK4 state xr; z has a constant derivative within a step and is
+    # advanced exactly.
+    state = np.concatenate(_draw_initial(scenario))
+    nx, m = st.nx, st.nx + st.nq
+    x, rho, z, xr = state[:nx], state[nx:m], state[m:], state[:m]
     hist_x = np.empty((n_steps + 1, st.nx))
-    hist_y = np.empty((n_steps + 1, st.nq))
-    hist_rho = np.empty((n_steps + 1, st.nq))
-    hist_z = np.empty((n_steps + 1, st.nq))
+    hist_y, hist_rho, hist_z = np.empty((3, n_steps + 1, st.nq))
     hist_u = np.empty((n_steps + 1, st.pu))
-    hist_eg = np.zeros((n_steps + 1, big_n))
-    hist_eh = np.zeros((n_steps + 1, big_n))
+    hist_eg, hist_eh = np.zeros((2, n_steps + 1, big_n))
     # Broadcast attempts per grid point; with attack_on they give the
     # successful and the blocked attempts of every agent.
     hist_fired = np.zeros((n_steps + 1, big_n), dtype=bool)
 
     trig = scenario.trigger
     if event_mode:
-        eta_g = np.full(big_n, trig.eta_g0)
-        eta_h = np.full(big_n, trig.eta_h0)
+        eta = np.array([np.full(big_n, trig.eta_g0), np.full(big_n, trig.eta_h0)])
         y_hat = np.zeros((big_n, q))       # each agent's last successful broadcast
         s_hat = np.zeros((big_n, q))       # of y and of rho + z
         attacked_last = np.zeros(big_n, dtype=bool)
         attacked_at = np.full(big_n, math.inf)
+        table_lap = None  # the Laplacian e_s, e_y were last computed with
 
-    grad_eval = st.grad_eval
+    theta_eval = st.theta_eval
     m_a, m_bukx, m_bw, c_blk = st.m_a, st.m_bukx, st.m_bw, st.c_blk
+    neg_k, ukx_blk, w_blk = -st.k_blk, st.ukx_blk, st.w_blk
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    r_list, on_list = r_series.tolist(), attack_on.tolist()
+
+    def rhs(xr_s, y_s=None):
+        """Derivative of the fused state [x; rho]; ``y_s`` is C x if known."""
+        x_s = xr_s[:nx]
+        if y_s is None:
+            y_s = c_blk @ x_s
+        theta = theta_eval(y_s, const_theta)
+        return np.concatenate((m_a @ x_s - m_bukx @ xr_s[nx:] + m_bw @ theta, theta))
 
     def finish(last: int, diverged_at: float | None):
         fired, on, t = hist_fired[:last + 1], attack_on[:last + 1], times[:last + 1]
@@ -348,78 +378,70 @@ def run(scenario: Scenario) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             y = c_blk @ x
-            lap = laplacians[r_series[k]]
-            attacked = bool(attack_on[k])
+            lap = laplacians[r_list[k]]
+            attacked = on_list[k]
             y_m = y.reshape(big_n, q)
             s_m = rho.reshape(big_n, q) + z.reshape(big_n, q)
 
             if event_mode:
                 # Trigger decisions first (against the pre-update broadcast
-                # table), then all broadcasts land simultaneously at this instant.
-                e_s, e_y = consensus_errors(lap, s_hat, y_hat, attacked_last)
-                g, h_val = trigger_functions(s_hat, y_hat, s_m, y_m, e_s, e_y, trig)
-                fired = firing(k == 0, times[k], g, h_val, eta_g, eta_h,
-                               attacked_last, attacked_at, trig)
-                hist_fired[k] = fired
-                if attacked:
-                    attacked_at[fired] = times[k]
-                else:
-                    y_hat[fired] = y_m[fired]
-                    s_hat[fired] = s_m[fired]
-                attacked_last[fired] = attacked
-
-                e_s, e_y = consensus_errors(lap, s_hat, y_hat, attacked_last)
-                # Frozen trigger-function values for this step's eta dynamics.
-                g, h_val = trigger_functions(s_hat, y_hat, s_m, y_m, e_s, e_y, trig)
-                hist_eg[k] = eta_g
-                hist_eh[k] = eta_h
+                # table), then all broadcasts land simultaneously at this
+                # instant.  The consensus errors of the table change only
+                # when someone fires or the graph switches.  On a quiet step
+                # nothing the trigger functions read has changed, so their
+                # values also freeze this step's eta forcing; otherwise they
+                # are evaluated again.
+                if lap is not table_lap:
+                    e_s, e_y = consensus_errors(lap, s_hat, y_hat, attacked_last)
+                    table_lap = lap
+                gh = trigger_functions(s_hat, y_hat, s_m, y_m, e_s, e_y, trig)
+                fired = firing(k == 0, times[k], gh, eta, attacked_last,
+                               attacked_at, trig)
+                if fired.any():
+                    hist_fired[k] = fired
+                    if attacked:
+                        attacked_at[fired] = times[k]
+                    else:
+                        y_hat[fired] = y_m[fired]
+                        s_hat[fired] = s_m[fired]
+                    attacked_last[fired] = attacked
+                    e_s, e_y = consensus_errors(lap, s_hat, y_hat, attacked_last)
+                    gh = trigger_functions(s_hat, y_hat, s_m, y_m, e_s, e_y, trig)
+                hist_eg[k], hist_eh[k] = eta
             else:
                 e_s, e_y = consensus_errors(lap, s_m, y_m, attacked)
 
-            e_s_flat = e_s.reshape(-1)
+            # The consensus part of theta (read by rhs) and z's derivative,
+            # both frozen over the step.
             e_y_flat = e_y.reshape(-1)
-            const_theta = -beta * e_s_flat - ab * e_y_flat
+            const_theta = -beta * e_s.reshape(-1) - ab * e_y_flat
             dz_const = ab * e_y_flat
 
-            grads = grad_eval(y)
-            theta0 = -grads + const_theta
+            k1 = rhs(xr, y)
             hist_x[k] = x
             hist_y[k] = y
             hist_rho[k] = rho
             hist_z[k] = z
-            hist_u[k] = -st.k_blk @ x - st.ukx_blk @ rho + st.w_blk @ theta0
+            hist_u[k] = neg_k @ x - ukx_blk @ rho + w_blk @ k1[nx:]
 
             if k == n_steps:
                 break
 
-            # One classical RK4 step of (x, rho); z has a constant derivative.
-            def rhs(x_s, rho_s):
-                y_s = c_blk @ x_s
-                theta = -grad_eval(y_s) + const_theta
-                dx = m_a @ x_s - m_bukx @ rho_s + m_bw @ theta
-                return dx, theta
-
-            k1x, k1r = rhs(x, rho)
-            k2x, k2r = rhs(x + 0.5 * h * k1x, rho + 0.5 * h * k1r)
-            k3x, k3r = rhs(x + 0.5 * h * k2x, rho + 0.5 * h * k2r)
-            k4x, k4r = rhs(x + h * k3x, rho + h * k3r)
-            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            rho = rho + (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-            z = z + h * dz_const
+            k2 = rhs(xr + half_h * k1)
+            k3 = rhs(xr + half_h * k2)
+            k4 = rhs(xr + h * k3)
+            xr += sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            z += h * dz_const
 
             if event_mode:
-                eta_g, eta_h = eta_step(eta_g, eta_h, g, h_val, attacked_last, h, trig)
-                if not (np.all(eta_g > 0.0) and np.all(eta_h > 0.0)):
+                eta = eta_step(eta, gh, attacked_last, h, trig)
+                if not (eta > 0.0).all():
                     t_next = float(times[k + 1])
                     raise InvariantViolatedError(
                         f"trigger variable lost positivity at t={t_next:.6f}", t_next)
 
-            bad = not (np.all(np.isfinite(x)) and np.all(np.isfinite(rho))
-                       and np.all(np.isfinite(z)))
-            if not bad:
-                peak = max(np.abs(x).max(), np.abs(rho).max(), np.abs(z).max())
-                bad = peak > STATE_LIMIT
-            if bad:
+            # NaN fails the comparison, so this also catches non-finite states.
+            if not np.abs(state).max() <= STATE_LIMIT:
                 return finish(k, float(times[k + 1]))
 
         return finish(n_steps, None)
@@ -430,6 +452,14 @@ class TriggerStats:
     count: int
     min_gap: float
     mean_gap: float
+
+
+def _trigger_stats(times) -> TriggerStats:
+    """Event count and inter-event gaps of one agent (inf below two events)."""
+    if len(times) < 2:
+        return TriggerStats(len(times), math.inf, math.inf)
+    gaps = np.diff(times)
+    return TriggerStats(len(times), float(gaps.min()), float(gaps.mean()))
 
 
 @dataclass
@@ -460,19 +490,12 @@ def convergence_report(traj: Trajectory, theta_star) -> ConvergenceReport:
         slope = float(np.polyfit(traj.times[mask], log_env[mask], 1)[0])
     else:
         slope = float("nan")
-    stats = []
-    for times in traj.events:
-        if len(times) >= 2:
-            gaps = np.diff(times)
-            stats.append(TriggerStats(len(times), float(gaps.min()),
-                                      float(gaps.mean())))
-        else:
-            stats.append(TriggerStats(len(times), math.inf, math.inf))
     return ConvergenceReport(theta_star=float(target[0]) if target.size == 1
                              else target,
                              final_error=float(envelope[-1]),
                              error_series=errors, log_envelope=log_env,
-                             fitted_rate=slope, trigger_stats=tuple(stats))
+                             fitted_rate=slope,
+                             trigger_stats=tuple(map(_trigger_stats, traj.events)))
 
 
 def final_spread(traj: Trajectory) -> float:
@@ -542,16 +565,9 @@ def zeno_audit(traj: Trajectory) -> ZenoReport:
     if traj.algorithm != "event_based":
         return ZenoReport(applicable=False, passed=False, counts=(),
                           min_gaps=(), mean_gaps=())
-    counts, min_gaps, mean_gaps = [], [], []
-    for times in traj.events:
-        counts.append(len(times))
-        if len(times) >= 2:
-            gaps = np.diff(times)
-            min_gaps.append(float(gaps.min()))
-            mean_gaps.append(float(gaps.mean()))
-        else:
-            min_gaps.append(math.inf)
-            mean_gaps.append(math.inf)
-    ok = all(g >= traj.step * (1.0 - 1e-9) for g in min_gaps)
-    return ZenoReport(applicable=True, passed=ok, counts=tuple(counts),
-                      min_gaps=tuple(min_gaps), mean_gaps=tuple(mean_gaps))
+    stats = [_trigger_stats(times) for times in traj.events]
+    return ZenoReport(
+        applicable=True,
+        passed=all(s.min_gap >= traj.step * (1.0 - 1e-9) for s in stats),
+        counts=tuple(s.count for s in stats), min_gaps=tuple(s.min_gap for s in stats),
+        mean_gaps=tuple(s.mean_gap for s in stats))

@@ -414,3 +414,19 @@ class TestSweep:
         assert code == 2
         assert "schema violation at $.params.beta" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("values, clash", [
+        ("1,1.0", "1 and 1.0"),
+        # distinct floats that format alike under :g
+        ("0.5,1.0000001,1.00000012", "1.0000001 and 1.00000012"),
+    ])
+    def test_clashing_member_labels_rejected(self, tmp_path, capsys, values, clash):
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(fast_doc()))
+        out = tmp_path / "sw"
+        code = main(["sweep", str(path), "--param", "beta",
+                     "--values", values, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"sweep values {clash} both give the member label" in err
+        assert not out.exists()

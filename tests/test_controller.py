@@ -79,12 +79,11 @@ class TestEventBasedErrors:
 
 
 def fires(params, s_hat, y_hat, s, y, e_s, e_y, eta_g, eta_h):
-    g, h = trigger_functions(column(*s_hat), column(*y_hat), column(*s),
-                             column(*y), column(*e_s), column(*e_y), params)
-    n = len(g)
-    return firing(False, 1.0, g, h, np.asarray(eta_g, dtype=float),
-                  np.asarray(eta_h, dtype=float), np.zeros(n, dtype=bool),
-                  np.full(n, np.inf), params)
+    gh = trigger_functions(column(*s_hat), column(*y_hat), column(*s),
+                           column(*y), column(*e_s), column(*e_y), params)
+    n = gh.shape[1]
+    return firing(False, 1.0, gh, np.array([eta_g, eta_h], dtype=float),
+                  np.zeros(n, dtype=bool), np.full(n, np.inf), params)
 
 
 class TestTriggerCheck:
@@ -113,17 +112,26 @@ class TestTriggerCheck:
 
     def test_everyone_fires_first(self):
         params = trigger_params()
-        g = h = np.full(3, -1.0)
-        fired = firing(True, 0.0, g, h, np.ones(3), np.ones(3),
+        gh = np.full((2, 3), -1.0)
+        fired = firing(True, 0.0, gh, np.ones((2, 3)),
                        np.zeros(3, dtype=bool), np.full(3, np.inf), params)
         assert fired.all()
+
+    def test_rows_use_their_own_sigma(self):
+        # row 0 is g with sigma_g = 2, row 1 is h with sigma_h = 0.5
+        params = trigger_params(sigma_g=2.0, sigma_h=0.5, k_h=3.0)
+        eta = np.ones((2, 2))
+        gh = np.array([[1.0, 0.0], [0.0, 1.0]])
+        fired = firing(False, 1.0, gh, eta, np.zeros(2, dtype=bool),
+                       np.full(2, np.inf), params)
+        assert list(fired) == [True, False]
 
 
 class TestDwellScheduling:
     def retries(self, t, attacked_at, params=None):
         params = params or trigger_params()
-        big = np.full(1, 1e6)  # would fire at once if not governed by the retry
-        return bool(firing(False, t, big, big, np.ones(1), np.ones(1),
+        big = np.full((2, 1), 1e6)  # would fire at once if not governed by the retry
+        return bool(firing(False, t, big, np.ones((2, 1)),
                            np.array([True]), np.array([attacked_at]), params)[0])
 
     def test_simple_shift(self):
@@ -148,11 +156,10 @@ def rk4_decay_reference(eta, rate, force, step):
 
 
 def step_rows(eta_g, g, frozen, params, step=1e-3):
-    """eta_step on one row per agent; the h channel mirrors the g channel."""
-    eta_g = np.asarray(eta_g, dtype=float)
-    g = np.asarray(g, dtype=float)
-    return eta_step(eta_g, eta_g.copy(), g, g.copy(),
-                    np.asarray(frozen, dtype=bool), step, params)
+    """eta_step on one column per agent; the h row mirrors the g row."""
+    eta = np.array([eta_g, eta_g], dtype=float)
+    gh = np.array([g, g], dtype=float)
+    return eta_step(eta, gh, np.asarray(frozen, dtype=bool), step, params)
 
 
 class TestEtaDerivative:
@@ -175,6 +182,13 @@ class TestEtaDerivative:
         assert new_g[0] == pytest.approx(rk4_decay_reference(2.0, 1.0, -0.5, 1e-3))
         assert (new_g[0] - 2.0) / 1e-3 == pytest.approx(-1.5, rel=1e-3)
         assert new_g[1] == 2.0
+
+    def test_rows_use_their_own_coefficients(self):
+        params = trigger_params(k_g=1.0, delta_g=0.5, k_h=3.0, delta_h=0.25)
+        new = eta_step(np.full((2, 1), 2.0), np.array([[-1.0], [4.0]]),
+                       np.array([False]), 1e-3, params)
+        assert new[0, 0] == pytest.approx(rk4_decay_reference(2.0, 1.0, -0.5, 1e-3))
+        assert new[1, 0] == pytest.approx(rk4_decay_reference(2.0, 3.0, 1.0, 1e-3))
 
 
 class TestTriggerParamsValidation:

@@ -1,16 +1,22 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from conftest import THETA_STAR
-from resopt.controller import AlgorithmParams, TriggerParams, consensus_errors
-from resopt.cost import CostSpec
-from resopt.errors import DivergenceError, ValidationError
+from resopt.attack import AttackSchedule, activity_series
+from resopt.controller import (RETRY_SLACK, AlgorithmParams, TriggerParams,
+                               consensus_errors)
+from resopt.cost import CostSpec, gradient
+from resopt.errors import (DivergenceError, InvariantViolatedError,
+                           ValidationError)
 from resopt.graph import (GraphProcess, SwitchingPath, WeightedDigraph,
-                          laplacian)
+                          laplacian, sample_switching_path, stationary_weighting)
 from resopt.plant import AgentModel
-from resopt.sim import (InitialCondition, Scenario, Trajectory,
+from resopt.sim import (STATE_LIMIT, InitialCondition, Scenario, Trajectory,
+                        _draw_initial, _scalar_gradient_fn, _Stacked,
                         compare_beta_sweep, convergence_report, final_spread,
                         run, zeno_audit)
 
@@ -300,3 +306,379 @@ class TestConsensusErrorsMatchPerAgentDefinition:
             np.testing.assert_allclose(e_y, ref_y, atol=1e-12)
             zero_rows = np.broadcast_to(silenced, (3,))
             assert np.all(e_s[zero_rows] == 0.0) and np.all(e_y[zero_rows] == 0.0)
+
+
+# --- Byte-identity oracle ----------------------------------------------------
+#
+# ``reference_run`` is the step loop ``run`` had before its state was fused:
+# separate x and rho RK4 stages, a separate RK4 for each trigger variable,
+# the trigger functions evaluated twice on every step, per-agent gradient
+# closures without folded constants, and per-array finiteness guards.  It is
+# kept here as the oracle of the lean loop, which must reproduce every
+# Trajectory array bit for bit.
+
+def _reference_scalar_gradient(cost):
+    p = cost.parameters
+
+    def safe_exp(v):
+        return math.exp(v) if v < 700.0 else math.inf
+
+    if cost.kind == "exp_pair":
+        c1, r1, c2, r2 = p
+        return lambda t: c1 * r1 * safe_exp(r1 * t) + c2 * r2 * safe_exp(r2 * t)
+    if cost.kind == "quartic":
+        a, b = p[0], p[1]
+        return lambda t: 4.0 * a * t * t * t + 2.0 * b * t
+    if cost.kind == "log_quadratic":
+        a, b = p[0], p[1]
+
+        def grad_lq(t):
+            t2 = t * t
+            return (2.0 * a * t * math.log1p(t2)
+                    + 2.0 * a * t * t2 / (1.0 + t2) + 2.0 * b * t)
+
+        return grad_lq
+
+    def grad_poly(t):
+        acc = 0.0
+        power = 1.0
+        for k in range(1, len(p)):
+            acc += k * p[k] * power
+            power *= t
+        return acc
+
+    return grad_poly
+
+
+def _reference_trigger_functions(s_hat, y_hat, s, y, e_s, e_y, trig):
+    drift_y = y_hat - y
+    drift_s = s_hat - s
+    g = (drift_y * drift_y).sum(axis=1) - trig.theta_g * (e_y * e_y).sum(axis=1)
+    h = (drift_s * drift_s).sum(axis=1) - trig.theta_h * (e_s * e_s).sum(axis=1)
+    return g, h
+
+
+def _reference_rk4_decay(eta, rate, force, step):
+    d1 = -rate * eta - force
+    d2 = -rate * (eta + 0.5 * step * d1) - force
+    d3 = -rate * (eta + 0.5 * step * d2) - force
+    d4 = -rate * (eta + step * d3) - force
+    return (step / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+
+
+def reference_run(scenario):
+    stationary_weighting(scenario.graph_process)
+    st = _Stacked(scenario)
+    h = scenario.step
+    n_steps = scenario.n_steps
+    times = np.arange(n_steps + 1) * h
+    alpha, beta = scenario.params.alpha, scenario.params.beta
+    ab = alpha * beta
+    q = scenario.q
+    big_n = scenario.n_agents
+    event_mode = scenario.algorithm == "event_based"
+    path = sample_switching_path(scenario.graph_process, scenario.horizon,
+                                 scenario.seed)
+    r_series = path.state_at(times)
+    if scenario.algorithm == "attack_free" or scenario.attack_schedule is None:
+        schedule = AttackSchedule.empty(scenario.horizon)
+    else:
+        schedule = scenario.attack_schedule
+    attack_on = activity_series(schedule, times)
+    laplacians = [laplacian(g) for g in scenario.graph_process.graphs]
+
+    if q == 1:
+        fns = [_reference_scalar_gradient(c) for c in scenario.costs]
+
+        def grad_eval(y):
+            return np.array([fn(t) for fn, t in zip(fns, y)])
+    else:
+        def grad_eval(y):
+            if not np.all(np.isfinite(y)):
+                return np.full_like(y, np.nan)
+            return np.concatenate([gradient(c, y[i * q:(i + 1) * q])
+                                   for i, c in enumerate(scenario.costs)])
+
+    x, rho, z = _draw_initial(scenario)
+    hist = {name: np.empty((n_steps + 1, width)) for name, width in
+            (("x", st.nx), ("y", st.nq), ("rho", st.nq), ("z", st.nq),
+             ("u", st.pu))}
+    hist_eg = np.zeros((n_steps + 1, big_n))
+    hist_eh = np.zeros((n_steps + 1, big_n))
+    hist_fired = np.zeros((n_steps + 1, big_n), dtype=bool)
+    trig = scenario.trigger
+    if event_mode:
+        eta_g = np.full(big_n, trig.eta_g0)
+        eta_h = np.full(big_n, trig.eta_h0)
+        y_hat = np.zeros((big_n, q))
+        s_hat = np.zeros((big_n, q))
+        attacked_last = np.zeros(big_n, dtype=bool)
+        attacked_at = np.full(big_n, math.inf)
+    m_a, m_bukx, m_bw, c_blk = st.m_a, st.m_bukx, st.m_bw, st.c_blk
+
+    def finish(last, diverged_at):
+        fired, on, t = hist_fired[:last + 1], attack_on[:last + 1], times[:last + 1]
+        traj = Trajectory(
+            times=t, **{name: arr[:last + 1] for name, arr in hist.items()},
+            eta_g=hist_eg[:last + 1], eta_h=hist_eh[:last + 1],
+            r_state=r_series[:last + 1], attack_on=on,
+            events=tuple(t[fired[:, i] & ~on] for i in range(big_n)),
+            blocked_attempts=tuple(t[fired[:, i] & on] for i in range(big_n)),
+            switching=path, algorithm=scenario.algorithm, step=h, q=q,
+            state_slices=tuple(st.state_slices),
+            input_slices=tuple(st.input_slices))
+        if diverged_at is not None:
+            raise DivergenceError(diverged_at, traj)
+        return traj
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            y = c_blk @ x
+            lap = laplacians[r_series[k]]
+            attacked = bool(attack_on[k])
+            y_m = y.reshape(big_n, q)
+            s_m = rho.reshape(big_n, q) + z.reshape(big_n, q)
+            if event_mode:
+                e_s, e_y = consensus_errors(lap, s_hat, y_hat, attacked_last)
+                g, h_val = _reference_trigger_functions(s_hat, y_hat, s_m, y_m,
+                                                        e_s, e_y, trig)
+                if k == 0:
+                    fired = np.ones(big_n, dtype=bool)
+                else:
+                    triggered = (trig.sigma_g * g > eta_g) | (trig.sigma_h * h_val > eta_h)
+                    retry = times[k] >= attacked_at + trig.dwell_kappa - RETRY_SLACK
+                    fired = np.where(attacked_last, retry, triggered)
+                hist_fired[k] = fired
+                if attacked:
+                    attacked_at[fired] = times[k]
+                else:
+                    y_hat[fired] = y_m[fired]
+                    s_hat[fired] = s_m[fired]
+                attacked_last[fired] = attacked
+                e_s, e_y = consensus_errors(lap, s_hat, y_hat, attacked_last)
+                g, h_val = _reference_trigger_functions(s_hat, y_hat, s_m, y_m,
+                                                        e_s, e_y, trig)
+                hist_eg[k] = eta_g
+                hist_eh[k] = eta_h
+            else:
+                e_s, e_y = consensus_errors(lap, s_m, y_m, attacked)
+
+            e_s_flat = e_s.reshape(-1)
+            e_y_flat = e_y.reshape(-1)
+            const_theta = -beta * e_s_flat - ab * e_y_flat
+            dz_const = ab * e_y_flat
+            theta0 = -grad_eval(y) + const_theta
+            hist["x"][k] = x
+            hist["y"][k] = y
+            hist["rho"][k] = rho
+            hist["z"][k] = z
+            hist["u"][k] = -st.k_blk @ x - st.ukx_blk @ rho + st.w_blk @ theta0
+            if k == n_steps:
+                break
+
+            def rhs(x_s, rho_s):
+                theta = -grad_eval(c_blk @ x_s) + const_theta
+                return m_a @ x_s - m_bukx @ rho_s + m_bw @ theta, theta
+
+            k1x, k1r = rhs(x, rho)
+            k2x, k2r = rhs(x + 0.5 * h * k1x, rho + 0.5 * h * k1r)
+            k3x, k3r = rhs(x + 0.5 * h * k2x, rho + 0.5 * h * k2r)
+            k4x, k4r = rhs(x + h * k3x, rho + h * k3r)
+            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            rho = rho + (h / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+            z = z + h * dz_const
+            if event_mode:
+                eta_g = eta_g + np.where(attacked_last, 0.0, _reference_rk4_decay(
+                    eta_g, trig.k_g, trig.delta_g * g, h))
+                eta_h = eta_h + np.where(attacked_last, 0.0, _reference_rk4_decay(
+                    eta_h, trig.k_h, trig.delta_h * h_val, h))
+                if not (np.all(eta_g > 0.0) and np.all(eta_h > 0.0)):
+                    t_next = float(times[k + 1])
+                    raise InvariantViolatedError("trigger variable lost positivity",
+                                                 t_next)
+            bad = not (np.all(np.isfinite(x)) and np.all(np.isfinite(rho))
+                       and np.all(np.isfinite(z)))
+            if not bad:
+                bad = max(np.abs(x).max(), np.abs(rho).max(),
+                          np.abs(z).max()) > STATE_LIMIT
+            if bad:
+                return finish(k, float(times[k + 1]))
+        return finish(n_steps, None)
+
+
+TRAJECTORY_ARRAYS = ("times", "x", "y", "rho", "z", "u", "eta_g", "eta_h",
+                     "r_state", "attack_on")
+
+
+def assert_same_bytes(traj, ref):
+    for name in TRAJECTORY_ARRAYS:
+        got, want = getattr(traj, name), getattr(ref, name)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    for field in ("events", "blocked_attempts"):
+        got, want = getattr(traj, field), getattr(ref, field)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), field
+
+
+def outcome(fn, scenario):
+    """(trajectory, error) of a run; a DivergenceError yields its truncated
+    trajectory."""
+    try:
+        return fn(scenario), None
+    except DivergenceError as exc:
+        return exc.trajectory, exc
+    except InvariantViolatedError as exc:
+        return None, exc
+
+
+def scenario_from(doc):
+    from resopt.cli import build_scenario
+    return build_scenario(doc).scenario
+
+
+def case3_early_burst(seed=0, horizon=1.5):
+    """case3 with a burst from 0.2 s: blocked retries and, with seed 0, two
+    graph switches inside 1.5 s."""
+    from resopt.cli import preset
+    doc = preset("case3")
+    doc["sim"].update(horizon=horizon, seed=seed)
+    doc["attacks"]["periodic"]["phase"] = 0.2
+    return doc
+
+
+def q2_scenario(algorithm):
+    """Three agents with two-dimensional outputs and a burst at 0.1 s."""
+    agent = {"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
+             "C": [[1.0, 0.0], [0.0, 1.0]], "K": [[2.0, 1.0], [0.0, 1.5]]}
+    ring = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    doc = {
+        "agents": [agent] * 3,
+        "costs": [{"kind": "custom_polynomial", "parameters": [0.0, c, 0.5, 0.1],
+                   "dimension": 2} for c in (-1.0, 0.5, 2.0)],
+        "graph_process": {"weights": [ring, [row[::-1] for row in ring[::-1]]],
+                          "generator": [[-5.0, 5.0], [5.0, -5.0]],
+                          "initial_distribution": [1.0, 0.0]},
+        "algorithm": algorithm,
+        "params": {"alpha": 2.0, "beta": 1.0},
+        "attacks": {"intervals": [[0.1, 0.15]]},
+        "sim": {"horizon": 0.6, "step": 1e-3, "seed": 4,
+                "initial": {"mode": "random", "low": -2.0, "high": 2.0}},
+    }
+    if algorithm == "event_based":
+        doc["params"]["trigger"] = dict(
+            sigma_g=10.0, sigma_h=10.0, theta_g=0.05, theta_h=0.05,
+            delta_g=0.2, delta_h=0.3, k_g=1.0, k_h=2.0, eta_g0=0.1,
+            eta_h0=0.2, dwell_kappa=0.03)
+    return scenario_from(doc)
+
+
+class TestLeanLoopMatchesReference:
+    def check(self, scenario):
+        traj, err = outcome(run, scenario)
+        ref, ref_err = outcome(reference_run, scenario)
+        assert type(err) is type(ref_err)
+        if err is not None:
+            assert err.time == ref_err.time
+        if ref is not None:
+            assert_same_bytes(traj, ref)
+        return traj, err
+
+    def test_time_based_with_attack_window(self):
+        from resopt.cli import preset
+        doc = preset("case2")
+        doc["sim"]["horizon"] = 1.0
+        doc["attacks"]["periodic"]["phase"] = 0.3
+        traj, _ = self.check(scenario_from(doc))
+        assert traj.attack_on.any() and not traj.attack_on.all()
+
+    def test_event_based_retries_and_switches(self):
+        traj, _ = self.check(scenario_from(case3_early_burst()))
+        assert np.count_nonzero(np.diff(traj.r_state)) >= 1
+        assert all(len(b) >= 2 for b in traj.blocked_attempts)
+        # most steps are quiet: the trigger values are reused there
+        assert sum(len(e) for e in traj.events) < traj.times.size
+
+    @pytest.mark.parametrize("algorithm", ["time_based", "event_based"])
+    def test_two_dimensional_outputs(self, algorithm):
+        traj, err = self.check(q2_scenario(algorithm))
+        assert err is None and traj.q == 2
+        assert np.count_nonzero(np.diff(traj.r_state)) >= 1
+
+    def test_exp_pair_divergence_truncation(self):
+        cost = CostSpec("exp_pair", (-2.0, -0.5, 0.5, 0.3))
+        traj, err = self.check(single_agent_scenario(cost, x0=0.0, horizon=5.0))
+        assert isinstance(err, DivergenceError)
+        assert traj.times[-1] < err.time
+
+    def test_event_based_divergence_truncation(self):
+        # seed 1 draws initial states that the exp_pair agent cannot absorb
+        _, err = self.check(scenario_from(case3_early_burst(seed=1)))
+        assert isinstance(err, DivergenceError)
+
+    def test_trigger_positivity_lost(self):
+        doc = case3_early_burst(horizon=0.2)
+        doc["params"]["trigger"].update(sigma_g=1e-4, sigma_h=1e-4,
+                                        delta_g=0.99, delta_h=0.99,
+                                        k_g=200.0, k_h=200.0)
+        _, err = self.check(scenario_from(doc))
+        assert isinstance(err, InvariantViolatedError)
+
+
+def gradient_terms(cost, t):
+    """The summands of the q = 1 gradient, which bound its rounding error."""
+    p = cost.parameters
+    if cost.kind == "exp_pair":
+        return [p[0] * p[1] * math.exp(p[1] * t), p[2] * p[3] * math.exp(p[3] * t)]
+    if cost.kind == "quartic":
+        return [4.0 * p[0] * t ** 3, 2.0 * p[1] * t]
+    if cost.kind == "log_quadratic":
+        return [2.0 * p[0] * t * math.log1p(t * t),
+                2.0 * p[0] * t ** 3 / (1.0 + t * t), 2.0 * p[1] * t]
+    return [k * c * t ** (k - 1) for k, c in enumerate(p) if k > 0]
+
+
+coefficient = hs.floats(-5.0, 5.0)
+rate = hs.floats(-3.0, 3.0)
+scalar_costs = hs.one_of(
+    hs.tuples(coefficient, rate, coefficient, rate).map(
+        lambda p: CostSpec("exp_pair", p)),
+    hs.tuples(coefficient, coefficient, coefficient).map(
+        lambda p: CostSpec("quartic", p)),
+    hs.tuples(coefficient, coefficient).map(
+        lambda p: CostSpec("log_quadratic", p)),
+    hs.lists(coefficient, min_size=1, max_size=6).map(
+        lambda p: CostSpec("custom_polynomial", tuple(p))))
+
+
+class TestScalarGradientFastPath:
+    """The integrator's per-agent q = 1 gradient closures against
+    ``cost.gradient``; they fold constant factors, so they may differ from it
+    by rounding, relative to the size of the summands."""
+
+    @given(scalar_costs, hs.floats(-30.0, 30.0))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_cost_gradient(self, cost, t):
+        fast = _scalar_gradient_fn(cost)(t)
+        want = float(gradient(cost, [t])[0])
+        scale = sum(abs(term) for term in gradient_terms(cost, t))
+        assert abs(fast - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["exp_pair", "quartic", "log_quadratic",
+                                      "custom_polynomial"])
+    def test_every_kind_covered(self, kind):
+        params = {"exp_pair": (1.0, 0.5, -2.0, -0.25), "quartic": (1.0, -2.0, 3.0),
+                  "log_quadratic": (0.5, 1.0),
+                  "custom_polynomial": (1.0, -3.0, 0.5, 2.0)}[kind]
+        cost = CostSpec(kind, params)
+        for t in (-2.5, -0.3, 0.0, 0.7, 4.0):
+            want = float(gradient(cost, [t])[0])
+            assert _scalar_gradient_fn(cost)(t) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_exp_pair_past_overflow_guard_is_inf(self):
+        cost = CostSpec("exp_pair", (1.0, 2.0, 0.5, 0.3))
+        with pytest.raises(OverflowError):
+            math.exp(2.0 * 400.0)
+        assert _scalar_gradient_fn(cost)(400.0) == math.inf
+        assert float(gradient(cost, [400.0])[0]) == math.inf
