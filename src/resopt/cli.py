@@ -12,7 +12,8 @@ threshold to 102.2 s, above the 101 s its two bursts admit, so its
 check passes).
 
 Exit codes: 0 success, 2 validation failure, 3 divergence or a violated
-run-time invariant, 4 I/O error.
+run-time invariant, 4 I/O error.  A sweep runs every member and writes its
+summary before it exits with the largest code of its members.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .attack import (AttackBudget, AttackSchedule, attack_metrics,
                      check_duration_condition, check_frequency_condition)
 from .controller import AlgorithmParams, TriggerParams
 from .cost import CostSpec, centralized_optimum
-from .errors import DivergenceError, ResoptError, ValidationError
+from .errors import (DivergenceError, InvariantViolatedError, ResoptError,
+                     UnboundedObjectiveError, ValidationError)
 from .graph import GraphProcess, WeightedDigraph
 from .plant import AgentModel
 from .sim import (ConvergenceReport, InitialCondition, Scenario, Trajectory,
@@ -630,11 +632,16 @@ def run_command(scenario_path: str, out_dir: str, overrides=()) -> RunOutputs:
 
 
 def sweep_command(scenario_path: str, out_dir: str, param: str, values,
-                  overrides=()) -> str:
+                  overrides=()):
     """One run per parameter value, one after another, and a summary sorted
     by name.  Every member's scenario is built and validated before any runs.
     Values whose member labels (directory and row names) coincide, such as
     ``1`` and ``1.0``, are rejected.
+
+    A member that diverges, violates a run-time invariant or has no optimum
+    does not stop the others: its ``status`` in ``sweep.csv`` says which
+    (ok, diverged, invariant or unbounded).  Returns the summary's path and
+    the ``(label, error)`` pairs of the members that failed.
     """
     key = param if "." in param else f"params.{param}"
     labelled = {}
@@ -648,15 +655,26 @@ def sweep_command(scenario_path: str, out_dir: str, param: str, values,
         scenario_path, tuple(overrides) + ((key, value),)))
         for label, value in labelled.items()]
     os.makedirs(out_dir, exist_ok=True)
-    lines = ["name,final_error,fitted_rate,diverged"]
+    lines = ["name,final_error,fitted_rate,diverged,status"]
+    failures = []
     for label, loaded in sorted(members, key=lambda m: m[0]):
-        result = execute(loaded, os.path.join(out_dir, label))
+        try:
+            result = execute(loaded, os.path.join(out_dir, label))
+        except (InvariantViolatedError, UnboundedObjectiveError) as exc:
+            status = "invariant" if isinstance(exc, InvariantViolatedError) \
+                else "unbounded"
+            failures.append((label, exc))
+            lines.append(f"{label},nan,nan,0,{status}")
+            continue
+        if result.diverged_at is not None:
+            failures.append((label, DivergenceError(result.diverged_at)))
         lines.append(f"{label},{_fmt(result.report.final_error)},"
                      f"{_fmt(result.report.fitted_rate)},"
-                     f"{'0' if result.diverged_at is None else '1'}")
+                     f"{'0' if result.diverged_at is None else '1'},"
+                     f"{'ok' if result.diverged_at is None else 'diverged'}")
     summary = os.path.join(out_dir, "sweep.csv")
     _write_atomic(summary, lines)
-    return summary
+    return summary, failures
 
 
 def check_command(scenario_path: str, overrides=()) -> int:
@@ -713,10 +731,12 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             overrides = [parse_override(o) for o in args.overrides]
             values = [parse_value(v) for v in args.values.split(",")]
-            summary = sweep_command(args.scenario, args.out, args.param, values,
-                                    overrides)
+            summary, failures = sweep_command(args.scenario, args.out, args.param,
+                                              values, overrides)
             print(f"wrote {summary}")
-            return 0
+            for label, exc in failures:
+                print(f"error: {label}: {exc}", file=sys.stderr)
+            return max((exc.exit_code for _, exc in failures), default=0)
         if args.command == "check":
             overrides = [parse_override(o) for o in args.overrides]
             return check_command(args.scenario, overrides)

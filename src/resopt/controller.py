@@ -1,11 +1,14 @@
 """The three control laws as the vectorized pieces the integrator runs.
 
-Every function here is side-effect free and works on the whole team at once:
-per-agent values are the rows of (N, q) tables and the columns of the (2, N)
-tables of trigger functions and trigger variables, and the integrator owns
-all mutable state.  Consensus errors come in two flavors: the time-based law reads
-live states, the event-based law only each agent's last successfully
-broadcast values.  The rows of silenced agents (the whole team while an attack
+Every function here is side-effect free and works on the whole team at
+once, and the integrator owns all mutable state.  The per-agent quantities
+of the law come in stacked (2, N, q) tables, y in row 0 and rho + z in
+row 1: the live values, the broadcast table of each agent's last
+successful broadcast, and the consensus errors ``[e_y; e_s]``.  Trigger
+functions and trigger variables are (2, N) tables, g and eta_g in row 0,
+h and eta_h in row 1.  Consensus errors come in two flavors: the
+time-based law reads live states, the event-based law only the broadcast
+table.  The rows of silenced agents (the whole team while an attack
 is active in the time-based law, an agent whose governing attempt was attacked
 in the event-based law) are exact zeros, never merely small, so those agents
 fall back to plain local gradient descent.
@@ -78,42 +81,43 @@ class TriggerParams:
             raise ValidationError("dwell_kappa must be positive")
 
     @cached_property
-    def columns(self):
-        """``sigma``, ``delta`` and ``k`` as (2, 1) columns over the g and h rows."""
-        return tuple(np.array([[a], [b]]) for a, b in (
-            (self.sigma_g, self.sigma_h), (self.delta_g, self.delta_h),
-            (self.k_g, self.k_h)))
+    def sigmas(self):
+        """``sigma_g`` and ``sigma_h`` as a (2, 1) column over the g and h rows."""
+        return np.array([[self.sigma_g], [self.sigma_h]])
+
+    @cached_property
+    def thetas(self):
+        """``theta_g`` and ``theta_h`` as a (2, 1) column."""
+        return np.array([[self.theta_g], [self.theta_h]])
 
 
-def consensus_errors(lap: np.ndarray, s: np.ndarray, y: np.ndarray, silenced):
-    """Consensus errors ``(lap @ s, lap @ y)`` of every agent.
+def consensus_errors(lap: np.ndarray, table: np.ndarray, silenced):
+    """Consensus errors ``lap @ table`` of every agent, as a (2, N, q) table.
 
-    ``s`` stacks rho + z and ``y`` the outputs as (N, q) tables, live or
-    broadcast; ``lap`` is the active graph's Laplacian.  ``silenced`` is a
-    bool for the whole team or an (N,) mask; silenced rows are exactly 0.0.
+    ``table`` stacks the outputs y (row 0) over rho + z (row 1) as (N, q)
+    tables, live or broadcast, so the result is ``[e_y; e_s]``; ``lap`` is
+    the active graph's Laplacian.  ``silenced`` is a bool for the whole team
+    or an (N,) mask; silenced agents' errors are exactly 0.0.
     """
-    e_s = lap @ s
-    e_y = lap @ y
+    errs = np.matmul(lap, table)
     if np.any(silenced):
-        e_s[silenced] = 0.0
-        e_y[silenced] = 0.0
-    return e_s, e_y
+        errs[:, silenced] = 0.0
+    return errs
 
 
-def trigger_functions(s_hat, y_hat, s, y, e_s, e_y, params: TriggerParams):
+def trigger_functions(hats, live, errs, params: TriggerParams):
     """The trigger functions of every agent, as a (2, N) table: row 0 is
     ``g``, row 1 is ``h``.
 
-    ``g`` compares the squared drift of y away from the agent's own last
-    broadcast ``y_hat`` against a fraction of its squared consensus error;
-    ``h`` does the same for rho + z.  The squared sizes are Euclidean over
-    the q columns.
+    ``hats``, ``live`` and ``errs`` are the (2, N, q) tables of the last
+    broadcasts, the live values and the consensus errors, y in row 0 and
+    rho + z in row 1.  ``g`` compares the squared drift of y away from the
+    agent's own last broadcast against a fraction ``theta_g`` of its squared
+    consensus error; ``h`` does the same for rho + z.  The squared sizes are
+    Euclidean over the q columns.
     """
-    drift_y = y_hat - y
-    drift_s = s_hat - s
-    g = (drift_y * drift_y).sum(axis=1) - params.theta_g * (e_y * e_y).sum(axis=1)
-    h = (drift_s * drift_s).sum(axis=1) - params.theta_h * (e_s * e_s).sum(axis=1)
-    return np.array((g, h))
+    drift = hats - live
+    return (drift * drift).sum(2) - params.thetas * (errs * errs).sum(2)
 
 
 def firing(first: bool, t: float, gh, eta, attacked_last, attacked_at,
@@ -130,24 +134,33 @@ def firing(first: bool, t: float, gh, eta, attacked_last, attacked_at,
     """
     if first:
         return np.ones(gh.shape[1], dtype=bool)
-    sigmas = params.columns[0]
-    triggered = (sigmas * gh > eta).any(axis=0)
+    triggered = (params.sigmas * gh > eta).any(axis=0)
+    if not attacked_last.any():
+        return triggered
     retry = t >= attacked_at + params.dwell_kappa - RETRY_SLACK
     return np.where(attacked_last, retry, triggered)
 
 
-def eta_step(eta, gh, frozen, step: float, params: TriggerParams):
-    """One RK4 step of ``d eta = -k eta - delta * gh`` on the (2, N) table of
-    trigger variables, with the trigger functions ``gh`` frozen; ``k`` and
-    ``delta`` are the g-row and h-row coefficients.
+def eta_flow(params: TriggerParams, step: float):
+    """``(decay, gain)``, the (2, 1) columns over the g and h rows of the
+    exact eta update over ``step``: ``decay = exp(-k step)`` and
+    ``gain = delta (1 - decay) / k``."""
+    rates = np.array([[params.k_g], [params.k_h]])
+    deltas = np.array([[params.delta_g], [params.delta_h]])
+    decay = np.exp(-rates * step)
+    return decay, deltas * (1.0 - decay) / rates
 
-    Agents in the ``frozen`` mask (governing attempt attacked) keep their
-    trigger variables.
+
+def eta_step(eta, gh, frozen, flow):
+    """The trigger variables one step later, as a (2, N) table.
+
+    Between grid points ``d eta = -k eta - delta * gh`` with the trigger
+    functions ``gh`` frozen (``k`` and ``delta`` are the g-row and h-row
+    coefficients), a linear ODE with constant forcing.  Its exact flow over
+    the step is ``decay eta - gain gh`` with ``flow = (decay, gain)`` from
+    ``eta_flow`` (Girard, "Dynamic triggering mechanisms for event-triggered
+    control", IEEE TAC 2015).  Agents in the ``frozen`` mask (governing
+    attempt attacked) keep their trigger variables bit for bit.
     """
-    _, deltas, rates = params.columns
-    neg_rate, force = -rates, deltas * gh
-    d1 = neg_rate * eta - force
-    d2 = neg_rate * (eta + 0.5 * step * d1) - force
-    d3 = neg_rate * (eta + 0.5 * step * d2) - force
-    d4 = neg_rate * (eta + step * d3) - force
-    return eta + np.where(frozen, 0.0, (step / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
+    decay, gain = flow
+    return np.where(frozen, eta, decay * eta - gain * gh)

@@ -91,7 +91,12 @@ def value(c: CostSpec, y) -> float:
 
 def gradient(c: CostSpec, y) -> np.ndarray:
     """Analytic gradient at ``y`` (shape ``(q,)``)."""
-    y = _check_point(c, y)
+    return gradient_unchecked(c, _check_point(c, y))
+
+
+def gradient_unchecked(c: CostSpec, y: np.ndarray) -> np.ndarray:
+    """``gradient`` without the point check: ``y`` must already be a finite
+    float array of shape ``(q,)``."""
     p = c.parameters
     if c.kind == "exp_pair":
         t = y[0]
@@ -106,7 +111,7 @@ def gradient(c: CostSpec, y) -> np.ndarray:
              + 2.0 * p[0] * t ** 3 / (1.0 + t * t)
              + 2.0 * p[1] * t)
         return np.array([g])
-    out = np.zeros_like(y)
+    out = np.zeros(y.shape)
     for k, coef in enumerate(p):
         if k > 0 and coef != 0.0:
             out += k * coef * y ** (k - 1)

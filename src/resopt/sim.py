@@ -17,13 +17,21 @@ of its scenario:
 
 The step loop is lean, as it is almost all numpy dispatch on short vectors.
 x and rho are one RK4 state ``xr = [x; rho]`` (a view of the state array
-``[x; rho; z]``; z is advanced exactly), and eta_g, eta_h one (2, N) table.
-On the event-based law the broadcast table's consensus errors are recomputed
-only when someone fires or the graph switches, and on a quiet step (no agent
-fires) the trigger values of the firing decision also freeze the eta forcing,
-since nothing they read has changed.  Every element sees the same floating-
-point operations in the same order, so trajectories are bit-for-bit those
-of the unfused loop.
+``[x; rho; z]``; z is advanced exactly), and eta_g, eta_h are one (2, N)
+table advanced by the exact flow of their linear ODE.  The law's per-agent
+values live in the stacked (2, N, q) tables of ``controller``.  On the
+event-based law the broadcast table's consensus errors, and the consensus
+part of theta with them, are recomputed only when someone fires or the graph
+switches, and on a quiet step (no agent fires) the trigger values of the
+firing decision also freeze the eta forcing, since nothing they read has
+changed.  Every element that feeds x, rho, z or u sees the same
+floating-point operations in the same order as in the unfused loop; eta
+alone differs from that loop's RK4 in its last bits.  Since eta feeds the
+trigger comparisons, an agent at its threshold could fire on another step
+and move the state from there on.  That is not guaranteed against, only
+measured: on the scenarios of the tests, the three presets and seeds 0-120
+of the ``dos_event_based`` benchmark workload, x, y, rho, z, u and every
+event are bit-for-bit those of the unfused loop.
 
 Initial states declared "random" are drawn uniformly from a box with the
 scenario's seeded generator (PCG64, ``low + (high-low) * u``), agent by
@@ -41,8 +49,8 @@ import numpy as np
 
 from .attack import AttackSchedule, activity_series
 from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
-                         eta_step, firing, trigger_functions)
-from .cost import CostSpec, gradient
+                         eta_flow, eta_step, firing, trigger_functions)
+from .cost import CostSpec, gradient_unchecked
 from .errors import DivergenceError, InvariantViolatedError, ValidationError
 from .graph import GraphProcess, SwitchingPath, laplacian, sample_switching_path, \
     stationary_weighting
@@ -133,7 +141,10 @@ class Scenario:
 
 @dataclass
 class Trajectory:
-    """Grid-sampled closed-loop run plus event bookkeeping."""
+    """Grid-sampled closed-loop run plus event bookkeeping.
+
+    From ``run``, x, y, rho and z are column views of one (n+1, .) history
+    array and eta_g, eta_h row views of one (n+1, 2, N) array."""
 
     times: np.ndarray
     x: np.ndarray          # (n+1, total state dim), agent blocks side by side
@@ -242,7 +253,7 @@ class _Stacked:
             self.w_blk[u0:u1, c0:c1] = m.W
 
         # theta = -grad f(y) + const_theta, the optimization input of every
-        # agent, from the stacked outputs y.
+        # agent, from the stacked outputs y, written into ``out``.
         if q == 1:
             fns = [_scalar_gradient_fn(c) for c in scenario.costs]
 
@@ -256,7 +267,7 @@ class _Stacked:
                 if not np.all(np.isfinite(y)):
                     return -np.full_like(y, np.nan) + const_theta
                 return -np.concatenate(
-                    [gradient(c, y[i * q:(i + 1) * q])
+                    [gradient_unchecked(c, y[i * q:(i + 1) * q])
                      for i, c in enumerate(costs)]) + const_theta
 
         self.theta_eval = theta_eval
@@ -322,32 +333,43 @@ def run(scenario: Scenario) -> Trajectory:
 
     # One state array [x; rho; z], advanced in place.  x and rho form the
     # RK4 state xr; z has a constant derivative within a step and is
-    # advanced exactly.
+    # advanced exactly.  Each grid point's history row is [x; rho; z; y].
     state = np.concatenate(_draw_initial(scenario))
-    nx, m = st.nx, st.nx + st.nq
+    nx, nq = st.nx, st.nq
+    m, ns = nx + nq, nx + 2 * nq
     x, rho, z, xr = state[:nx], state[nx:m], state[m:], state[:m]
-    hist_x = np.empty((n_steps + 1, st.nx))
-    hist_y, hist_rho, hist_z = np.empty((3, n_steps + 1, st.nq))
+    hist = np.empty((n_steps + 1, ns + nq))
     hist_u = np.empty((n_steps + 1, st.pu))
-    hist_eg, hist_eh = np.zeros((2, n_steps + 1, big_n))
+    hist_eta = np.zeros((n_steps + 1, 2, big_n))
     # Broadcast attempts per grid point; with attack_on they give the
     # successful and the blocked attempts of every agent.
     hist_fired = np.zeros((n_steps + 1, big_n), dtype=bool)
 
+    # The live table [y; rho + z] as a (2, N, q) table, with flat (N q,)
+    # views of its rows.
+    live = np.empty((2, big_n, q))
+    y, s_live = live.reshape(2, nq)
+
     trig = scenario.trigger
     if event_mode:
         eta = np.array([np.full(big_n, trig.eta_g0), np.full(big_n, trig.eta_h0)])
-        y_hat = np.zeros((big_n, q))       # each agent's last successful broadcast
-        s_hat = np.zeros((big_n, q))       # of y and of rho + z
+        hats = np.zeros((2, big_n, q))  # each agent's last successful broadcast
         attacked_last = np.zeros(big_n, dtype=bool)
         attacked_at = np.full(big_n, math.inf)
-        table_lap = None  # the Laplacian e_s, e_y were last computed with
+        table_lap = None  # the Laplacian errs were last computed with
+        flow = eta_flow(trig, h)
 
     theta_eval = st.theta_eval
     m_a, m_bukx, m_bw, c_blk = st.m_a, st.m_bukx, st.m_bw, st.c_blk
     neg_k, ukx_blk, w_blk = -st.k_blk, st.ukx_blk, st.w_blk
     half_h, sixth_h = 0.5 * h, h / 6.0
     r_list, on_list = r_series.tolist(), attack_on.tolist()
+
+    def consensus_part(errs):
+        """The consensus part of theta (read by rhs) and z's derivative,
+        both frozen over the step, from the errors [e_y; e_s]."""
+        e_y, e_s = errs.reshape(2, nq)
+        return -beta * e_s - ab * e_y, ab * e_y
 
     def rhs(xr_s, y_s=None):
         """Derivative of the fused state [x; rho]; ``y_s`` is C x if known."""
@@ -359,10 +381,11 @@ def run(scenario: Scenario) -> Trajectory:
 
     def finish(last: int, diverged_at: float | None):
         fired, on, t = hist_fired[:last + 1], attack_on[:last + 1], times[:last + 1]
+        rows = hist[:last + 1]
         traj = Trajectory(
-            times=t, x=hist_x[:last + 1], y=hist_y[:last + 1],
-            rho=hist_rho[:last + 1], z=hist_z[:last + 1], u=hist_u[:last + 1],
-            eta_g=hist_eg[:last + 1], eta_h=hist_eh[:last + 1],
+            times=t, x=rows[:, :nx], y=rows[:, ns:], rho=rows[:, nx:m],
+            z=rows[:, m:ns], u=hist_u[:last + 1],
+            eta_g=hist_eta[:last + 1, 0], eta_h=hist_eta[:last + 1, 1],
             r_state=r_series[:last + 1], attack_on=on,
             events=tuple(t[fired[:, i] & ~on] for i in range(big_n)),
             blocked_attempts=tuple(t[fired[:, i] & on] for i in range(big_n)),
@@ -377,11 +400,10 @@ def run(scenario: Scenario) -> Trajectory:
     # guard, so arithmetic warnings along that path are expected noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
-            y = c_blk @ x
+            np.matmul(c_blk, x, out=y)
+            np.add(rho, z, out=s_live)
             lap = laplacians[r_list[k]]
             attacked = on_list[k]
-            y_m = y.reshape(big_n, q)
-            s_m = rho.reshape(big_n, q) + z.reshape(big_n, q)
 
             if event_mode:
                 # Trigger decisions first (against the pre-update broadcast
@@ -392,9 +414,10 @@ def run(scenario: Scenario) -> Trajectory:
                 # values also freeze this step's eta forcing; otherwise they
                 # are evaluated again.
                 if lap is not table_lap:
-                    e_s, e_y = consensus_errors(lap, s_hat, y_hat, attacked_last)
+                    errs = consensus_errors(lap, hats, attacked_last)
+                    const_theta, dz_const = consensus_part(errs)
                     table_lap = lap
-                gh = trigger_functions(s_hat, y_hat, s_m, y_m, e_s, e_y, trig)
+                gh = trigger_functions(hats, live, errs, trig)
                 fired = firing(k == 0, times[k], gh, eta, attacked_last,
                                attacked_at, trig)
                 if fired.any():
@@ -402,26 +425,20 @@ def run(scenario: Scenario) -> Trajectory:
                     if attacked:
                         attacked_at[fired] = times[k]
                     else:
-                        y_hat[fired] = y_m[fired]
-                        s_hat[fired] = s_m[fired]
+                        hats[:, fired] = live[:, fired]
                     attacked_last[fired] = attacked
-                    e_s, e_y = consensus_errors(lap, s_hat, y_hat, attacked_last)
-                    gh = trigger_functions(s_hat, y_hat, s_m, y_m, e_s, e_y, trig)
-                hist_eg[k], hist_eh[k] = eta
+                    errs = consensus_errors(lap, hats, attacked_last)
+                    const_theta, dz_const = consensus_part(errs)
+                    gh = trigger_functions(hats, live, errs, trig)
+                hist_eta[k] = eta
             else:
-                e_s, e_y = consensus_errors(lap, s_m, y_m, attacked)
-
-            # The consensus part of theta (read by rhs) and z's derivative,
-            # both frozen over the step.
-            e_y_flat = e_y.reshape(-1)
-            const_theta = -beta * e_s.reshape(-1) - ab * e_y_flat
-            dz_const = ab * e_y_flat
+                errs = consensus_errors(lap, live, attacked)
+                const_theta, dz_const = consensus_part(errs)
 
             k1 = rhs(xr, y)
-            hist_x[k] = x
-            hist_y[k] = y
-            hist_rho[k] = rho
-            hist_z[k] = z
+            row = hist[k]
+            row[:ns] = state
+            row[ns:] = y
             hist_u[k] = neg_k @ x - ukx_blk @ rho + w_blk @ k1[nx:]
 
             if k == n_steps:
@@ -434,7 +451,7 @@ def run(scenario: Scenario) -> Trajectory:
             z += h * dz_const
 
             if event_mode:
-                eta = eta_step(eta, gh, attacked_last, h, trig)
+                eta = eta_step(eta, gh, attacked_last, flow)
                 if not (eta > 0.0).all():
                     t_next = float(times[k + 1])
                     raise InvariantViolatedError(

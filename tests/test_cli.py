@@ -400,7 +400,8 @@ class TestSweep:
                      "--values", "1.5,0.5,1.0", "--out", str(tmp_path / "sw")])
         assert code == 0
         rows = open(tmp_path / "sw" / "sweep.csv").read().splitlines()
-        assert rows[0] == "name,final_error,fitted_rate,diverged"
+        assert rows[0] == "name,final_error,fitted_rate,diverged,status"
+        assert all(r.endswith(",0,ok") for r in rows[1:])
         names = [r.split(",")[0] for r in rows[1:]]
         assert names == sorted(names)
         assert (tmp_path / "sw" / "beta=0.5" / "report.csv").exists()
@@ -430,3 +431,45 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"sweep values {clash} both give the member label" in err
         assert not out.exists()
+
+    def test_failing_members_do_not_sink_the_sweep(self, tmp_path, capsys):
+        # case3 at 0.2 s with a trigger whose eta_g loses positivity at
+        # sigma_g = 1e-4; the failing member sorts first
+        doc = preset("case3")
+        doc["sim"]["horizon"] = 0.2
+        doc["params"]["trigger"].update(sigma_g=1e-4, delta_g=0.99, k_g=200.0,
+                                        theta_g=0.0)
+        path = tmp_path / "case3.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sw"
+        code = main(["sweep", str(path), "--param", "params.trigger.sigma_g",
+                     "--values", "1e4,1e-4", "--out", str(out)])
+        assert code == 3
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[1] == "params.trigger.sigma_g=0.0001,nan,nan,0,invariant"
+        assert rows[2].startswith("params.trigger.sigma_g=10000,")
+        assert rows[2].endswith(",0,ok")
+        assert sorted(os.listdir(out)) == ["params.trigger.sigma_g=10000", "sweep.csv"]
+        assert (out / "params.trigger.sigma_g=10000" / "events.csv").exists()
+        err = capsys.readouterr().err
+        assert "error: params.trigger.sigma_g=0.0001: trigger variable lost positivity" in err
+
+    def test_worst_member_sets_the_exit_code(self, tmp_path, capsys):
+        # a concave cost (-50 y^2) diverges (exit 3); a linear one (0.0) has
+        # no optimum (exit 2)
+        doc = fast_doc()
+        doc["costs"][0]["parameters"] = [0.0, 1.0, 0.5]
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sw"
+        code = main(["sweep", str(path), "--param", "costs.0.parameters.2",
+                     "--values", "0.0,-50.0,0.5", "--out", str(out)])
+        assert code == 3
+        rows = (out / "sweep.csv").read_text().splitlines()
+        status = {r.split(",")[0]: r.split(",")[-1] for r in rows[1:]}
+        assert status == {"costs.0.parameters.2=-50": "diverged",
+                          "costs.0.parameters.2=0": "unbounded",
+                          "costs.0.parameters.2=0.5": "ok"}
+        code = main(["sweep", str(path), "--param", "costs.0.parameters.2",
+                     "--values", "0.0,0.5", "--out", str(tmp_path / "sw2")])
+        assert code == 2

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from resopt.attack import AttackSchedule
 from resopt.controller import (AlgorithmParams, TriggerParams, consensus_errors,
-                               eta_step, firing, trigger_functions)
+                               eta_flow, eta_step, firing, trigger_functions)
 from resopt.cost import CostSpec
 from resopt.errors import ValidationError
 from resopt.graph import GraphProcess, WeightedDigraph, laplacian
@@ -27,26 +29,29 @@ def column(*values):
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
+def table(y, s):
+    """The stacked (2, N, q) table of ``y`` over ``s``."""
+    return np.array([y, s], dtype=float)
+
+
 class TestTimeBasedErrors:
     def test_attacked_branch_exact_zero(self):
         s = column(4.0, 6.0)
         y = column(5.0, 6.0)
-        e_s, e_y = consensus_errors(lap([[0.0, 1.0], [1.0, 0.0]]), s, y, True)
-        assert np.array_equal(e_s, np.zeros((2, 1)))
-        assert np.array_equal(e_y, np.zeros((2, 1)))
+        errs = consensus_errors(lap([[0.0, 1.0], [1.0, 0.0]]), table(y, s), True)
+        assert np.array_equal(errs, np.zeros((2, 2, 1)))
 
     def test_consensus_fixed_point(self):
         s = np.full((3, 1), 1.0)
         y = np.full((3, 1), 0.5)
-        e_s, e_y = consensus_errors(lap(np.ones((3, 3)) - np.eye(3)), s, y, False)
-        np.testing.assert_allclose(e_s, 0.0)
-        np.testing.assert_allclose(e_y, 0.0)
+        errs = consensus_errors(lap(np.ones((3, 3)) - np.eye(3)), table(y, s), False)
+        np.testing.assert_allclose(errs, 0.0)
 
     def test_two_agent_output_error(self):
         s = np.zeros((2, 1))
         y = column(1.0, 0.0)
         # a_12 = 1: agent 1 hears agent 2
-        _, e_y = consensus_errors(lap([[0.0, 1.0], [0.0, 0.0]]), s, y, False)
+        e_y, _ = consensus_errors(lap([[0.0, 1.0], [0.0, 0.0]]), table(y, s), False)
         assert e_y[0, 0] == pytest.approx(1.0)
 
 
@@ -56,7 +61,7 @@ class TestEventBasedErrors:
         hats = column(1.0, 1.5, 1.5)
         weights = np.ones((3, 3)) - np.eye(3)
         silenced = np.array([True, False, False])
-        e_s, e_y = consensus_errors(lap(weights), hats, hats, silenced)
+        e_y, e_s = consensus_errors(lap(weights), table(hats, hats), silenced)
         assert np.array_equal(e_s[0], np.zeros(1))
         assert np.array_equal(e_y[0], np.zeros(1))
         # rows 1 and 2 still see agent 0's broadcast of 1.0
@@ -65,22 +70,22 @@ class TestEventBasedErrors:
     def test_equal_broadcasts(self):
         hats = np.full((3, 1), 1.5)
         weights = np.ones((3, 3)) - np.eye(3)
-        e_s, e_y = consensus_errors(lap(weights), hats, hats,
-                                    np.zeros(3, dtype=bool))
-        np.testing.assert_allclose(e_s, 0.0)
-        np.testing.assert_allclose(e_y, 0.0)
+        errs = consensus_errors(lap(weights), table(hats, hats),
+                                np.zeros(3, dtype=bool))
+        np.testing.assert_allclose(errs, 0.0)
 
     def test_broadcast_table_sum(self):
         y_hat = column(2.0, 0.0)
         zeros = np.zeros((2, 1))
-        _, e_y = consensus_errors(lap([[0.0, 1.0], [0.0, 0.0]]), zeros, y_hat,
+        e_y, _ = consensus_errors(lap([[0.0, 1.0], [0.0, 0.0]]), table(y_hat, zeros),
                                   np.zeros(2, dtype=bool))
         assert e_y[0, 0] == pytest.approx(2.0)
 
 
 def fires(params, s_hat, y_hat, s, y, e_s, e_y, eta_g, eta_h):
-    gh = trigger_functions(column(*s_hat), column(*y_hat), column(*s),
-                           column(*y), column(*e_s), column(*e_y), params)
+    gh = trigger_functions(table(column(*y_hat), column(*s_hat)),
+                           table(column(*y), column(*s)),
+                           table(column(*e_y), column(*e_s)), params)
     n = gh.shape[1]
     return firing(False, 1.0, gh, np.array([eta_g, eta_h], dtype=float),
                   np.zeros(n, dtype=bool), np.full(n, np.inf), params)
@@ -147,48 +152,56 @@ class TestDwellScheduling:
             t = t_next
 
 
-def rk4_decay_reference(eta, rate, force, step):
-    """RK4 of the linear ODE ``d eta = -rate eta - force`` is the fourth-order
-    Taylor polynomial of its exact flow."""
-    a = rate * step
-    return (eta * (1.0 - a + a * a / 2.0 - a ** 3 / 6.0 + a ** 4 / 24.0)
-            - force * step * (1.0 - a / 2.0 + a * a / 6.0 - a ** 3 / 24.0))
+def exact_decay_reference(eta, rate, force, step):
+    """The exact flow of the linear ODE ``d eta = -rate eta - force``."""
+    decay = math.exp(-rate * step)
+    return eta * decay - force * (1.0 - decay) / rate
 
 
 def step_rows(eta_g, g, frozen, params, step=1e-3):
     """eta_step on one column per agent; the h row mirrors the g row."""
     eta = np.array([eta_g, eta_g], dtype=float)
     gh = np.array([g, g], dtype=float)
-    return eta_step(eta, gh, np.asarray(frozen, dtype=bool), step, params)
+    return eta_step(eta, gh, np.asarray(frozen, dtype=bool), eta_flow(params, step))
 
 
 class TestEtaDerivative:
     def test_frozen_under_attack(self):
-        new_g, new_h = step_rows([1.0, 1.0], [5.0, -3.0], [True, True],
-                                 trigger_params())
-        assert list(new_g) == [1.0, 1.0] and list(new_h) == [1.0, 1.0]
+        eta = [0.1234567890123, 7.0 / 3.0]
+        new_g, new_h = step_rows(eta, [5.0, -3.0], [True, True], trigger_params())
+        want = np.array(eta).tobytes()
+        assert new_g.tobytes() == want and new_h.tobytes() == want
 
     def test_pure_decay_with_zero_delta(self):
         params = trigger_params(delta_g=0.0, delta_h=0.0)
         new_g, _ = step_rows([2.0, 3.0], [7.0, -7.0], [False, False], params)
-        assert new_g[0] == pytest.approx(rk4_decay_reference(2.0, 1.0, 0.0, 1e-3))
-        assert new_g[1] == pytest.approx(rk4_decay_reference(3.0, 1.0, 0.0, 1e-3))
+        assert new_g[0] == pytest.approx(exact_decay_reference(2.0, 1.0, 0.0, 1e-3))
+        assert new_g[1] == pytest.approx(exact_decay_reference(3.0, 1.0, 0.0, 1e-3))
 
     def test_numeric_example(self):
         # k = 1, delta = 0.5, eta = 2, g = -1: d eta = -1.5; the second row
         # is frozen and keeps its value
         params = trigger_params(k_g=1.0, delta_g=0.5, k_h=1.0, delta_h=0.5)
         new_g, _ = step_rows([2.0, 2.0], [-1.0, -1.0], [False, True], params)
-        assert new_g[0] == pytest.approx(rk4_decay_reference(2.0, 1.0, -0.5, 1e-3))
+        assert new_g[0] == pytest.approx(exact_decay_reference(2.0, 1.0, -0.5, 1e-3))
         assert (new_g[0] - 2.0) / 1e-3 == pytest.approx(-1.5, rel=1e-3)
         assert new_g[1] == 2.0
 
     def test_rows_use_their_own_coefficients(self):
         params = trigger_params(k_g=1.0, delta_g=0.5, k_h=3.0, delta_h=0.25)
         new = eta_step(np.full((2, 1), 2.0), np.array([[-1.0], [4.0]]),
-                       np.array([False]), 1e-3, params)
-        assert new[0, 0] == pytest.approx(rk4_decay_reference(2.0, 1.0, -0.5, 1e-3))
-        assert new[1, 0] == pytest.approx(rk4_decay_reference(2.0, 3.0, 1.0, 1e-3))
+                       np.array([False]), eta_flow(params, 1e-3))
+        assert new[0, 0] == pytest.approx(exact_decay_reference(2.0, 1.0, -0.5, 1e-3))
+        assert new[1, 0] == pytest.approx(exact_decay_reference(2.0, 3.0, 1.0, 1e-3))
+
+    def test_exact_at_a_stiff_rate(self):
+        # k step = 0.2: RK4's Taylor polynomial is off by 3e-6 relative here,
+        # the exact flow only by rounding
+        params = trigger_params(k_g=200.0, delta_g=0.99, k_h=200.0, delta_h=0.99)
+        new_g, _ = step_rows([1.0, 0.5], [1e-3, -2.0], [False, False], params)
+        for got, eta, g in zip(new_g, (1.0, 0.5), (1e-3, -2.0)):
+            assert got == pytest.approx(
+                exact_decay_reference(eta, 200.0, 0.99 * g, 1e-3), rel=1e-14)
 
 
 class TestTriggerParamsValidation:
