@@ -43,6 +43,9 @@ _matrix_schema = {"type": "array", "minItems": 1,
                   "items": {"type": "array", "minItems": 1,
                             "items": {"type": "number"}}}
 _vector_schema = {"type": "array", "minItems": 1, "items": {"type": "number"}}
+# Output file names by key; events.csv is written by event-based runs only.
+OUTPUT_NAMES = {"trajectory": "trajectory.csv", "report": "report.csv",
+                "events": "events.csv", "conditions": "conditions.csv"}
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -154,9 +157,7 @@ SCENARIO_SCHEMA = {
         },
         "outputs": {
             "type": "object", "additionalProperties": False,
-            "properties": {name: {"type": "string"}
-                           for name in ("trajectory", "report", "events",
-                                        "conditions")},
+            "properties": {name: {"type": "string"} for name in OUTPUT_NAMES},
         },
     },
 }
@@ -230,9 +231,23 @@ def _build_budget(doc: dict) -> AttackBudget | None:
                         kappa_star=budget.get("kappa_star", 0.0))
 
 
+def _output_names(doc: dict) -> dict:
+    """The document's output file names over the defaults.  They must be
+    distinct plain file names, so that no output replaces another or lands
+    outside the output directory."""
+    names = {**OUTPUT_NAMES, **doc.get("outputs", {})}
+    for key, name in names.items():
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ValidationError(f"outputs.{key} {name!r} is not a plain file name")
+    if len(set(names.values())) < len(names):
+        raise ValidationError(f"output file names repeat: {names}")
+    return names
+
+
 def build_scenario(doc: dict) -> LoadedScenario:
     """Construct a validated Scenario (plus budget) from a scenario document."""
     validate_document(doc)
+    _output_names(doc)
     try:
         agents = tuple(
             AgentModel.build(spec["A"], spec["B"], spec["C"], spec["K"],
@@ -584,17 +599,17 @@ def _conditions_lines(scenario: Scenario, budget: AttackBudget | None):
 def write_outputs(loaded: LoadedScenario, out_dir: str, traj, report,
                   diverged_at=None) -> RunOutputs:
     os.makedirs(out_dir, exist_ok=True)
-    names = loaded.raw.get("outputs", {})
+    names = _output_names(loaded.raw)
     scenario = loaded.scenario
-    traj_path = os.path.join(out_dir, names.get("trajectory", "trajectory.csv"))
-    report_path = os.path.join(out_dir, names.get("report", "report.csv"))
-    conditions_path = os.path.join(out_dir, names.get("conditions", "conditions.csv"))
+    traj_path = os.path.join(out_dir, names["trajectory"])
+    report_path = os.path.join(out_dir, names["report"])
+    conditions_path = os.path.join(out_dir, names["conditions"])
     _write_atomic(traj_path, _trajectory_lines(scenario, traj))
     _write_atomic(report_path, _report_lines(scenario, traj, report, diverged_at))
     _write_atomic(conditions_path, _conditions_lines(scenario, loaded.budget))
     events_path = None
     if scenario.algorithm == "event_based":
-        events_path = os.path.join(out_dir, names.get("events", "events.csv"))
+        events_path = os.path.join(out_dir, names["events"])
         _write_atomic(events_path, _events_lines(traj))
     return RunOutputs(trajectory_csv=traj_path, report_csv=report_path,
                       events_csv=events_path, conditions_csv=conditions_path)

@@ -11,6 +11,11 @@ Four cost kinds are supported.  ``exp_pair``, ``quartic`` and
 ``custom_polynomial`` takes coefficients (c0, c1, ...) of a one-variable
 polynomial applied separably to each coordinate, so it works for any q.
 
+Each cost's gradient is written once, as the kernel ``CostSpec.grad``, and
+``gradient`` is that kernel behind a point check.  The integrator (``sim``)
+calls the kernel directly and the q = 1 oracle bisects on the kernels' sum,
+so both evaluate the same floating-point expressions.
+
 Regularity constants are estimated on a user-declared working box rather
 than globally; several interesting costs have gradients that are only
 locally Lipschitz, and one of the bundled ones is not even convex on the
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +70,47 @@ class CostSpec:
             raise ValidationError(f"{self.kind} is a scalar (q = 1) cost")
         object.__setattr__(self, "parameters", params)
 
+    @cached_property
+    def grad(self):
+        """The gradient kernel, built once: a function of a float t (for
+        custom_polynomial also elementwise of a (q,) array, returning a float
+        below degree 2).  t is not checked; exp saturates to +inf."""
+        return _gradient_kernel(self.kind, self.parameters)
+
+
+def _gradient_kernel(kind: str, p: tuple):
+    exp, log1p, inf = math.exp, math.log1p, math.inf
+    if kind == "exp_pair":
+        c1r1, r1, c2r2, r2 = p[0] * p[1], p[1], p[2] * p[3], p[3]
+
+        def grad_exp(t):
+            v1, v2 = r1 * t, r2 * t
+            return (c1r1 * (exp(v1) if v1 < 700.0 else inf)
+                    + c2r2 * (exp(v2) if v2 < 700.0 else inf))
+
+        return grad_exp
+    if kind == "quartic":
+        a4, b2 = 4.0 * p[0], 2.0 * p[1]
+        return lambda t: a4 * t * t * t + b2 * t
+    if kind == "log_quadratic":
+        a2, b2 = 2.0 * p[0], 2.0 * p[1]
+
+        def grad_lq(t):
+            t2, a2t = t * t, a2 * t
+            return a2t * log1p(t2) + a2t * t2 / (1.0 + t2) + b2 * t
+
+        return grad_lq
+    scaled = [k * c for k, c in enumerate(p)][1:]
+
+    def grad_poly(t):
+        acc, power = 0.0, 1.0
+        for kc in scaled:
+            acc += kc * power
+            power *= t
+        return acc
+
+    return grad_poly
+
 
 def _check_point(c: CostSpec, y) -> np.ndarray:
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -91,31 +138,8 @@ def value(c: CostSpec, y) -> float:
 
 def gradient(c: CostSpec, y) -> np.ndarray:
     """Analytic gradient at ``y`` (shape ``(q,)``)."""
-    return gradient_unchecked(c, _check_point(c, y))
-
-
-def gradient_unchecked(c: CostSpec, y: np.ndarray) -> np.ndarray:
-    """``gradient`` without the point check: ``y`` must already be a finite
-    float array of shape ``(q,)``."""
-    p = c.parameters
-    if c.kind == "exp_pair":
-        t = y[0]
-        g = p[0] * p[1] * _exp(p[1] * t) + p[2] * p[3] * _exp(p[3] * t)
-        return np.array([g])
-    if c.kind == "quartic":
-        t = y[0]
-        return np.array([4.0 * p[0] * t ** 3 + 2.0 * p[1] * t])
-    if c.kind == "log_quadratic":
-        t = y[0]
-        g = (2.0 * p[0] * t * math.log1p(t * t)
-             + 2.0 * p[0] * t ** 3 / (1.0 + t * t)
-             + 2.0 * p[1] * t)
-        return np.array([g])
-    out = np.zeros(y.shape)
-    for k, coef in enumerate(p):
-        if k > 0 and coef != 0.0:
-            out += k * coef * y ** (k - 1)
-    return out
+    y = _check_point(c, y)
+    return np.full(y.shape, c.grad(y if c.dimension > 1 else float(y[0])))
 
 
 def second_derivative(c: CostSpec, y) -> np.ndarray:
@@ -182,7 +206,7 @@ def estimate_regularity(c: CostSpec, box, grid_points: int = REGULARITY_GRID
 
 
 def _sum_gradient(costs, t: float) -> float:
-    return float(sum(gradient(c, [t])[0] for c in costs))
+    return float(sum(c.grad(t) for c in costs))
 
 
 def centralized_optimum(costs, tolerance: float = 1e-12):

@@ -50,7 +50,6 @@ import numpy as np
 from .attack import AttackSchedule, activity_series
 from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
                          eta_flow, eta_step, firing, trigger_functions)
-from .cost import CostSpec, gradient_unchecked
 from .errors import DivergenceError, InvariantViolatedError, ValidationError
 from .graph import GraphProcess, SwitchingPath, laplacian, sample_switching_path, \
     stationary_weighting
@@ -171,44 +170,6 @@ class Trajectory:
         return self.y.reshape(n, -1, self.q)
 
 
-def _scalar_gradient_fn(cost: CostSpec):
-    """Scalar gradient closure of a q = 1 cost (the integrator's fast path);
-    ``exp`` saturates to +inf past the overflow guard instead of raising."""
-    p = cost.parameters
-    exp, log1p, inf = math.exp, math.log1p, math.inf
-
-    if cost.kind == "exp_pair":
-        c1r1, r1, c2r2, r2 = p[0] * p[1], p[1], p[2] * p[3], p[3]
-
-        def grad_exp(t: float) -> float:
-            v1, v2 = r1 * t, r2 * t
-            return (c1r1 * (exp(v1) if v1 < 700.0 else inf)
-                    + c2r2 * (exp(v2) if v2 < 700.0 else inf))
-
-        return grad_exp
-    if cost.kind == "quartic":
-        a4, b2 = 4.0 * p[0], 2.0 * p[1]
-        return lambda t: a4 * t * t * t + b2 * t
-    if cost.kind == "log_quadratic":
-        a2, b2 = 2.0 * p[0], 2.0 * p[1]
-
-        def grad_lq(t: float) -> float:
-            t2, a2t = t * t, a2 * t
-            return a2t * log1p(t2) + a2t * t2 / (1.0 + t2) + b2 * t
-
-        return grad_lq
-    scaled = [k * c for k, c in enumerate(p)][1:]
-
-    def grad_poly(t: float) -> float:
-        acc, power = 0.0, 1.0
-        for kc in scaled:
-            acc += kc * power
-            power *= t
-        return acc
-
-    return grad_poly
-
-
 class _Stacked:
     """Precomputed block matrices of the stacked closed loop."""
 
@@ -253,22 +214,20 @@ class _Stacked:
             self.w_blk[u0:u1, c0:c1] = m.W
 
         # theta = -grad f(y) + const_theta, the optimization input of every
-        # agent, from the stacked outputs y, written into ``out``.
+        # agent, from the stacked outputs y, with each cost's gradient kernel.
+        fns = [c.grad for c in scenario.costs]
         if q == 1:
-            fns = [_scalar_gradient_fn(c) for c in scenario.costs]
-
             def theta_eval(y: np.ndarray, const_theta: np.ndarray) -> np.ndarray:
                 return np.array([-fn(t) + c for fn, t, c in
                                  zip(fns, y.tolist(), const_theta.tolist())])
         else:
-            costs = scenario.costs
+            blocks = [(fn, slice(i * q, (i + 1) * q)) for i, fn in enumerate(fns)]
 
             def theta_eval(y: np.ndarray, const_theta: np.ndarray) -> np.ndarray:
-                if not np.all(np.isfinite(y)):
-                    return -np.full_like(y, np.nan) + const_theta
-                return -np.concatenate(
-                    [gradient_unchecked(c, y[i * q:(i + 1) * q])
-                     for i, c in enumerate(costs)]) + const_theta
+                grad = np.empty(self.nq)
+                for fn, rows in blocks:
+                    grad[rows] = fn(y[rows])
+                return -grad + const_theta
 
         self.theta_eval = theta_eval
 

@@ -261,6 +261,22 @@ class TestRunCommand:
         assert float(values["theta_star_1"]) == pytest.approx(0.0, abs=1e-9)
         assert float(values["theta_star_2"]) == pytest.approx(0.0, abs=1e-9)
 
+    def test_unsafe_output_names_rejected(self, tmp_path, capsys):
+        # a repeated name would replace an output, "../x" would land outside
+        # --out, and "" would name the directory itself
+        for outputs in ({"trajectory": "a.csv", "report": "a.csv"},
+                        {"report": "trajectory.csv"},
+                        {"trajectory": "../escaped.csv"},
+                        {"trajectory": ""}, {"events": ".."}):
+            doc = fast_doc()
+            doc["outputs"] = outputs
+            path = tmp_path / "names.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / "nested" / "o"
+            assert main(["run", str(path), "--out", str(out)]) == 2
+            assert "output" in capsys.readouterr().err
+            assert sorted(os.listdir(tmp_path)) == ["names.json"]
+
     def test_golden_case1_header(self):
         scen = preset_scenario("case1").scenario
         assert ",".join(trajectory_header(scen)) == CASE1_HEADER

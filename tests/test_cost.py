@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from conftest import THETA_STAR
 from resopt.cost import (CostSpec, centralized_optimum, estimate_regularity,
@@ -46,6 +47,48 @@ class TestGradient:
         point = np.array([1.0, -2.0, 3.0])
         np.testing.assert_allclose(gradient(c, point), point)
         assert value(c, point) == pytest.approx(0.5 * np.sum(point ** 2))
+
+    @pytest.mark.parametrize("kind", ["exp_pair", "quartic", "log_quadratic",
+                                      "custom_polynomial"])
+    def test_every_kind_matches_closed_form(self, kind):
+        # the kernels fold constant factors, so they agree with the textbook
+        # formulas up to rounding
+        p = {"exp_pair": (1.0, 0.5, -2.0, -0.25), "quartic": (1.0, -2.0, 3.0),
+             "log_quadratic": (0.5, 1.0),
+             "custom_polynomial": (1.0, -3.0, 0.5, 2.0)}[kind]
+        cost = CostSpec(kind, p)
+        closed_form = {
+            "exp_pair": lambda t: (p[0] * p[1] * math.exp(p[1] * t)
+                                   + p[2] * p[3] * math.exp(p[3] * t)),
+            "quartic": lambda t: 4.0 * p[0] * t ** 3 + 2.0 * p[1] * t,
+            "log_quadratic": lambda t: (2.0 * p[0] * t * math.log1p(t * t)
+                                        + 2.0 * p[0] * t ** 3 / (1.0 + t * t)
+                                        + 2.0 * p[1] * t),
+            "custom_polynomial": lambda t: p[1] + 2.0 * p[2] * t + 3.0 * p[3] * t ** 2,
+        }[kind]
+        for t in (-2.5, -0.3, 0.0, 0.7, 4.0):
+            assert gradient(cost, [t])[0] == pytest.approx(closed_form(t),
+                                                           rel=1e-12, abs=0.0)
+            assert cost.grad(t) == gradient(cost, [t])[0]
+
+    def test_exp_pair_past_overflow_guard_is_inf(self):
+        cost = CostSpec("exp_pair", (1.0, 2.0, 0.5, 0.3))
+        with pytest.raises(OverflowError):
+            math.exp(2.0 * 400.0)
+        assert gradient(cost, [400.0])[0] == math.inf
+
+    @given(hs.lists(hs.floats(-5.0, 5.0), min_size=1, max_size=7),
+           hs.lists(hs.floats(-30.0, 30.0), min_size=2, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_polynomial_rows_match_scalar_gradient(self, coefs, point):
+        # one kernel serves every q: a q > 1 gradient is the q = 1 gradient
+        # of each coordinate, bit for bit
+        wide = CostSpec("custom_polynomial", tuple(coefs), dimension=len(point))
+        scalar = CostSpec("custom_polynomial", tuple(coefs))
+        rows = gradient(wide, point)
+        assert rows.shape == (len(point),)
+        want = np.array([gradient(scalar, [t])[0] for t in point])
+        assert rows.tobytes() == want.tobytes()
 
 
 class TestEstimateRegularity:

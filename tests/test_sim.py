@@ -1,10 +1,8 @@
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as hs
 
 from conftest import THETA_STAR
 from resopt.attack import AttackSchedule, activity_series
@@ -17,9 +15,8 @@ from resopt.graph import (GraphProcess, SwitchingPath, WeightedDigraph,
                           laplacian, sample_switching_path, stationary_weighting)
 from resopt.plant import AgentModel
 from resopt.sim import (STATE_LIMIT, InitialCondition, Scenario, Trajectory,
-                        _draw_initial, _scalar_gradient_fn, _Stacked,
-                        compare_beta_sweep, convergence_report, final_spread,
-                        run, zeno_audit)
+                        _draw_initial, _Stacked, compare_beta_sweep,
+                        convergence_report, final_spread, run, zeno_audit)
 
 
 def scalar_agent():
@@ -643,72 +640,3 @@ class TestLeanLoopMatchesReference:
                                         k_g=200.0, k_h=200.0)
         _, err = self.check(scenario_from(doc))
         assert isinstance(err, InvariantViolatedError)
-
-
-def gradient_terms(cost, t):
-    """The summands of the q = 1 gradient, which bound its rounding error."""
-    p = cost.parameters
-    if cost.kind == "exp_pair":
-        return [p[0] * p[1] * math.exp(p[1] * t), p[2] * p[3] * math.exp(p[3] * t)]
-    if cost.kind == "quartic":
-        return [4.0 * p[0] * t ** 3, 2.0 * p[1] * t]
-    if cost.kind == "log_quadratic":
-        return [2.0 * p[0] * t * math.log1p(t * t),
-                2.0 * p[0] * t ** 3 / (1.0 + t * t), 2.0 * p[1] * t]
-    return [k * c * t ** (k - 1) for k, c in enumerate(p) if k > 0]
-
-
-coefficient = hs.floats(-5.0, 5.0)
-rate = hs.floats(-3.0, 3.0)
-scalar_costs = hs.one_of(
-    hs.tuples(coefficient, rate, coefficient, rate).map(
-        lambda p: CostSpec("exp_pair", p)),
-    hs.tuples(coefficient, coefficient, coefficient).map(
-        lambda p: CostSpec("quartic", p)),
-    hs.tuples(coefficient, coefficient).map(
-        lambda p: CostSpec("log_quadratic", p)),
-    hs.lists(coefficient, min_size=1, max_size=6).map(
-        lambda p: CostSpec("custom_polynomial", tuple(p))))
-
-
-class TestScalarGradientFastPath:
-    """The integrator's per-agent q = 1 gradient closures against
-    ``cost.gradient``; they fold constant factors, so they may differ from it
-    by rounding, relative to the size of the summands.
-
-    Where the gradient itself is subnormal, a rounding errs by up to half
-    the smallest subnormal whatever the size of the result, and a later
-    product by ``t`` or by a folded factor (at most 25 here) carries that
-    error along.  Only there does the bound add a floor of a few subnormal
-    ulps times ``max(1, |t|)**4`` (the highest power of ``t`` in a
-    gradient); a normal gradient keeps the relative bound alone."""
-
-    @given(scalar_costs, hs.floats(-30.0, 30.0))
-    @example(CostSpec("quartic", (5e-324, 0.0, 0.0)), 1.875)
-    @settings(max_examples=400, deadline=None)
-    def test_matches_cost_gradient(self, cost, t):
-        fast = _scalar_gradient_fn(cost)(t)
-        want = float(gradient(cost, [t])[0])
-        scale = sum(abs(term) for term in gradient_terms(cost, t))
-        bound = 1e-12 * scale
-        if abs(want) < sys.float_info.min:
-            bound += 100 * math.ulp(0.0) * max(1.0, abs(t)) ** 4
-        assert abs(fast - want) <= bound
-
-    @pytest.mark.parametrize("kind", ["exp_pair", "quartic", "log_quadratic",
-                                      "custom_polynomial"])
-    def test_every_kind_covered(self, kind):
-        params = {"exp_pair": (1.0, 0.5, -2.0, -0.25), "quartic": (1.0, -2.0, 3.0),
-                  "log_quadratic": (0.5, 1.0),
-                  "custom_polynomial": (1.0, -3.0, 0.5, 2.0)}[kind]
-        cost = CostSpec(kind, params)
-        for t in (-2.5, -0.3, 0.0, 0.7, 4.0):
-            want = float(gradient(cost, [t])[0])
-            assert _scalar_gradient_fn(cost)(t) == pytest.approx(want, rel=1e-12, abs=0.0)
-
-    def test_exp_pair_past_overflow_guard_is_inf(self):
-        cost = CostSpec("exp_pair", (1.0, 2.0, 0.5, 0.3))
-        with pytest.raises(OverflowError):
-            math.exp(2.0 * 400.0)
-        assert _scalar_gradient_fn(cost)(400.0) == math.inf
-        assert float(gradient(cost, [400.0])[0]) == math.inf
