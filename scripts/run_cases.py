@@ -15,7 +15,6 @@ import os
 import sys
 
 from resopt.cli import build_scenario, execute, preset
-from resopt.sim import zeno_audit
 
 
 def main() -> int:
@@ -43,11 +42,11 @@ def main() -> int:
                 f"final_error={report.final_error:.3e}  "
                 f"fitted_rate={report.fitted_rate:+.4f}")
         if loaded.scenario.algorithm == "event_based":
-            audit = zeno_audit(traj)
-            total = sum(audit.counts)
+            counts = tuple(s.count for s in report.trigger_stats)
+            total = sum(counts)
             steps = len(traj.times) - 1
             agents = loaded.scenario.n_agents
-            line += (f"  events={audit.counts} "
+            line += (f"  events={counts} "
                      f"(saved {100.0 * (1.0 - total / (agents * steps)):.1f}% "
                      f"of per-step transmissions)")
         print(line)

@@ -24,7 +24,6 @@ from .graph import (GraphProcess, StationaryWeighting, SwitchingPath,
 from .plant import (AgentModel, check_rank_condition, is_hurwitz,
                     solve_regulation)
 from .sim import (ConvergenceReport, InitialCondition, Scenario, Trajectory,
-                  compare_beta_sweep, convergence_report, final_spread, run,
-                  zeno_audit)
+                  compare_beta_sweep, convergence_report, final_spread, run)
 
 __version__ = "0.1.0"

@@ -11,9 +11,16 @@ threshold to 102.2 s, above the 101 s its two bursts admit, so its
 ``inflated`` row in conditions.csv fails the frequency check (the duration
 check passes).
 
-Exit codes: 0 success, 2 validation failure, 3 divergence or a violated
-run-time invariant, 4 I/O error.  A sweep runs every member and writes its
-summary before it exits with the largest code of its members.
+A scenario is admitted once, when it is built (``build_scenario``): the
+schema, the numeric invariants and the joint-connectivity hypothesis of the
+switching digraphs are all checked there, so ``check``, ``run`` and every
+member of a ``sweep`` accept and reject the same documents, before anything
+is run or written.
+
+Exit codes: 0 success, 2 validation failure (including a failed
+joint-connectivity assumption), 3 divergence or a violated run-time
+invariant, 4 I/O error.  A sweep runs every member and writes its summary
+before it exits with the largest code of its members.
 """
 
 from __future__ import annotations
@@ -135,7 +142,7 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "horizon": {"type": "number"},
                 "step": {"type": "number"},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "initial": {
                     "type": "object", "additionalProperties": False,
                     "properties": {
@@ -244,56 +251,67 @@ def _output_names(doc: dict) -> dict:
     return names
 
 
+def _check_rectangular(doc: dict) -> None:
+    """Reject a matrix of a schema-valid document whose rows differ in
+    length, naming its JSON path; the schema cannot state that."""
+    matrices = [(f"$.agents[{i}].{name}", rows) for i, spec in enumerate(doc["agents"])
+                for name, rows in spec.items()]
+    gp = doc["graph_process"]
+    matrices += [(f"$.graph_process.weights[{r}]", rows)
+                 for r, rows in enumerate(gp["weights"])]
+    matrices.append(("$.graph_process.generator", gp["generator"]))
+    for path, rows in matrices:
+        lengths = [len(row) for row in rows]
+        if len(set(lengths)) > 1:
+            raise ValidationError(f"{path} is ragged: its rows have lengths {lengths}")
+
+
 def build_scenario(doc: dict) -> LoadedScenario:
-    """Construct a validated Scenario (plus budget) from a scenario document."""
+    """Admit a scenario document: schema, rectangular matrices, output names,
+    then the Scenario (plus budget), whose construction checks the numeric
+    invariants and the joint-connectivity hypothesis.  Raises a ResoptError
+    before anything is run or written."""
     validate_document(doc)
+    _check_rectangular(doc)
     _output_names(doc)
-    try:
-        agents = tuple(
-            AgentModel.build(spec["A"], spec["B"], spec["C"], spec["K"],
-                             spec.get("U"), spec.get("W"), spec.get("X"))
-            for spec in doc["agents"])
-        costs = tuple(
-            CostSpec(kind=spec["kind"], parameters=tuple(spec["parameters"]),
-                     dimension=spec.get("dimension", 1))
-            for spec in doc["costs"])
-        gp = doc["graph_process"]
-        process = GraphProcess(
-            graphs=tuple(WeightedDigraph(np.asarray(w, dtype=float))
-                         for w in gp["weights"]),
-            generator=np.asarray(gp["generator"], dtype=float),
-            initial_distribution=np.asarray(gp["initial_distribution"], dtype=float))
-        simdoc = doc["sim"]
-        horizon = float(simdoc["horizon"])
-        schedule = _build_schedule(doc, horizon)
-        init_doc = simdoc.get("initial", {"mode": "random"})
-        if init_doc.get("mode", "random") == "explicit":
-            initial = InitialCondition(
-                mode="explicit",
-                states=tuple((s["x"], s["rho"], s["z"])
-                             for s in init_doc.get("states", ())))
-        else:
-            initial = InitialCondition(mode="random",
-                                       low=init_doc.get("low", -10.0),
-                                       high=init_doc.get("high", 10.0))
-        params_doc = doc["params"]
-        trigger_doc = params_doc.get("trigger")
-        trigger = TriggerParams(**trigger_doc) if trigger_doc else None
-        scenario = Scenario(
-            agents=agents, costs=costs, graph_process=process,
-            attack_schedule=schedule, algorithm=doc["algorithm"],
-            params=AlgorithmParams(alpha=params_doc["alpha"],
-                                   beta=params_doc["beta"]),
-            horizon=horizon, step=float(simdoc["step"]),
-            seed=int(simdoc["seed"]), initial=initial, trigger=trigger)
-    except KeyError as exc:
-        raise ValidationError(f"scenario document is missing {exc}") from exc
+    agents = tuple(
+        AgentModel.build(spec["A"], spec["B"], spec["C"], spec["K"],
+                         spec.get("U"), spec.get("W"), spec.get("X"))
+        for spec in doc["agents"])
+    costs = tuple(
+        CostSpec(kind=spec["kind"], parameters=tuple(spec["parameters"]),
+                 dimension=spec.get("dimension", 1))
+        for spec in doc["costs"])
+    gp = doc["graph_process"]
+    process = GraphProcess(
+        graphs=tuple(WeightedDigraph(np.asarray(w, dtype=float))
+                     for w in gp["weights"]),
+        generator=np.asarray(gp["generator"], dtype=float),
+        initial_distribution=np.asarray(gp["initial_distribution"], dtype=float))
+    simdoc = doc["sim"]
+    horizon = float(simdoc["horizon"])
+    schedule = _build_schedule(doc, horizon)
+    init_doc = simdoc.get("initial", {"mode": "random"})
+    if init_doc.get("mode", "random") == "explicit":
+        initial = InitialCondition(
+            mode="explicit",
+            states=tuple((s["x"], s["rho"], s["z"])
+                         for s in init_doc.get("states", ())))
+    else:
+        initial = InitialCondition(mode="random",
+                                   low=init_doc.get("low", -10.0),
+                                   high=init_doc.get("high", 10.0))
+    params_doc = doc["params"]
+    trigger_doc = params_doc.get("trigger")
+    trigger = TriggerParams(**trigger_doc) if trigger_doc else None
+    scenario = Scenario(
+        agents=agents, costs=costs, graph_process=process,
+        attack_schedule=schedule, algorithm=doc["algorithm"],
+        params=AlgorithmParams(alpha=params_doc["alpha"],
+                               beta=params_doc["beta"]),
+        horizon=horizon, step=float(simdoc["step"]),
+        seed=int(simdoc["seed"]), initial=initial, trigger=trigger)
     return LoadedScenario(scenario=scenario, budget=_build_budget(doc), raw=doc)
-
-
-def load_scenario(path: str) -> Scenario:
-    """Load and fully validate a scenario file."""
-    return load_scenario_file(path).scenario
 
 
 def _loads(text: str, where: str):
@@ -634,22 +652,21 @@ def execute(loaded: LoadedScenario, out_dir: str) -> RunResult:
 def run_command(scenario_path: str, out_dir: str, overrides=()) -> RunOutputs:
     """Load, simulate, and emit the CSV outputs.
 
-    On divergence the outputs are still written, then a DivergenceError
-    (with ``.outputs`` attached) is raised for the caller to turn into exit
-    code 3.
+    A scenario that is not admitted raises before the output directory is
+    created.  On divergence the outputs are still written, then a
+    DivergenceError is raised for the caller to turn into exit code 3.
     """
     result = execute(load_scenario_file(scenario_path, overrides), out_dir)
     if result.diverged_at is not None:
-        err = DivergenceError(result.diverged_at, result.trajectory)
-        err.outputs = result.outputs
-        raise err
+        raise DivergenceError(result.diverged_at, result.trajectory)
     return result.outputs
 
 
 def sweep_command(scenario_path: str, out_dir: str, param: str, values,
                   overrides=()):
     """One run per parameter value, one after another, and a summary sorted
-    by name.  Every member's scenario is built and validated before any runs.
+    by name.  Every member's scenario is built and admitted (joint
+    connectivity included) before any runs or the output directory exists.
     Values whose member labels (directory and row names) coincide, such as
     ``1`` and ``1.0``, are rejected.
 
@@ -693,7 +710,8 @@ def sweep_command(scenario_path: str, out_dir: str, param: str, values,
 
 
 def check_command(scenario_path: str, overrides=()) -> int:
-    """Validate a scenario and print its attack-condition report, no simulation."""
+    """Admit a scenario, as ``run`` does before simulating (schema, numeric
+    invariants, joint connectivity), and print its attack-condition report."""
     loaded = load_scenario_file(scenario_path, overrides)
     for line in _conditions_lines(loaded.scenario, loaded.budget):
         print(line)

@@ -164,18 +164,6 @@ class StationaryWeighting:
     pi: np.ndarray
     min_cut: float
 
-    @property
-    def pi_min(self) -> float:
-        return float(self.pi.min())
-
-    @property
-    def pi_max(self) -> float:
-        return float(self.pi.max())
-
-    @property
-    def Pi(self) -> np.ndarray:
-        return np.diag(self.pi)
-
 
 def mirror_union_laplacian(process: GraphProcess) -> np.ndarray:
     """Laplacian of the mirror (symmetrized) union graph.

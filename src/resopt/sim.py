@@ -51,8 +51,7 @@ from .attack import AttackSchedule, activity_series
 from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
                          eta_flow, eta_step, firing, trigger_functions)
 from .errors import DivergenceError, InvariantViolatedError, ValidationError
-from .graph import GraphProcess, SwitchingPath, laplacian, sample_switching_path, \
-    stationary_weighting
+from .graph import GraphProcess, laplacian, sample_switching_path, stationary_weighting
 
 ALGORITHMS = ("attack_free", "time_based", "event_based")
 STATE_LIMIT = 1e9
@@ -79,7 +78,14 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a run depends on; equal scenarios produce identical output."""
+    """Everything a run depends on; equal scenarios produce identical output.
+
+    Construction admits the scenario: it raises ValidationError for an
+    inconsistent one, and AssumptionViolatedError when the graph process
+    fails the joint-connectivity hypothesis (no common positive stationary
+    vector, or a disconnected mirror union).  A constructed scenario is one
+    ``run`` accepts.
+    """
 
     agents: tuple
     costs: tuple
@@ -120,8 +126,13 @@ class Scenario:
         if self.algorithm == "attack_free" and self.attack_schedule is not None \
                 and self.attack_schedule.intervals:
             raise ValidationError("attack_free scenarios cannot carry attack intervals")
-        if self.initial.mode == "explicit" and len(self.initial.states) != n_agents:
-            raise ValidationError("explicit initial condition must cover every agent")
+        if self.initial.mode == "explicit":
+            if len(self.initial.states) != n_agents:
+                raise ValidationError("explicit initial condition must cover every agent")
+            for i, (model, entry) in enumerate(zip(agents, self.initial.states)):
+                if tuple(np.size(v) for v in entry) != (model.n, q, q):
+                    raise ValidationError(f"explicit initial state {i} has wrong shape")
+        stationary_weighting(self.graph_process)
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "costs", costs)
 
@@ -157,9 +168,6 @@ class Trajectory:
     attack_on: np.ndarray  # attack activity per grid point
     events: tuple          # per-agent successful broadcast times
     blocked_attempts: tuple
-    switching: SwitchingPath
-    algorithm: str
-    step: float
     q: int
     state_slices: tuple
     input_slices: tuple
@@ -233,20 +241,11 @@ class _Stacked:
 
 
 def _draw_initial(scenario: Scenario):
-    q = scenario.q
     if scenario.initial.mode == "explicit":
-        xs, rhos, zs = [], [], []
-        for i, entry in enumerate(scenario.initial.states):
-            x_i = np.asarray(entry[0], dtype=float).reshape(-1)
-            rho_i = np.asarray(entry[1], dtype=float).reshape(-1)
-            z_i = np.asarray(entry[2], dtype=float).reshape(-1)
-            if x_i.shape != (scenario.agents[i].n,) or rho_i.shape != (q,) \
-                    or z_i.shape != (q,):
-                raise ValidationError(f"explicit initial state {i} has wrong shape")
-            xs.append(x_i)
-            rhos.append(rho_i)
-            zs.append(z_i)
-        return np.concatenate(xs), np.concatenate(rhos), np.concatenate(zs)
+        # The x, rho and z blocks of every agent, each concatenated.
+        return tuple(np.concatenate([np.asarray(v, dtype=float).reshape(-1) for v in vs])
+                     for vs in zip(*scenario.initial.states))
+    q = scenario.q
     gen = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(scenario.seed, spawn_key=(1,))))
     lo, hi = scenario.initial.low, scenario.initial.high
@@ -262,13 +261,11 @@ def _draw_initial(scenario: Scenario):
 def run(scenario: Scenario) -> Trajectory:
     """Integrate the scenario; deterministic given the scenario (incl. seed).
 
-    Raises DivergenceError (with the truncated trajectory attached) when any
-    state leaves the finite range, InvariantViolatedError when an
-    event-triggered run's trigger variable stops being positive, and
-    AssumptionViolatedError when the graph process fails the
-    joint-connectivity hypothesis.
+    The scenario was admitted when it was constructed.  Raises
+    DivergenceError (with the truncated trajectory attached) when any state
+    leaves the finite range, and InvariantViolatedError when an
+    event-triggered run's trigger variable stops being positive.
     """
-    stationary_weighting(scenario.graph_process)  # Assumption check, result unused
     st = _Stacked(scenario)
     h = scenario.step
     n_steps = scenario.n_steps
@@ -347,8 +344,7 @@ def run(scenario: Scenario) -> Trajectory:
             eta_g=hist_eta[:last + 1, 0], eta_h=hist_eta[:last + 1, 1],
             r_state=r_series[:last + 1], attack_on=on,
             events=tuple(t[fired[:, i] & ~on] for i in range(big_n)),
-            blocked_attempts=tuple(t[fired[:, i] & on] for i in range(big_n)),
-            switching=path, algorithm=scenario.algorithm, step=h, q=q,
+            blocked_attempts=tuple(t[fired[:, i] & on] for i in range(big_n)), q=q,
             state_slices=tuple(st.state_slices),
             input_slices=tuple(st.input_slices))
         if diverged_at is not None:
@@ -497,8 +493,9 @@ def compare_beta_sweep(base: Scenario, betas, probe_time: float | None = None
                        ) -> BetaSweepReport:
     """Run the scenario once per beta and order the betas by probe error.
 
-    The probe error is ``max_i |y_i(t_probe) - theta*|`` with theta* from the
-    centralized oracle; ``probe_time`` defaults to mid-horizon.
+    The probe error is ``max_i |y_i(t_probe) - theta*|``, read from the
+    convergence report against the centralized oracle's theta*;
+    ``probe_time`` defaults to mid-horizon.
     """
     from .cost import centralized_optimum
 
@@ -508,42 +505,14 @@ def compare_beta_sweep(base: Scenario, betas, probe_time: float | None = None
         probe_time = 0.5 * base.horizon
     if not 0.0 <= probe_time <= base.horizon:
         raise ValidationError("probe time must lie inside the horizon")
-    theta_star = np.atleast_1d(centralized_optimum(list(base.costs), 1e-12))
+    theta_star = centralized_optimum(list(base.costs), 1e-12)
     idx = round(probe_time / base.step)
     entries = []
     for b in betas:
         scen = replace(base, params=AlgorithmParams(alpha=base.params.alpha,
                                                     beta=float(b)))
-        traj = run(scen)
-        y = traj.y_per_agent()[idx]
-        err = float(np.linalg.norm(y - theta_star[None, :], axis=1).max())
+        err = float(convergence_report(run(scen), theta_star).error_series[idx].max())
         entries.append(BetaSweepEntry(beta=float(b), probe_error=err))
     entries.sort(key=lambda e: e.probe_error)
     return BetaSweepReport(probe_time=float(probe_time), entries=tuple(entries))
 
-
-@dataclass
-class ZenoReport:
-    applicable: bool
-    passed: bool
-    counts: tuple
-    min_gaps: tuple
-    mean_gaps: tuple
-
-
-def zeno_audit(traj: Trajectory) -> ZenoReport:
-    """Grid-limited Zeno check: finite event counts and gaps >= one step.
-
-    The audit cannot see below the integration grid; trigger checks happen at
-    step boundaries, so a passing verdict certifies the sampled behaviour,
-    not the continuous-time bound.
-    """
-    if traj.algorithm != "event_based":
-        return ZenoReport(applicable=False, passed=False, counts=(),
-                          min_gaps=(), mean_gaps=())
-    stats = [_trigger_stats(times) for times in traj.events]
-    return ZenoReport(
-        applicable=True,
-        passed=all(s.min_gap >= traj.step * (1.0 - 1e-9) for s in stats),
-        counts=tuple(s.count for s in stats), min_gaps=tuple(s.min_gap for s in stats),
-        mean_gaps=tuple(s.mean_gap for s in stats))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from resopt.cli import (CSV_CHUNK_ROWS, _conditions_lines, _fmt,
-                        _trajectory_lines, build_scenario, load_scenario,
+                        _trajectory_lines, build_scenario,
                         load_scenario_file, main, parse_override, preset,
                         preset_scenario, run_command, trajectory_header)
 from resopt.errors import DivergenceError, ValidationError
@@ -53,6 +53,18 @@ def q2_doc():
         "sim": {"horizon": 0.5, "step": 1e-3, "seed": 0,
                 "initial": {"mode": "random", "low": -1.0, "high": 1.0}},
     }
+
+
+def path_doc():
+    """case1 on one 3-agent path digraph 1 -> 2 -> 3, over 0.05 s.  Setting
+    ``graph_process.weights.0.1.0`` to 0 cuts agent 1 off: the mirror union
+    is then disconnected."""
+    doc = preset("case1")
+    doc["graph_process"] = {
+        "weights": [[[0.0, 0.0, 0.0], [200.0, 0.0, 0.0], [0.0, 200.0, 0.0]]],
+        "generator": [[0.0]], "initial_distribution": [1.0]}
+    doc["sim"]["horizon"] = 0.05
+    return doc
 
 
 def short_case3_doc(horizon=0.6):
@@ -105,7 +117,7 @@ class TestPresets:
     def test_load_scenario_returns_validated_scenario(self, tmp_path):
         path = tmp_path / "case1.json"
         path.write_text(json.dumps(preset("case1")))
-        scen = load_scenario(str(path))
+        scen = load_scenario_file(str(path)).scenario
         assert scen.n_agents == 3
         assert scen.horizon == 15.0
         assert scen.algorithm == "time_based"
@@ -406,6 +418,70 @@ class TestExitCodes:
         assert main(["preset", "case1", "--out", str(out_file)]) == 0
         doc = json.loads(out_file.read_text())
         assert doc == preset("case1")
+
+
+class TestAdmission:
+    """``check``, ``run`` and ``sweep`` admit the same documents, each with
+    exit 2 before anything runs or is written."""
+
+    def test_check_rejects_disconnected_union(self, tmp_path, capsys):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(path_doc()))
+        assert main(["check", str(path)]) == 0
+        assert main(["check", str(path), "--set",
+                     "graph_process.weights.0.1.0=0"]) == 2
+        assert "joint connectivity fails" in capsys.readouterr().err
+
+    def test_sweep_rejects_disconnected_member_before_any_runs(self, tmp_path, capsys):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(path_doc()))
+        out = tmp_path / "sw"
+        code = main(["sweep", str(path), "--param", "graph_process.weights.0.1.0",
+                     "--values", "200,0", "--out", str(out)])
+        assert code == 2
+        assert "joint connectivity fails" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_explicit_initial_state_shape_checked_by_check(self, tmp_path, capsys):
+        doc = fast_doc()
+        doc["sim"]["initial"]["states"][0]["x"] = [1.0, 2.0]
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        assert "explicit initial state 0 has wrong shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, where", [
+        ("agents.0.A", [[0.0, 1.0], [0.0]], "$.agents[0].A"),
+        ("graph_process.weights.0.1", [200.0, 0.0], "$.graph_process.weights[0]"),
+        ("graph_process.generator.2", [0.1, -0.1], "$.graph_process.generator"),
+    ])
+    def test_ragged_matrix_rejected(self, tmp_path, capsys, key, value, where):
+        path = tmp_path / "case1.json"
+        path.write_text(json.dumps(preset("case1")))
+        code = main(["check", str(path), "--set", f"{key}={json.dumps(value)}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{where} is ragged" in err
+        assert "Traceback" not in err
+
+    def test_negative_seed_in_document_rejected(self, tmp_path, capsys):
+        doc = fast_doc()
+        doc["sim"]["seed"] = -1
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["check", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "schema violation at $.sim.seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(fast_doc()))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out), "--seed", "-1"]) == 2
+        assert "schema violation at $.sim.seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -6,12 +6,16 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import GENERATOR, RAW_DIST, single_edge
+from resopt.controller import AlgorithmParams
+from resopt.cost import CostSpec
 from resopt.errors import AssumptionViolatedError, ValidationError
 from resopt.graph import (GraphProcess, WeightedDigraph, laplacian,
                           disagreement_lower_bound, disagreement_weighting_matrix,
                           minimum_cut, mirror_union_laplacian,
                           sample_switching_path, stationary_weighting,
                           union_graph)
+from resopt.plant import AgentModel
+from resopt.sim import Scenario
 
 
 def random_graph(rng, n, density=0.5, scale=2.0):
@@ -165,15 +169,27 @@ class TestStationaryWeighting:
         np.testing.assert_allclose(sw.pi, np.full(3, 1.0 / 3.0), atol=1e-9)
         assert sw.min_cut > 0.0
 
-    def test_disconnected_union_rejected(self):
-        # two isolated blocks: the union mirror has a zero cut
+    @staticmethod
+    def two_block_process():
+        """Two isolated blocks: the union mirror has a zero cut."""
         a = np.zeros((4, 4))
         a[0, 1] = a[1, 0] = 1.0
         a[2, 3] = a[3, 2] = 1.0
-        proc = GraphProcess(graphs=(WeightedDigraph(a),),
+        return GraphProcess(graphs=(WeightedDigraph(a),),
                             generator=[[0.0]], initial_distribution=[1.0])
+
+    def test_disconnected_union_rejected(self):
         with pytest.raises(AssumptionViolatedError):
-            stationary_weighting(proc)
+            stationary_weighting(self.two_block_process())
+
+    def test_scenario_on_disconnected_union_rejected(self):
+        agent = AgentModel.build([[0.0]], [[1.0]], [[1.0]], [[1.0]])
+        cost = CostSpec("custom_polynomial", (0.0, 0.0, 0.5))
+        with pytest.raises(AssumptionViolatedError):
+            Scenario(agents=(agent,) * 4, costs=(cost,) * 4,
+                     graph_process=self.two_block_process(), attack_schedule=None,
+                     algorithm="time_based", params=AlgorithmParams(2.0, 1.0),
+                     horizon=1.0, step=1e-3, seed=0)
 
 
 class TestDisagreementBound:

@@ -11,12 +11,12 @@ from resopt.controller import (RETRY_SLACK, AlgorithmParams, TriggerParams,
 from resopt.cost import CostSpec, gradient
 from resopt.errors import (DivergenceError, InvariantViolatedError,
                            ValidationError)
-from resopt.graph import (GraphProcess, SwitchingPath, WeightedDigraph,
-                          laplacian, sample_switching_path, stationary_weighting)
+from resopt.graph import (GraphProcess, WeightedDigraph, laplacian,
+                          sample_switching_path)
 from resopt.plant import AgentModel
 from resopt.sim import (STATE_LIMIT, InitialCondition, Scenario, Trajectory,
                         _draw_initial, _Stacked, compare_beta_sweep,
-                        convergence_report, final_spread, run, zeno_audit)
+                        convergence_report, final_spread, run)
 
 
 def scalar_agent():
@@ -125,9 +125,10 @@ class TestAttackEffects:
     def test_attack_window_freezes_z(self):
         from resopt.attack import AttackSchedule
         sched = AttackSchedule(intervals=((1.0, 0.5),), horizon=3.0)
-        traj = run(pair_scenario(schedule=sched, horizon=3.0, start=(1.0, -1.0)))
+        scen = pair_scenario(schedule=sched, horizon=3.0, start=(1.0, -1.0))
+        traj = run(scen)
         grid = traj.times
-        inside = (grid >= 1.0) & (grid <= 1.5 - traj.step)
+        inside = (grid >= 1.0) & (grid <= 1.5 - scen.step)
         z = traj.z
         # z has constant value across the attacked window (zero derivative)
         z_inside = z[inside]
@@ -193,10 +194,6 @@ def synthetic_trajectory(times, y_values):
                       r_state=np.zeros(n, dtype=int),
                       attack_on=np.zeros(n, dtype=bool),
                       events=(np.array([]),), blocked_attempts=(np.array([]),),
-                      switching=SwitchingPath(breakpoints=np.array([0.0]),
-                                              states=np.array([0]),
-                                              horizon=float(times[-1])),
-                      algorithm="time_based", step=float(times[1] - times[0]),
                       q=1, state_slices=((0, 1),), input_slices=((0, 1),))
 
 
@@ -249,17 +246,19 @@ class TestBetaSweep:
 
 
 class TestZenoAudit:
+    """Zeno behaviour, read from the report's trigger statistics."""
+
     def test_time_based_not_applicable(self):
         traj = run(pair_scenario(horizon=1.0))
-        report = zeno_audit(traj)
-        assert not report.applicable
+        stats = convergence_report(traj, 1.0).trigger_stats
+        assert [s.count for s in stats] == [0, 0]
 
     def test_event_based_gaps_at_least_one_step(self):
         scen = pair_scenario(horizon=2.0, algorithm="event_based",
                              trigger=default_trigger(), start=(2.0, -2.0))
-        report = zeno_audit(run(scen))
-        assert report.applicable and report.passed
-        assert all(c < 2001 for c in report.counts)
+        stats = convergence_report(run(scen), 1.0).trigger_stats
+        assert all(s.min_gap >= 1e-3 * (1 - 1e-9) for s in stats)
+        assert all(s.count < 2001 for s in stats)
 
     def test_hair_trigger_fires_densely_but_never_below_grid(self):
         # zero thresholds, vanishing eta, fast decay: fires at every chance,
@@ -271,11 +270,10 @@ class TestZenoAudit:
                              trigger=hair, start=(2.0, -2.0))
         sparse = pair_scenario(horizon=1.0, algorithm="event_based",
                                trigger=default_trigger(), start=(2.0, -2.0))
-        dense_report = zeno_audit(run(scen))
-        sparse_report = zeno_audit(run(sparse))
-        assert dense_report.passed
-        assert all(g >= 1e-3 * (1 - 1e-9) for g in dense_report.min_gaps)
-        assert sum(dense_report.counts) > sum(sparse_report.counts)
+        dense_stats = convergence_report(run(scen), 1.0).trigger_stats
+        sparse_stats = convergence_report(run(sparse), 1.0).trigger_stats
+        assert all(s.min_gap >= 1e-3 * (1 - 1e-9) for s in dense_stats)
+        assert sum(s.count for s in dense_stats) > sum(s.count for s in sparse_stats)
 
 
 def reference_consensus_errors(weights, s, y, silenced):
@@ -375,7 +373,6 @@ def _reference_rk4_decay(eta, rate, force, step):
 
 
 def reference_run(scenario):
-    stationary_weighting(scenario.graph_process)
     st = _Stacked(scenario)
     h = scenario.step
     n_steps = scenario.n_steps
@@ -431,8 +428,7 @@ def reference_run(scenario):
             eta_g=hist_eg[:last + 1], eta_h=hist_eh[:last + 1],
             r_state=r_series[:last + 1], attack_on=on,
             events=tuple(t[fired[:, i] & ~on] for i in range(big_n)),
-            blocked_attempts=tuple(t[fired[:, i] & on] for i in range(big_n)),
-            switching=path, algorithm=scenario.algorithm, step=h, q=q,
+            blocked_attempts=tuple(t[fired[:, i] & on] for i in range(big_n)), q=q,
             state_slices=tuple(st.state_slices),
             input_slices=tuple(st.input_slices))
         if diverged_at is not None:
