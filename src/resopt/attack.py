@@ -22,6 +22,10 @@ import numpy as np
 
 from .errors import ValidationError
 
+# The most bursts a periodic template may expand to; a million expand in
+# about 0.1 s.
+MAX_PERIODIC_BURSTS = 10**6
+
 
 @dataclass(frozen=True)
 class AttackSchedule:
@@ -68,6 +72,13 @@ class AttackSchedule:
             if phase >= horizon:
                 return cls(intervals=(), horizon=horizon)
             return cls(intervals=((phase, horizon - phase),), horizon=horizon)
+        # The template starts ceil(span) bursts; count them before expanding.
+        span = (horizon - phase) / period
+        if not span <= MAX_PERIODIC_BURSTS:
+            count = math.ceil(span) if math.isfinite(span) else span
+            raise ValidationError(
+                f"periodic template starts {count} bursts within the horizon, "
+                f"above the limit of {MAX_PERIODIC_BURSTS}")
         intervals = []
         k = 0
         while True:

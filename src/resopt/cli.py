@@ -1,8 +1,12 @@
 """Scenario files, bundled presets, and the command-line front end.
 
-Scenario files are JSON documents validated against a strict schema (unknown
-keys are rejected) before any numeric invariant is checked, so error messages
-carry a JSON path.  The bundled presets reproduce the three demonstration
+Scenario files are JSON documents validated against a strict schema,
+``SCENARIO_SCHEMA`` (unknown keys are rejected), before any numeric invariant
+is checked, so error messages carry a JSON path.  ``validate_document``
+interprets the few JSON Schema 2020-12 keywords the schema uses itself, with
+one pass over the cells of each number array, and reports the violation a
+2020-12 validator would report first by path; it also rejects ragged
+matrices.  The bundled presets reproduce the three demonstration
 cases: case1 runs the time-based law over the switching digraphs with no
 attacks, case2 adds a periodic DoS schedule that satisfies the frequency and
 duty budgets, and case3 runs the event-triggered law under the same
@@ -27,13 +31,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
-import jsonschema
 
 from .attack import (AttackBudget, AttackSchedule, attack_metrics,
                      check_duration_condition, check_frequency_condition)
@@ -46,10 +52,9 @@ from .plant import AgentModel
 from .sim import (ConvergenceReport, InitialCondition, Scenario, Trajectory,
                   convergence_report, final_spread, run)
 
-_matrix_schema = {"type": "array", "minItems": 1,
-                  "items": {"type": "array", "minItems": 1,
-                            "items": {"type": "number"}}}
-_vector_schema = {"type": "array", "minItems": 1, "items": {"type": "number"}}
+_number_schema = {"type": "number"}
+_vector_schema = {"type": "array", "minItems": 1, "items": _number_schema}
+_matrix_schema = {"type": "array", "minItems": 1, "items": _vector_schema}
 # Output file names by key; events.csv is written by event-based runs only.
 OUTPUT_NAMES = {"trajectory": "trajectory.csv", "report": "report.csv",
                 "events": "events.csv", "conditions": "conditions.csv"}
@@ -97,7 +102,7 @@ SCENARIO_SCHEMA = {
                 "intervals": {"type": "array",
                               "items": {"type": "array", "minItems": 2,
                                         "maxItems": 2,
-                                        "items": {"type": "number"}}},
+                                        "items": _number_schema}},
                 "periodic": {
                     "type": "object", "additionalProperties": False,
                     "required": ["period", "active", "phase"],
@@ -195,15 +200,125 @@ class RunResult:
     diverged_at: float | None
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+# The JSON types of the schema's "type" keyword, as JSON Schema 2020-12 has
+# them: a bool is neither a number nor an integer, and an integral float such
+# as 1.0 is an integer.
+_JSON_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": _is_number,
+    "integer": lambda value: (isinstance(value, int) and not isinstance(value, bool))
+    or (isinstance(value, float) and value.is_integer()),
+}
+# Cell types of a number array that need no check one by one.
+_PLAIN_NUMBERS = frozenset((float, int))
+# The keywords a row schema of a matrix may have for the rows to be checked
+# in one pass over the matrix.
+_ROW_KEYWORDS = frozenset(("type", "minItems", "maxItems", "items"))
+
+
+def _plain_items(items: list, schema: dict) -> bool:
+    """Whether every item meets ``schema`` for sure, found in one pass over
+    the cell types: ``schema`` is a number, or an array of numbers and every
+    item is a list of plain numbers whose length meets its bounds."""
+    if schema == _number_schema:
+        return _PLAIN_NUMBERS.issuperset(map(type, items))
+    if not (schema.keys() <= _ROW_KEYWORDS and schema.get("type") == "array"
+            and schema.get("items") == _number_schema
+            and all(type(row) is list for row in items)):
+        return False
+    lengths = set(map(len, items))
+    return (min(lengths, default=0) >= schema.get("minItems", 0)
+            and max(lengths, default=0) <= schema.get("maxItems", math.inf)
+            and _PLAIN_NUMBERS.issuperset(map(type, chain.from_iterable(items))))
+
+
+def _walk(node, schema: dict, path: tuple, errors: list, ragged: list) -> None:
+    """Append to ``errors`` a ``(path, message)`` pair for every violation of
+    ``schema`` by ``node``, keyword by keyword in schema order and depth
+    first, and to ``ragged`` the path and row lengths of every array of
+    number arrays whose rows differ in length."""
+    for key, value in schema.items():
+        if key == "type":
+            if not _JSON_TYPES[value](node):
+                errors.append((path, f"{node!r} is not of type {value!r}"))
+        elif key == "enum":
+            if node not in value:
+                errors.append((path, f"{node!r} is not one of {value!r}"))
+        elif key == "required":
+            if isinstance(node, dict):
+                errors += [(path, f"{name!r} is a required property")
+                           for name in value if name not in node]
+        elif key == "additionalProperties":  # false wherever the schema has it
+            known = schema.get("properties", {})
+            extras = isinstance(node, dict) and sorted(
+                (name for name in node if name not in known), key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                errors.append((path, "Additional properties are not allowed ("
+                               f"{', '.join(map(repr, extras))} {verb} unexpected)"))
+        elif key == "properties":
+            if isinstance(node, dict):
+                for name, sub in value.items():
+                    if name in node:
+                        _walk(node[name], sub, path + (name,), errors, ragged)
+        elif key == "items":
+            if not isinstance(node, list):
+                continue
+            if not _plain_items(node, value):
+                for index, item in enumerate(node):
+                    _walk(item, value, path + (index,), errors, ragged)
+            if value.get("items") == _number_schema \
+                    and all(isinstance(row, list) for row in node):
+                lengths = [len(row) for row in node]
+                if len(set(lengths)) > 1:
+                    ragged.append((path, lengths))
+        elif key == "minItems":
+            if isinstance(node, list) and len(node) < value:
+                message = "should be non-empty" if value == 1 else "is too short"
+                errors.append((path, f"{node!r} {message}"))
+        elif key == "maxItems":
+            if isinstance(node, list) and len(node) > value:
+                message = "is expected to be empty" if value == 0 else "is too long"
+                errors.append((path, f"{node!r} {message}"))
+        elif key == "minimum":
+            if _is_number(node) and node < value:
+                errors.append((path, f"{node!r} is less than the minimum of {value!r}"))
+        elif key == "maximum":
+            if _is_number(node) and node > value:
+                errors.append((path, f"{node!r} is greater than the maximum of {value!r}"))
+        elif key != "$schema":
+            raise ValueError(f"schema keyword {key!r} is not interpreted")
+
+
+def _json_path(path: tuple) -> str:
+    return "$" + "".join(f"[{p!r}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
 def validate_document(doc: dict) -> None:
-    """Schema-check a scenario document, reporting the offending JSON path."""
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    """Check a scenario document against ``SCENARIO_SCHEMA``, then check that
+    every matrix is rectangular (the schema cannot state that).
+
+    Of the schema violations, the one reported is the first by JSON path,
+    and of those at one path the first in schema order, as a JSON Schema
+    2020-12 validator sorted by path would report it.  A ragged matrix is
+    reported only for a document that meets the schema.
+    """
+    errors, ragged = [], []
+    _walk(doc, SCENARIO_SCHEMA, (), errors, ragged)
     if errors:
-        err = errors[0]
-        path = "$" + "".join(f"[{p!r}]" if isinstance(p, int) else f".{p}"
-                             for p in err.absolute_path)
-        raise ValidationError(f"scenario schema violation at {path}: {err.message}")
+        path, message = min(errors, key=lambda error: error[0])
+        raise ValidationError(
+            f"scenario schema violation at {_json_path(path)}: {message}")
+    if ragged:
+        path, lengths = ragged[0]
+        raise ValidationError(
+            f"{_json_path(path)} is ragged: its rows have lengths {lengths}")
 
 
 def _build_schedule(doc: dict, horizon: float) -> AttackSchedule | None:
@@ -251,28 +366,12 @@ def _output_names(doc: dict) -> dict:
     return names
 
 
-def _check_rectangular(doc: dict) -> None:
-    """Reject a matrix of a schema-valid document whose rows differ in
-    length, naming its JSON path; the schema cannot state that."""
-    matrices = [(f"$.agents[{i}].{name}", rows) for i, spec in enumerate(doc["agents"])
-                for name, rows in spec.items()]
-    gp = doc["graph_process"]
-    matrices += [(f"$.graph_process.weights[{r}]", rows)
-                 for r, rows in enumerate(gp["weights"])]
-    matrices.append(("$.graph_process.generator", gp["generator"]))
-    for path, rows in matrices:
-        lengths = [len(row) for row in rows]
-        if len(set(lengths)) > 1:
-            raise ValidationError(f"{path} is ragged: its rows have lengths {lengths}")
-
-
 def build_scenario(doc: dict) -> LoadedScenario:
     """Admit a scenario document: schema, rectangular matrices, output names,
     then the Scenario (plus budget), whose construction checks the numeric
     invariants and the joint-connectivity hypothesis.  Raises a ResoptError
     before anything is run or written."""
     validate_document(doc)
-    _check_rectangular(doc)
     _output_names(doc)
     agents = tuple(
         AgentModel.build(spec["A"], spec["B"], spec["C"], spec["K"],

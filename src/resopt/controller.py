@@ -100,7 +100,8 @@ def consensus_errors(lap: np.ndarray, table: np.ndarray, silenced):
     or an (N,) mask; silenced agents' errors are exactly 0.0.
     """
     errs = np.matmul(lap, table)
-    if np.any(silenced):
+    # A bool is tested as it is: np.any on a bool costs more than a matmul.
+    if silenced if isinstance(silenced, bool) else silenced.any():
         errs[:, silenced] = 0.0
     return errs
 

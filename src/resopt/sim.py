@@ -43,6 +43,7 @@ being finite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,6 +101,9 @@ class Scenario:
     trigger: TriggerParams | None = None
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, not {self.seed!r}")
         agents = tuple(self.agents)
         costs = tuple(self.costs)
         if self.algorithm not in ALGORITHMS:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resopt.attack import (AttackBudget, AttackSchedule, _merged_intervals,
-                           attack_active, attack_metrics,
+from resopt.attack import (MAX_PERIODIC_BURSTS, AttackBudget, AttackSchedule,
+                           _merged_intervals, attack_active, attack_metrics,
                            check_duration_condition, check_frequency_condition)
 from resopt.errors import ValidationError
 
@@ -44,6 +44,18 @@ class TestScheduleInvariants:
         sched = AttackSchedule.periodic(period=10.0, active=2.0, phase=3.0,
                                         horizon=25.0)
         assert sched.intervals == ((3.0, 2.0), (13.0, 2.0), (23.0, 2.0))
+
+    def test_periodic_at_burst_limit_expands(self):
+        sched = AttackSchedule.periodic(period=1.0, active=0.5, phase=0.0,
+                                        horizon=float(MAX_PERIODIC_BURSTS))
+        assert len(sched.intervals) == MAX_PERIODIC_BURSTS
+        assert sched.intervals[-1] == (MAX_PERIODIC_BURSTS - 1.0, 0.5)
+
+    @pytest.mark.parametrize("period", [1.0 - 1e-9, 1e-12, math.nan])
+    def test_periodic_above_burst_limit_refused(self, period):
+        with pytest.raises(ValidationError, match=f"limit of {MAX_PERIODIC_BURSTS}"):
+            AttackSchedule.periodic(period=period, active=0.0, phase=0.0,
+                                    horizon=float(MAX_PERIODIC_BURSTS))
 
 
 class TestAttackActive:

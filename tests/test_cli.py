@@ -1,14 +1,22 @@
 import dataclasses
 import json
+import math
 import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from resopt.cli import (CSV_CHUNK_ROWS, _conditions_lines, _fmt,
-                        _trajectory_lines, build_scenario,
-                        load_scenario_file, main, parse_override, preset,
-                        preset_scenario, run_command, trajectory_header)
+import resopt
+from resopt.attack import MAX_PERIODIC_BURSTS
+from resopt.cli import (CSV_CHUNK_ROWS, SCENARIO_SCHEMA, _apply_override,
+                        _conditions_lines, _fmt, _trajectory_lines, _walk,
+                        build_scenario, load_scenario_file, main,
+                        parse_override, preset, preset_scenario, run_command,
+                        trajectory_header, validate_document)
 from resopt.errors import DivergenceError, ValidationError
 from resopt.sim import run
 
@@ -170,6 +178,162 @@ class TestValidation:
         total = sum(tau for _, tau in scen.attack_schedule.intervals)
         assert starts[0] == pytest.approx(0.2)
         assert total == pytest.approx(1.0 - 0.2)
+
+
+def _schema_nodes(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _schema_nodes(sub)
+    if "items" in schema:
+        yield from _schema_nodes(schema["items"])
+
+
+def _doc_paths(node, path=()):
+    """The path of ``node`` and of every value nested in it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _doc_paths(child, path + (key,))
+
+
+def _replacement(value, kind):
+    if kind == "retype":  # 1.0 for an int, an int for a float
+        if isinstance(value, float) and math.isfinite(value):
+            return int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return float(value)
+        return value
+    if kind == "tuple":
+        return tuple(value) if isinstance(value, list) else (value,)
+    if kind == "long":
+        return value + value[:1] * 2 if isinstance(value, list) else [value] * 3
+    if kind == "extra":
+        return {**value, "extra": 0} if isinstance(value, dict) else {"extra": 0}
+    return {"bool": True, "str": "x", "null": None, "empty": [], "negative": -1,
+            "fraction": 1.5, "enum": "no-such-name"}[kind]
+
+
+def _mutated(doc, path, kind):
+    """``doc`` with the value at ``path`` replaced, or dropped."""
+    if not path:
+        return doc if kind == "drop" else _replacement(doc, kind)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = _replacement(parent[path[-1]], kind)
+    return doc
+
+
+MUTATION_KINDS = ("bool", "str", "null", "retype", "tuple", "empty", "long",
+                  "negative", "fraction", "enum", "extra", "drop")
+# Values the schema bounds or enumerates, set whether or not the key exists.
+BOUNDED_SETTINGS = (("sim.seed", -1), ("sim.seed", -1.5), ("sim.seed", 2.0),
+                    ("attacks.duty", 1.5), ("attacks.duty", -0.25),
+                    ("attacks.duty", 0.5), ("costs.0.dimension", 0),
+                    ("costs.0.dimension", 2.0), ("costs.0.kind", "cubic"),
+                    ("sim.initial.mode", "fixed"), ("algorithm", "fastest"),
+                    ("outputs.report", 3), ("agents.0.A.0.0", False))
+
+
+def jsonschema_first_path(doc):
+    """The JSON path of the violation a JSON Schema 2020-12 validator reports
+    first when its errors are sorted by path, or None for a valid document."""
+    jsonschema = pytest.importorskip("jsonschema")
+    errors = sorted(jsonschema.Draft202012Validator(SCENARIO_SCHEMA).iter_errors(doc),
+                    key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    return "$" + "".join(f"[{p!r}]" if isinstance(p, int) else f".{p}"
+                         for p in errors[0].absolute_path)
+
+
+class TestSchemaWalker:
+    """``validate_document`` against jsonschema as the oracle."""
+
+    @pytest.mark.parametrize("base", ["case1", "case3", "fast"])
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_same_decision_and_first_path_as_jsonschema(self, base, data):
+        doc = fast_doc() if base == "fast" else preset(base)
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            mutation = data.draw(st.one_of(
+                st.tuples(st.sampled_from(list(_doc_paths(doc))),
+                          st.sampled_from(MUTATION_KINDS)),
+                st.sampled_from(BOUNDED_SETTINGS)), label="mutation")
+            if isinstance(mutation[0], tuple):
+                doc = _mutated(doc, *mutation)
+            else:
+                try:
+                    _apply_override(doc, *mutation)
+                except (ValidationError, TypeError, AttributeError):
+                    pass  # the path runs through a value that is not an object
+        want = jsonschema_first_path(doc)
+        try:
+            validate_document(doc)
+        except ValidationError as exc:
+            got = str(exc)
+        else:
+            got = None
+        if want is None:
+            assert got is None or " is ragged: " in got
+        else:
+            assert got is not None and got.startswith(
+                f"scenario schema violation at {want}: "), (want, got)
+
+    @pytest.mark.parametrize("key, value, message", [
+        # -1.5 violates "type", then "minimum": the first in schema order
+        ("sim.seed", -1.5, "$.sim.seed: -1.5 is not of type 'integer'"),
+        ("agents.0.A.0.0", True, "$.agents[0].A[0][0]: True is not of type 'number'"),
+        ("costs.0.parameters", [], "$.costs[0].parameters: [] should be non-empty"),
+        ("attacks", {"intervals": [[0.1, 0.2, 0.3]]},
+         "$.attacks.intervals[0]: [0.1, 0.2, 0.3] is too long"),
+        ("attacks", {"duty": 2}, "$.attacks.duty: 2 is greater than the maximum of 1.0"),
+        ("sim.extra", 1, "$.sim: Additional properties are not allowed "
+                         "('extra' was unexpected)"),
+        ("algorithm", "x", "$.algorithm: 'x' is not one of "
+                           "['attack_free', 'time_based', 'event_based']"),
+        ("sim.seed", 1.0, None),
+        ("sim.seed", 10**30, None),
+    ])
+    def test_messages(self, key, value, message):
+        doc = fast_doc()
+        _apply_override(doc, key, value)
+        if message is None:
+            validate_document(doc)
+        else:
+            with pytest.raises(ValidationError) as info:
+                validate_document(doc)
+            assert str(info.value) == f"scenario schema violation at {message}"
+
+    def test_schema_error_reported_before_ragged_matrix(self):
+        doc = preset("case1")
+        doc["agents"][0]["A"] = [[0.0, 1.0], [0.0]]
+        doc["sim"]["seed"] = -1
+        with pytest.raises(ValidationError, match=r"violation at \$\.sim\.seed"):
+            validate_document(doc)
+
+    def test_walker_interprets_every_schema_keyword(self):
+        probes = (None, 0, 0.5, "x", [], [0.0], [[0.0], [0.0, 1.0]], {}, {"k": 1})
+        for node in _schema_nodes(SCENARIO_SCHEMA):
+            assert node.get("additionalProperties", False) is False
+            for key, value in node.items():
+                for probe in probes:
+                    _walk(probe, {key: value}, (), [], [])
+        with pytest.raises(ValueError, match="'pattern' is not interpreted"):
+            _walk("x", {"pattern": "y"}, (), [], [])
+
+    def test_cli_import_leaves_jsonschema_out(self):
+        src = os.path.dirname(os.path.dirname(resopt.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, resopt.cli; print('jsonschema' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestOverrides:
@@ -462,6 +626,19 @@ class TestAdmission:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{where} is ragged" in err
+        assert "Traceback" not in err
+
+    def test_tiny_attack_period_refused_quickly(self, tmp_path, capsys):
+        path = tmp_path / "case1.json"
+        path.write_text(json.dumps(preset("case1")))
+        start = time.perf_counter()
+        code = main(["check", str(path), "--set",
+                     'attacks={"periodic":{"period":1e-12,"active":0,"phase":0}}'])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert elapsed < 1.0
+        assert f"above the limit of {MAX_PERIODIC_BURSTS}" in err
         assert "Traceback" not in err
 
     def test_negative_seed_in_document_rejected(self, tmp_path, capsys):

@@ -104,6 +104,14 @@ class TestRunBasics:
         np.testing.assert_array_equal(t1.y, t2.y)
         np.testing.assert_array_equal(t1.u, t2.u)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", True, None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            bundled_scenario(seed=seed)
+
+    def test_numpy_integer_seed_admitted(self):
+        assert bundled_scenario(seed=np.int64(3)).seed == 3
+
     def test_horizon_must_be_step_multiple(self):
         cost = CostSpec("custom_polynomial", (0.0,))
         with pytest.raises(ValidationError):
