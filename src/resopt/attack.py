@@ -25,6 +25,10 @@ from .errors import ValidationError
 # The most bursts a periodic template may expand to; a million expand in
 # about 0.1 s.
 MAX_PERIODIC_BURSTS = 10**6
+# The most bursts a schedule may hold when a budget is checked against it:
+# the duration check is O(P^2) in the burst count P and takes about a
+# second at this limit.
+MAX_BUDGET_BURSTS = 1000
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,16 @@ def attack_active(schedule: AttackSchedule, t: float) -> bool:
 
 
 def activity_series(schedule: AttackSchedule, times: np.ndarray) -> np.ndarray:
-    """Vectorized ``attack_active`` over a sorted time grid."""
+    """Vectorized ``attack_active`` over a time grid.
+
+    The intervals are sorted and disjoint, so only the last one starting at
+    or before a time can hold it.
+    """
     times = np.asarray(times, dtype=float)
-    active = np.zeros(times.shape, dtype=bool)
-    for a, tau in schedule.intervals:
-        active |= (times >= a) & (times < a + tau)
-    return active
+    if not schedule.intervals:
+        return np.zeros(times.shape, dtype=bool)
+    last = np.searchsorted(schedule.starts(), times, side="right") - 1
+    return (last >= 0) & (times < schedule.ends()[np.maximum(last, 0)])
 
 
 @dataclass(frozen=True)

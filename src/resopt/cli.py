@@ -21,6 +21,11 @@ switching digraphs are all checked there, so ``check``, ``run`` and every
 member of a ``sweep`` accept and reject the same documents, before anything
 is run or written.
 
+Every output file is written atomically by ``writer``, which formats
+trajectory.csv on every CPU the process may use: forked workers each write
+one contiguous range of rows, and the file's bytes do not depend on their
+number.
+
 Exit codes: 0 success, 2 validation failure (including a failed
 joint-connectivity assumption), 3 divergence or a violated run-time
 invariant, 4 I/O error.  A sweep runs every member and writes its summary
@@ -35,14 +40,14 @@ import math
 import numbers
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .attack import (AttackBudget, AttackSchedule, attack_metrics,
-                     check_duration_condition, check_frequency_condition)
+from .attack import (MAX_BUDGET_BURSTS, AttackBudget, AttackSchedule,
+                     attack_metrics, check_duration_condition,
+                     check_frequency_condition)
 from .controller import AlgorithmParams, TriggerParams
 from .cost import CostSpec, centralized_optimum
 from .errors import (DivergenceError, InvariantViolatedError, ResoptError,
@@ -369,8 +374,9 @@ def _output_names(doc: dict) -> dict:
 def build_scenario(doc: dict) -> LoadedScenario:
     """Admit a scenario document: schema, rectangular matrices, output names,
     then the Scenario (plus budget), whose construction checks the numeric
-    invariants and the joint-connectivity hypothesis.  Raises a ResoptError
-    before anything is run or written."""
+    invariants and the joint-connectivity hypothesis.  A budget is admitted
+    with at most ``MAX_BUDGET_BURSTS`` bursts.  Raises a ResoptError before
+    anything is run or written."""
     validate_document(doc)
     _output_names(doc)
     agents = tuple(
@@ -390,6 +396,13 @@ def build_scenario(doc: dict) -> LoadedScenario:
     simdoc = doc["sim"]
     horizon = float(simdoc["horizon"])
     schedule = _build_schedule(doc, horizon)
+    budget = _build_budget(doc)
+    if budget is not None and schedule is not None \
+            and len(schedule.intervals) > MAX_BUDGET_BURSTS:
+        raise ValidationError(
+            f"attacks.budget cannot be checked against {len(schedule.intervals)} "
+            f"bursts, above the limit of {MAX_BUDGET_BURSTS}; without "
+            f"attacks.budget the schedule is admitted")
     init_doc = simdoc.get("initial", {"mode": "random"})
     if init_doc.get("mode", "random") == "explicit":
         initial = InitialCondition(
@@ -410,7 +423,7 @@ def build_scenario(doc: dict) -> LoadedScenario:
                                beta=params_doc["beta"]),
         horizon=horizon, step=float(simdoc["step"]),
         seed=int(simdoc["seed"]), initial=initial, trigger=trigger)
-    return LoadedScenario(scenario=scenario, budget=_build_budget(doc), raw=doc)
+    return LoadedScenario(scenario=scenario, budget=budget, raw=doc)
 
 
 def _loads(text: str, where: str):
@@ -586,10 +599,6 @@ def preset_scenario(name: str) -> LoadedScenario:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-# Rows of trajectory.csv gathered per block.  Larger blocks format no
-# faster and raise the peak memory of a run.
-CSV_CHUNK_ROWS = 64
-
 
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -597,63 +606,6 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
-
-
-def _write_atomic(path: str, lines) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def trajectory_header(scenario: Scenario) -> list:
-    cols = ["t"]
-    q = scenario.q
-    for i, model in enumerate(scenario.agents, start=1):
-        cols += [f"x{i}_{k}" for k in range(1, model.n + 1)]
-        cols += [f"y{i}"] if q == 1 else [f"y{i}_{d}" for d in range(1, q + 1)]
-        cols += [f"rho{i}"] if q == 1 else [f"rho{i}_{d}" for d in range(1, q + 1)]
-        cols += [f"z{i}"] if q == 1 else [f"z{i}_{d}" for d in range(1, q + 1)]
-        cols += [f"u{i}_{k}" for k in range(1, model.p + 1)]
-        cols += [f"eta_g{i}", f"eta_h{i}"]
-    cols += ["r_state", "attack_active"]
-    return cols
-
-
-def _trajectory_lines(scenario: Scenario, traj):
-    """Header and rows of trajectory.csv.
-
-    The float columns are gathered ``CSV_CHUNK_ROWS`` rows at a time into
-    one array, and each row is written as ``repr`` of its cells as Python
-    floats, which is what ``_fmt`` writes for a float cell.
-    """
-    yield ",".join(trajectory_header(scenario))
-    q = scenario.q
-    columns = [traj.times[:, None]]  # the float columns in header order
-    for i in range(scenario.n_agents):
-        s0, s1 = traj.state_slices[i]
-        u0, u1 = traj.input_slices[i]
-        c0, c1 = i * q, (i + 1) * q
-        columns += [traj.x[:, s0:s1], traj.y[:, c0:c1], traj.rho[:, c0:c1],
-                    traj.z[:, c0:c1], traj.u[:, u0:u1], traj.eta_g[:, i:i + 1],
-                    traj.eta_h[:, i:i + 1]]
-    n_rows = traj.times.shape[0]
-    for r0 in range(0, n_rows, CSV_CHUNK_ROWS):
-        r1 = r0 + CSV_CHUNK_ROWS
-        block = np.hstack([c[r0:r1] for c in columns])
-        r_state = traj.r_state[r0:r1].tolist()
-        attack_on = traj.attack_on[r0:r1].tolist()
-        for cells, r, attacked in zip(block, r_state, attack_on):
-            yield (f"{','.join(map(repr, cells.tolist()))},{int(r)},"
-                   f"{'1' if attacked else '0'}")
 
 
 def _report_lines(scenario: Scenario, traj, report, diverged_at):
@@ -715,19 +667,23 @@ def _conditions_lines(scenario: Scenario, budget: AttackBudget | None):
 
 def write_outputs(loaded: LoadedScenario, out_dir: str, traj, report,
                   diverged_at=None) -> RunOutputs:
+    # Imported on first use: a start that only admits a scenario (check,
+    # the benchmark's set-up) does not pay for importing the writer.
+    from .writer import write_atomic, write_trajectory
+
     os.makedirs(out_dir, exist_ok=True)
     names = _output_names(loaded.raw)
     scenario = loaded.scenario
     traj_path = os.path.join(out_dir, names["trajectory"])
     report_path = os.path.join(out_dir, names["report"])
     conditions_path = os.path.join(out_dir, names["conditions"])
-    _write_atomic(traj_path, _trajectory_lines(scenario, traj))
-    _write_atomic(report_path, _report_lines(scenario, traj, report, diverged_at))
-    _write_atomic(conditions_path, _conditions_lines(scenario, loaded.budget))
+    write_trajectory(traj_path, scenario, traj)
+    write_atomic(report_path, _report_lines(scenario, traj, report, diverged_at))
+    write_atomic(conditions_path, _conditions_lines(scenario, loaded.budget))
     events_path = None
     if scenario.algorithm == "event_based":
         events_path = os.path.join(out_dir, names["events"])
-        _write_atomic(events_path, _events_lines(traj))
+        write_atomic(events_path, _events_lines(traj))
     return RunOutputs(trajectory_csv=traj_path, report_csv=report_path,
                       events_csv=events_path, conditions_csv=conditions_path)
 
@@ -803,8 +759,10 @@ def sweep_command(scenario_path: str, out_dir: str, param: str, values,
                      f"{_fmt(result.report.fitted_rate)},"
                      f"{'0' if result.diverged_at is None else '1'},"
                      f"{'ok' if result.diverged_at is None else 'diverged'}")
+    from .writer import write_atomic
+
     summary = os.path.join(out_dir, "sweep.csv")
-    _write_atomic(summary, lines)
+    write_atomic(summary, lines)
     return summary, failures
 
 
@@ -856,8 +814,10 @@ def main(argv=None) -> int:
             print(f"wrote {outputs.trajectory_csv}")
             return 0
         if args.command == "preset":
+            from .writer import write_atomic
+
             doc = preset(args.name)
-            _write_atomic(args.out, [json.dumps(doc, indent=2)])
+            write_atomic(args.out, [json.dumps(doc, indent=2)])
             print(f"wrote {args.out}")
             return 0
         if args.command == "sweep":

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resopt.attack import (MAX_PERIODIC_BURSTS, AttackBudget, AttackSchedule,
-                           _merged_intervals, attack_active, attack_metrics,
-                           check_duration_condition, check_frequency_condition)
+                           _merged_intervals, activity_series, attack_active,
+                           attack_metrics, check_duration_condition,
+                           check_frequency_condition)
 from resopt.errors import ValidationError
 
 
@@ -85,6 +86,63 @@ class TestAttackActive:
             assert attack_active(sched, a + 0.5 * tau)
             assert not attack_active(sched, a + tau)
             assert not attack_active(sched, a - 0.25)
+
+
+def reference_activity_series(schedule, times):
+    """One full-grid mask per burst, ORed together."""
+    times = np.asarray(times, dtype=float)
+    active = np.zeros(times.shape, dtype=bool)
+    for a, tau in schedule.intervals:
+        active |= (times >= a) & (times < a + tau)
+    return active
+
+
+@st.composite
+def schedules_and_grids(draw):
+    """A schedule whose bursts may be empty or clipped at the horizon, and a
+    sorted grid holding every burst's start and end and their neighbours."""
+    horizon = draw(st.floats(0.5, 50.0))
+    intervals, t = [], 0.0
+    for _ in range(draw(st.integers(0, 12))):
+        start = t + draw(st.floats(0.0, 5.0)) + (1e-3 if intervals else 0.0)
+        if start >= horizon:
+            break
+        tau = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+        tau = min(tau, horizon - start)
+        intervals.append((start, tau))
+        t = start + tau
+    schedule = AttackSchedule(intervals=tuple(intervals), horizon=horizon)
+    edges = np.concatenate([schedule.starts(), schedule.ends()])
+    grid = np.concatenate([
+        np.linspace(0.0, horizon, draw(st.integers(1, 300))), edges,
+        np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    return schedule, np.sort(grid)
+
+
+class TestActivitySeries:
+    @settings(max_examples=300, deadline=None)
+    @given(schedules_and_grids())
+    def test_matches_per_burst_masks(self, case):
+        schedule, times = case
+        got = activity_series(schedule, times)
+        assert got.dtype == np.bool_
+        np.testing.assert_array_equal(got, reference_activity_series(schedule, times))
+
+    def test_edges_and_empty_schedule(self):
+        sched = AttackSchedule(intervals=((1.0, 0.0), (2.0, 1.0), (4.0, 1.0)),
+                               horizon=5.0)
+        times = np.array([0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 4.5, 5.0])
+        assert activity_series(sched, times).tolist() == \
+            [False, False, False, True, True, False, True, True, False]
+        empty = activity_series(AttackSchedule.empty(5.0), times)
+        assert empty.shape == times.shape and not empty.any()
+
+    def test_many_bursts(self):
+        sched = AttackSchedule.periodic(period=5e-4, active=2e-4, phase=1e-4,
+                                        horizon=15.0)
+        times = np.linspace(0.0, 15.0, 15_001)
+        np.testing.assert_array_equal(activity_series(sched, times),
+                                      reference_activity_series(sched, times))
 
 
 class TestAttackMetrics:

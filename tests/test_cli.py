@@ -11,14 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import resopt
-from resopt.attack import MAX_PERIODIC_BURSTS
-from resopt.cli import (CSV_CHUNK_ROWS, SCENARIO_SCHEMA, _apply_override,
-                        _conditions_lines, _fmt, _trajectory_lines, _walk,
-                        build_scenario, load_scenario_file, main,
+from resopt import writer
+from resopt.attack import MAX_BUDGET_BURSTS, MAX_PERIODIC_BURSTS
+from resopt.cli import (SCENARIO_SCHEMA, _apply_override, _conditions_lines,
+                        _fmt, _walk, build_scenario, load_scenario_file, main,
                         parse_override, preset, preset_scenario, run_command,
-                        trajectory_header, validate_document)
+                        validate_document)
 from resopt.errors import DivergenceError, ValidationError
 from resopt.sim import run
+from resopt.writer import (CSV_CHUNK_ROWS, _row_bounds, trajectory_header,
+                           trajectory_lines, write_trajectory)
 
 CASE1_HEADER = (
     "t,"
@@ -478,14 +480,45 @@ def per_cell_trajectory_lines(scenario, traj):
         yield ",".join(parts)
 
 
+def event_based_trajectory(horizon=0.6):
+    scenario = build_scenario(short_case3_doc(horizon)).scenario
+    return scenario, run(scenario)
+
+
+def diverged_trajectory():
+    """A concave quartic's run, truncated where it diverged."""
+    doc = fast_doc()
+    doc["costs"] = [{"kind": "custom_polynomial",
+                     "parameters": [0.0, 0.0, 0.0, 0.0, -1.0]}]
+    doc["sim"]["horizon"] = 5.0
+    scenario = build_scenario(doc).scenario
+    with pytest.raises(DivergenceError) as info:
+        run(scenario)
+    traj = info.value.trajectory
+    assert len(traj.times) < scenario.n_steps + 1
+    return scenario, traj
+
+
+def nonfinite_trajectory():
+    """An 11-row event-based run with nan, inf, -inf and -0.0 cells in
+    rows 1 to 4."""
+    scenario, traj = event_based_trajectory(horizon=0.01)
+    x, y, u, eta_h = traj.x.copy(), traj.y.copy(), traj.u.copy(), \
+        traj.eta_h.copy()
+    x[1, 0] = np.nan
+    y[2, 1] = np.inf
+    u[3, 2] = -np.inf
+    eta_h[4, 2] = -0.0
+    return scenario, dataclasses.replace(traj, x=x, y=y, u=u, eta_h=eta_h)
+
+
 class TestTrajectoryWriter:
     def assert_matches_reference(self, scenario, traj):
-        assert list(_trajectory_lines(scenario, traj)) == \
+        assert list(trajectory_lines(scenario, traj)) == \
             list(per_cell_trajectory_lines(scenario, traj))
 
     def test_event_based_run(self):
-        scenario = build_scenario(short_case3_doc()).scenario
-        traj = run(scenario)
+        scenario, traj = event_based_trajectory()
         assert np.any(traj.eta_g != 0.0) and np.any(traj.eta_h != 0.0)
         assert traj.attack_on.any() and not traj.attack_on.all()
         assert len(traj.times) > CSV_CHUNK_ROWS
@@ -493,30 +526,110 @@ class TestTrajectoryWriter:
         self.assert_matches_reference(scenario, traj)
 
     def test_diverged_run_truncated(self):
-        doc = fast_doc()
-        doc["costs"] = [{"kind": "custom_polynomial",
-                         "parameters": [0.0, 0.0, 0.0, 0.0, -1.0]}]
-        doc["sim"]["horizon"] = 5.0
-        scenario = build_scenario(doc).scenario
-        with pytest.raises(DivergenceError) as info:
-            run(scenario)
-        traj = info.value.trajectory
-        assert len(traj.times) < scenario.n_steps + 1
-        self.assert_matches_reference(scenario, traj)
+        self.assert_matches_reference(*diverged_trajectory())
 
     def test_nan_inf_and_signed_zero_cells(self):
-        scenario = build_scenario(short_case3_doc(horizon=0.01)).scenario
-        traj = run(scenario)
-        x, y, u, eta_h = traj.x.copy(), traj.y.copy(), traj.u.copy(), \
-            traj.eta_h.copy()
-        x[1, 0] = np.nan
-        y[2, 1] = np.inf
-        u[3, 2] = -np.inf
-        eta_h[4, 2] = -0.0
-        traj = dataclasses.replace(traj, x=x, y=y, u=u, eta_h=eta_h)
-        lines = list(_trajectory_lines(scenario, traj))
+        scenario, traj = nonfinite_trajectory()
+        lines = list(trajectory_lines(scenario, traj))
         assert "nan" in lines[2] and "inf" in lines[3] and "-inf" in lines[4]
         self.assert_matches_reference(scenario, traj)
+
+
+def assert_clean(directory):
+    """No part or temporary file is left in ``directory`` and no child
+    process is left to reap."""
+    assert not [name for name in os.listdir(directory)
+                if name.endswith((".part", ".tmp"))]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelTrajectoryWriter:
+    """trajectory.csv written by forked row-range workers."""
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("make", [
+        # 601 rows: not a multiple of CSV_CHUNK_ROWS
+        event_based_trajectory,
+        # 11 rows: fewer than count * CSV_CHUNK_ROWS, some ranges of 3
+        lambda: event_based_trajectory(horizon=0.01),
+        diverged_trajectory,
+        nonfinite_trajectory,
+    ], ids=["event_based", "few_rows", "diverged", "nonfinite"])
+    def test_matches_reference(self, tmp_path, monkeypatch, make, count):
+        scenario, traj = make()
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(writer, "MIN_ROWS_PER_WORKER", 1)
+        monkeypatch.setattr(writer, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        path = tmp_path / "trajectory.csv"
+        write_trajectory(str(path), scenario, traj)
+        expected = "".join(line + "\n"
+                           for line in per_cell_trajectory_lines(scenario, traj))
+        assert path.read_bytes() == expected.encode()
+        assert len(forks) == count - 1
+        assert_clean(tmp_path)
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(writer, "_usable_cpus", lambda: 4)
+        minimum = writer.MIN_ROWS_PER_WORKER
+        assert _row_bounds(minimum) == [0, minimum]
+        assert _row_bounds(minimum + 1) == [0, minimum // 2, minimum + 1]
+        assert len(_row_bounds(100 * minimum)) == 5
+        monkeypatch.setattr(writer, "_usable_cpus", lambda: 1)
+        assert _row_bounds(100 * minimum) == [0, 100 * minimum]
+
+    def failing_run(self, tmp_path, monkeypatch, fails):
+        """Run fast_doc once to leave a trajectory.csv, then again on another
+        seed with ``_trajectory_rows`` raising for the ranges ``fails``
+        selects; returns the old bytes and the output directory."""
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(fast_doc()))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        old = (out / "trajectory.csv").read_bytes()
+        monkeypatch.setattr(writer, "MIN_ROWS_PER_WORKER", 100)
+        monkeypatch.setattr(writer, "_usable_cpus", lambda: 3)
+        real_rows = writer._trajectory_rows
+
+        def rows(scenario, traj, start, stop):
+            if fails(start):
+                raise fails.error
+            yield from real_rows(scenario, traj, start, stop)
+
+        monkeypatch.setattr(writer, "_trajectory_rows", rows)
+        return path, out, old
+
+    def test_failing_worker_exits_4(self, tmp_path, monkeypatch, capfd):
+        def fails(start):
+            return start > 0
+        fails.error = RuntimeError("forced")
+        path, out, old = self.failing_run(tmp_path, monkeypatch, fails)
+        code = main(["run", str(path), "--out", str(out), "--seed", "5"])
+        err = capfd.readouterr().err
+        assert code == 4
+        assert "trajectory rows 333-667" in err
+        assert "RuntimeError: forced" in err
+        assert "Traceback" not in err
+        assert (out / "trajectory.csv").read_bytes() == old
+        assert_clean(out)
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt(), MemoryError()])
+    def test_parent_range_raising_kills_workers(self, tmp_path, monkeypatch, error):
+        def fails(start):
+            return start == 0
+        fails.error = error
+        path, out, old = self.failing_run(tmp_path, monkeypatch, fails)
+        with pytest.raises(type(error)):
+            main(["run", str(path), "--out", str(out), "--seed", "5"])
+        assert (out / "trajectory.csv").read_bytes() == old
+        assert_clean(out)
 
 
 class TestExitCodes:
@@ -640,6 +753,33 @@ class TestAdmission:
         assert elapsed < 1.0
         assert f"above the limit of {MAX_PERIODIC_BURSTS}" in err
         assert "Traceback" not in err
+
+    def test_budget_over_many_bursts_refused_quickly(self, tmp_path, capsys):
+        path = tmp_path / "case2.json"
+        path.write_text(json.dumps(preset("case2")))
+        start = time.perf_counter()
+        code = main(["check", str(path), "--set",
+                     'attacks.periodic={"period":2.1e-3,"active":1e-3,"phase":0}'])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert elapsed < 1.0
+        assert "100000 bursts" in err
+        assert f"above the limit of {MAX_BUDGET_BURSTS}" in err
+        assert "without attacks.budget" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bursts", [MAX_BUDGET_BURSTS, MAX_BUDGET_BURSTS + 1])
+    def test_budget_burst_limit(self, bursts):
+        doc = preset("case2")
+        doc["attacks"]["intervals"] = [[0.2 * k, 0.1] for k in range(bursts)]
+        del doc["attacks"]["periodic"]
+        if bursts > MAX_BUDGET_BURSTS:
+            with pytest.raises(ValidationError, match=f"{bursts} bursts"):
+                build_scenario(doc)
+            del doc["attacks"]["budget"]
+        loaded = build_scenario(doc)
+        assert len(loaded.scenario.attack_schedule.intervals) == bursts
 
     def test_negative_seed_in_document_rejected(self, tmp_path, capsys):
         doc = fast_doc()
