@@ -21,10 +21,9 @@ switching digraphs are all checked there, so ``check``, ``run`` and every
 member of a ``sweep`` accept and reject the same documents, before anything
 is run or written.
 
-Every output file is written atomically by ``writer``, which formats
-trajectory.csv on every CPU the process may use: forked workers each write
-one contiguous range of rows, and the file's bytes do not depend on their
-number.
+Every output file is written atomically by ``writer``, which formats the
+float cells of trajectory.csv with orjson, byte for byte as ``repr`` writes
+them.
 
 Exit codes: 0 success, 2 validation failure (including a failed
 joint-connectivity assumption), 3 divergence or a violated run-time
@@ -627,14 +626,19 @@ def _report_lines(scenario: Scenario, traj, report, diverged_at):
 
 
 def _events_lines(traj):
+    """events.csv ordered by time, then agent, then status ("blocked" before
+    "success"), as ``sorted`` orders (time, agent, status) tuples."""
     yield "agent,time,status"
-    rows = []
-    for i, times in enumerate(traj.events, start=1):
-        rows += [(float(t), i, "success") for t in times]
-    for i, times in enumerate(traj.blocked_attempts, start=1):
-        rows += [(float(t), i, "blocked") for t in times]
-    for t, i, status in sorted(rows):
-        yield f"{i},{_fmt(t)},{status}"
+    per_agent = traj.events + traj.blocked_attempts
+    n_agents = len(traj.events)
+    times = np.concatenate(per_agent)
+    agents = np.repeat(np.tile(np.arange(1, n_agents + 1), 2),
+                       [len(t) for t in per_agent])
+    blocked = np.arange(times.size) >= sum(len(t) for t in traj.events)
+    order = np.lexsort((~blocked, agents, times))
+    for t, i, b in zip(times[order].tolist(), agents[order].tolist(),
+                       blocked[order].tolist()):
+        yield f"{i},{_fmt(t)},{'blocked' if b else 'success'}"
 
 
 def _conditions_lines(scenario: Scenario, budget: AttackBudget | None):
@@ -669,7 +673,7 @@ def write_outputs(loaded: LoadedScenario, out_dir: str, traj, report,
                   diverged_at=None) -> RunOutputs:
     # Imported on first use: a start that only admits a scenario (check,
     # the benchmark's set-up) does not pay for importing the writer.
-    from .writer import write_atomic, write_trajectory
+    from .writer import trajectory_lines, write_atomic
 
     os.makedirs(out_dir, exist_ok=True)
     names = _output_names(loaded.raw)
@@ -677,7 +681,7 @@ def write_outputs(loaded: LoadedScenario, out_dir: str, traj, report,
     traj_path = os.path.join(out_dir, names["trajectory"])
     report_path = os.path.join(out_dir, names["report"])
     conditions_path = os.path.join(out_dir, names["conditions"])
-    write_trajectory(traj_path, scenario, traj)
+    write_atomic(traj_path, trajectory_lines(scenario, traj))
     write_atomic(report_path, _report_lines(scenario, traj, report, diverged_at))
     write_atomic(conditions_path, _conditions_lines(scenario, loaded.budget))
     events_path = None

@@ -1,45 +1,67 @@
-"""Output files: atomic writes, and trajectory.csv formatted on every
-usable CPU.
+"""Output files: atomic writes, and trajectory.csv formatted by orjson with
+the bytes of ``repr``.
 
 Every file is written to a temporary file in its directory, which replaces
 the target only when it is complete, so a failed write leaves the old file.
-trajectory.csv is split into contiguous row ranges, one per usable CPU (the
-process's affinity, which ``taskset`` restricts): this process formats the
-header and the first range, forked workers format the others into ``.part``
-files, and the parts are appended in order.  Every range comes from the
-same row generator, so the bytes do not depend on the number of workers.
+The temporary file is given the mode a new file gets under the umask
+(``0o666 & ~umask``), not the 0600 of ``tempfile.mkstemp``.
+
+trajectory.csv is formatted ``CSV_CHUNK_ROWS`` rows at a time, each block of
+float cells by one ``orjson.dumps`` call.  Like ``repr``, orjson writes a
+float64 as the shortest decimal digits that read back to the same value,
+choosing the nearest such digits (a Ryu-style encoder; Adams, PLDI 2018).
+The two pick the same digits and differ only in how they lay them out,
+which three rewrites undo:
+
+1. exponents: orjson writes ``1e16`` and ``1e-7``, ``repr`` writes
+   ``1e+16`` and ``1e-07``, with a sign always and at least two digits;
+   two regular expressions add the sign and the leading zero;
+2. the decade [1e-5, 1e-4): ``repr`` writes scientific notation from 1e-4
+   down, orjson only from 1e-5 down, so it writes ``0.00001234`` where
+   ``repr`` writes ``1.234e-05``;
+3. non-finite cells: orjson writes nan, inf and -inf as ``null``.
+
+The cells of 2 and 3 are handed to orjson as nan, and the k-th ``null`` of
+a block is replaced by ``repr`` of the block's k-th such cell in row-major
+order.  Everywhere else (fixed notation from 1e-4 up to 1e16, signed zeros,
+the subnormals) the two write the same bytes, which the tests check on
+random float64 bit patterns and on every power of ten and its neighbours.
 """
 
 from __future__ import annotations
 
 import os
-import signal
+import re
 import tempfile
-from contextlib import contextmanager, suppress
-from typing import NoReturn
+from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
+import orjson
 
 from .sim import Scenario
 
 # Rows of trajectory.csv gathered per block.  Larger blocks format no
 # faster and raise the peak memory of a run.
 CSV_CHUNK_ROWS = 64
-# trajectory.csv is formatted by one worker per usable CPU, or by one per
-# this many rows begun if that is fewer: a file of no more rows is written
-# in-process, where a fork would cost more than it saves.
-MIN_ROWS_PER_WORKER = 2000
+
+_EXPONENT_SIGN = re.compile(r"e(?=\d)")
+_EXPONENT_ONE_DIGIT = re.compile(r"(e[+-])(\d)(?=[,\]])")
 
 
 @contextmanager
 def _replacing(path: str):
     """The descriptor of a new temporary file next to ``path``, which
-    replaces ``path`` when the block ends and is removed if it raises."""
+    replaces ``path`` when the block ends, with the mode the umask gives a
+    new file, and is removed if the block raises."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         try:
             yield fd
+            umask = os.umask(0)  # reading the umask means setting it
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -49,16 +71,13 @@ def _replacing(path: str):
         raise
 
 
-def _write_lines(fd: int, lines) -> None:
-    with os.fdopen(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
+def write_atomic(path: str, lines) -> None:
+    with _replacing(path) as fd, \
+            os.fdopen(fd, "w", encoding="utf-8", newline="\n",
+                      closefd=False) as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
-
-
-def write_atomic(path: str, lines) -> None:
-    with _replacing(path) as fd:
-        _write_lines(fd, lines)
 
 
 def trajectory_header(scenario: Scenario) -> list:
@@ -75,15 +94,33 @@ def trajectory_header(scenario: Scenario) -> list:
     return cols
 
 
-def _trajectory_rows(scenario: Scenario, traj, start: int, stop: int):
-    """Rows ``start`` to ``stop - 1`` of trajectory.csv, without the header.
+def _repr_rows(block: np.ndarray) -> list:
+    """Each row of the float64 ``block`` as the ``repr`` of its cells joined
+    by commas."""
+    magnitude = np.abs(block)
+    spliced = ~np.isfinite(block) | ((magnitude >= 1e-5) & (magnitude < 1e-4))
+    cells = block[spliced].tolist()
+    if cells:
+        block = np.where(spliced, np.nan, block)
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    if "e" in text:
+        text = _EXPONENT_ONE_DIGIT.sub(r"\g<1>0\2",
+                                       _EXPONENT_SIGN.sub("e+", text))
+    if cells:
+        pieces = text.split("null")
+        text = "".join(chain.from_iterable(zip(pieces, map(repr, cells))))\
+            + pieces[-1]
+    return text[2:-2].split("],[")
+
+
+def trajectory_lines(scenario: Scenario, traj):
+    """The lines of trajectory.csv: the header, then one row per time.
 
     The float columns are gathered ``CSV_CHUNK_ROWS`` rows at a time into
-    one array, and each row is written as ``repr`` of its cells as Python
-    floats, which is what ``cli._fmt`` writes for a float cell.  A row's bytes
-    depend on nothing but its own cells, so the ranges of any split join
-    into the same file.
+    one array, and each row's float cells are written as ``repr`` writes
+    them (``_repr_rows``), which is what ``cli._fmt`` writes for a float cell.
     """
+    yield ",".join(trajectory_header(scenario))
     q = scenario.q
     columns = [traj.times[:, None]]  # the float columns in header order
     for i in range(scenario.n_agents):
@@ -93,105 +130,10 @@ def _trajectory_rows(scenario: Scenario, traj, start: int, stop: int):
         columns += [traj.x[:, s0:s1], traj.y[:, c0:c1], traj.rho[:, c0:c1],
                     traj.z[:, c0:c1], traj.u[:, u0:u1], traj.eta_g[:, i:i + 1],
                     traj.eta_h[:, i:i + 1]]
-    for r0 in range(start, stop, CSV_CHUNK_ROWS):
-        r1 = min(r0 + CSV_CHUNK_ROWS, stop)
+    for r0 in range(0, len(traj.times), CSV_CHUNK_ROWS):
+        r1 = r0 + CSV_CHUNK_ROWS
         block = np.hstack([c[r0:r1] for c in columns])
         r_state = traj.r_state[r0:r1].tolist()
         attack_on = traj.attack_on[r0:r1].tolist()
-        for cells, r, attacked in zip(block, r_state, attack_on):
-            yield (f"{','.join(map(repr, cells.tolist()))},{int(r)},"
-                   f"{'1' if attacked else '0'}")
-
-
-def trajectory_lines(scenario: Scenario, traj, stop=None):
-    """The header and the first ``stop`` rows (all by default) of
-    trajectory.csv."""
-    yield ",".join(trajectory_header(scenario))
-    yield from _trajectory_rows(scenario, traj, 0,
-                                len(traj.times) if stop is None else stop)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork workers."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _row_bounds(n_rows: int) -> list:
-    """Bounds of the contiguous row ranges of trajectory.csv, one per
-    worker: one per ``MIN_ROWS_PER_WORKER`` rows begun, at most one per
-    usable CPU."""
-    workers = max(1, min(_usable_cpus(), -(-n_rows // MIN_ROWS_PER_WORKER)))
-    return [n_rows * k // workers for k in range(workers + 1)]
-
-
-def _format_part(fd: int, scenario: Scenario, traj, start: int,
-                 stop: int) -> NoReturn:
-    """Body of a forked worker: write rows ``start`` to ``stop - 1`` to
-    ``fd``, then leave through ``os._exit`` (0, or 1 after one line on
-    stderr), so that the parent's stdio buffers are not flushed twice and its
-    atexit handlers do not run."""
-    code = 1
-    try:
-        _write_lines(fd, _trajectory_rows(scenario, traj, start, stop))
-        code = 0
-    except BaseException as exc:
-        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
-        os.write(2, f"error: trajectory rows {start}-{stop}: {message}\n".encode())
-    finally:
-        os._exit(code)
-
-
-def _append_file(dst: int, src: int) -> None:
-    """Append all of file ``src`` to ``dst`` in the kernel."""
-    size, offset = os.fstat(src).st_size, 0
-    while offset < size:
-        sent = os.sendfile(dst, src, offset, size - offset)
-        if sent == 0:
-            raise OSError(f"part file ended at byte {offset} of {size}")
-        offset += sent
-
-
-def write_trajectory(path: str, scenario: Scenario, traj) -> None:
-    """Write trajectory.csv, one row range per worker (``_row_bounds``).
-
-    This process writes the header and the first range into the temporary
-    file, while forked workers write the other ranges into ``.part`` files
-    beside it; the parts are appended in order before the temporary file
-    replaces ``path``.  Every range comes from ``_trajectory_rows``, so the
-    bytes do not depend on the number of workers.  On any failure every
-    worker is killed and reaped, the part files and the temporary file are
-    removed and ``path`` keeps its old bytes; a worker that failed raises
-    OSError naming its rows.
-    """
-    bounds = _row_bounds(len(traj.times))
-    ranges = list(zip(bounds[1:-1], bounds[2:]))
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    parts, workers = [], {}  # (fd, name) per range; pid -> range
-    try:
-        for _ in ranges:
-            parts.append(tempfile.mkstemp(dir=directory, suffix=".part"))
-        for (part, _), (start, stop) in zip(parts, ranges):
-            pid = os.fork()
-            if pid == 0:
-                _format_part(part, scenario, traj, start, stop)
-            workers[pid] = (start, stop)
-        with _replacing(path) as fd:
-            _write_lines(fd, trajectory_lines(scenario, traj, bounds[1]))
-            for (part, _), pid in zip(parts, list(workers)):
-                _, status = os.waitpid(pid, 0)
-                start, stop = workers.pop(pid)
-                if os.waitstatus_to_exitcode(status) != 0:
-                    raise OSError(f"the worker writing trajectory rows "
-                                  f"{start}-{stop} of {path} failed")
-                _append_file(fd, part)
-    finally:
-        for pid in workers:
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-        for pid in workers:
-            os.waitpid(pid, 0)
-        for part, name in parts:
-            os.close(part)
-            os.unlink(name)
+        for cells, r, attacked in zip(_repr_rows(block), r_state, attack_on):
+            yield f"{cells},{int(r)},{'1' if attacked else '0'}"

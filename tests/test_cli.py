@@ -14,13 +14,12 @@ import resopt
 from resopt import writer
 from resopt.attack import MAX_BUDGET_BURSTS, MAX_PERIODIC_BURSTS
 from resopt.cli import (SCENARIO_SCHEMA, _apply_override, _conditions_lines,
-                        _fmt, _walk, build_scenario, load_scenario_file, main,
-                        parse_override, preset, preset_scenario, run_command,
-                        validate_document)
+                        _events_lines, _fmt, _walk, build_scenario,
+                        load_scenario_file, main, parse_override, preset,
+                        preset_scenario, run_command, validate_document)
 from resopt.errors import DivergenceError, ValidationError
 from resopt.sim import run
-from resopt.writer import (CSV_CHUNK_ROWS, _row_bounds, trajectory_header,
-                           trajectory_lines, write_trajectory)
+from resopt.writer import CSV_CHUNK_ROWS, trajectory_header, trajectory_lines
 
 CASE1_HEADER = (
     "t,"
@@ -337,6 +336,17 @@ class TestSchemaWalker:
             check=True)
         assert result.stdout.strip() == "False"
 
+    def test_admission_leaves_orjson_out(self):
+        src = os.path.dirname(os.path.dirname(resopt.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from resopt import cli; "
+             "cli.build_scenario(cli.preset('case3')); "
+             "print('orjson' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            check=True)
+        assert result.stdout.strip() == "False"
+
 
 class TestOverrides:
     def test_parse_override_types(self):
@@ -455,6 +465,21 @@ class TestRunCommand:
             assert "output" in capsys.readouterr().err
             assert sorted(os.listdir(tmp_path)) == ["names.json"]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_output_modes_follow_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "case3.json"
+        path.write_text(json.dumps(short_case3_doc(horizon=0.3)))
+        out = tmp_path / "o"
+        previous = os.umask(umask)
+        try:
+            assert main(["run", str(path), "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        modes = {name: os.stat(out / name).st_mode & 0o777
+                 for name in os.listdir(out)}
+        assert modes == dict.fromkeys(["conditions.csv", "events.csv",
+                                       "report.csv", "trajectory.csv"], mode)
+
     def test_golden_case1_header(self):
         scen = preset_scenario("case1").scenario
         assert ",".join(trajectory_header(scen)) == CASE1_HEADER
@@ -512,6 +537,59 @@ def nonfinite_trajectory():
     return scenario, dataclasses.replace(traj, x=x, y=y, u=u, eta_h=eta_h)
 
 
+def fast_trajectory():
+    """fast_doc's run over two steps."""
+    doc = fast_doc()
+    doc["sim"]["horizon"] = 0.002
+    scenario = build_scenario(doc).scenario
+    return scenario, run(scenario)
+
+
+def float_cell_trajectory(values):
+    """fast_trajectory reshaped so that its float cells, in
+    trajectory.csv order (t, x1_1, y1, rho1, z1, u1_1, eta_g1, eta_h1 per
+    row), are ``values``, the last row padded by repeating them."""
+    scenario, traj = fast_trajectory()
+    values = np.asarray(values, dtype=np.float64)
+    cells = np.resize(values, (-(-values.size // 8), 8))
+    rows = cells.shape[0]
+    return scenario, dataclasses.replace(
+        traj, times=cells[:, 0], x=cells[:, 1:2], y=cells[:, 2:3],
+        rho=cells[:, 3:4], z=cells[:, 4:5], u=cells[:, 5:6],
+        eta_g=cells[:, 6:7], eta_h=cells[:, 7:8],
+        r_state=np.zeros(rows, dtype=int), attack_on=np.zeros(rows, dtype=bool))
+
+
+def with_neighbours(values):
+    """``values``, the floats one ulp either side of each, and the
+    negatives of all of them."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the largest float's upper neighbour
+        near = np.concatenate([values, np.nextafter(values, np.inf),
+                               np.nextafter(values, -np.inf)])
+    return np.concatenate([near, -near])
+
+
+FLOAT_TABLES = {
+    # every power of ten a float64 reaches, also scaled into the middle of
+    # its decade
+    "powers_of_ten": with_neighbours(
+        [float(f"1e{k}") for k in range(-323, 309)]
+        + [float(f"{m}e{k}") for m in ("1.2345", "9.87654321")
+           for k in range(-320, 308)]),
+    # [1e-5, 1e-4), where orjson's fixed notation is repr's scientific one
+    "decade_1e-5": with_neighbours(
+        np.concatenate([np.linspace(1e-5, 1e-4, 997),
+                        [1e-5, 1.5e-5, 2.5e-5, 1.234e-5, 9.99e-5, 1e-4]])),
+    # where either layout switches notation, the extremes, the zeros and
+    # the non-finite cells
+    "edges": with_neighbours(
+        [1e-5, 1e-4, 1e15, 1e16, 1e17, 5e-324, 2.2250738585072014e-308,
+         1.7976931348623157e308, 0.0, 0.1, 0.5, 1.0, 123456789.0,
+         9007199254740993.0, np.inf, np.nan]),
+}
+
+
 class TestTrajectoryWriter:
     def assert_matches_reference(self, scenario, traj):
         assert list(trajectory_lines(scenario, traj)) == \
@@ -534,102 +612,84 @@ class TestTrajectoryWriter:
         assert "nan" in lines[2] and "inf" in lines[3] and "-inf" in lines[4]
         self.assert_matches_reference(scenario, traj)
 
+    def test_fewer_rows_than_a_block(self):
+        scenario, traj = event_based_trajectory(horizon=0.01)
+        assert len(traj.times) < CSV_CHUNK_ROWS
+        self.assert_matches_reference(scenario, traj)
 
-def assert_clean(directory):
-    """No part or temporary file is left in ``directory`` and no child
-    process is left to reap."""
-    assert not [name for name in os.listdir(directory)
-                if name.endswith((".part", ".tmp"))]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    @pytest.mark.parametrize("table", FLOAT_TABLES)
+    def test_float_table(self, table):
+        self.assert_matches_reference(*float_cell_trajectory(FLOAT_TABLES[table]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+    def test_float64_bit_patterns(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        self.assert_matches_reference(*float_cell_trajectory(values))
+
+
+def sorted_events_lines(traj):
+    """Reference events.csv writer: (time, agent, status) tuples sorted."""
+    yield "agent,time,status"
+    rows = []
+    for i, times in enumerate(traj.events, start=1):
+        rows += [(float(t), i, "success") for t in times]
+    for i, times in enumerate(traj.blocked_attempts, start=1):
+        rows += [(float(t), i, "blocked") for t in times]
+    for t, i, status in sorted(rows):
+        yield f"{i},{_fmt(t)},{status}"
+
+
+class TestEventsLines:
+    def test_event_based_run(self):
+        _, traj = event_based_trajectory()
+        assert any(len(b) for b in traj.blocked_attempts)
+        assert list(_events_lines(traj)) == list(sorted_events_lines(traj))
+
+    def test_ties_order_by_agent_then_status(self):
+        _, traj = event_based_trajectory(horizon=0.01)
+        traj = dataclasses.replace(
+            traj,
+            events=(np.array([0.0, 0.2]), np.array([0.1, 0.2]),
+                    np.array([])),
+            blocked_attempts=(np.array([0.2]), np.array([]),
+                              np.array([0.1, 0.2])))
+        lines = list(_events_lines(traj))
+        assert lines == list(sorted_events_lines(traj))
+        assert lines[1:] == ["1,0.0,success", "2,0.1,success", "3,0.1,blocked",
+                             "1,0.2,blocked", "1,0.2,success", "2,0.2,success",
+                             "3,0.2,blocked"]
+
+    def test_no_events(self):
+        _, traj = fast_trajectory()
+        assert list(_events_lines(traj)) == ["agent,time,status"]
 
 
 class TestParallelTrajectoryWriter:
-    """trajectory.csv written by forked row-range workers."""
+    """A trajectory.csv write that fails part-way keeps the old file."""
 
-    @pytest.mark.parametrize("count", [2, 3])
-    @pytest.mark.parametrize("make", [
-        # 601 rows: not a multiple of CSV_CHUNK_ROWS
-        event_based_trajectory,
-        # 11 rows: fewer than count * CSV_CHUNK_ROWS, some ranges of 3
-        lambda: event_based_trajectory(horizon=0.01),
-        diverged_trajectory,
-        nonfinite_trajectory,
-    ], ids=["event_based", "few_rows", "diverged", "nonfinite"])
-    def test_matches_reference(self, tmp_path, monkeypatch, make, count):
-        scenario, traj = make()
-        forks = []
-        real_fork = os.fork
-
-        def counting_fork():
-            forks.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(writer, "MIN_ROWS_PER_WORKER", 1)
-        monkeypatch.setattr(writer, "_usable_cpus", lambda: count)
-        monkeypatch.setattr(os, "fork", counting_fork)
-        path = tmp_path / "trajectory.csv"
-        write_trajectory(str(path), scenario, traj)
-        expected = "".join(line + "\n"
-                           for line in per_cell_trajectory_lines(scenario, traj))
-        assert path.read_bytes() == expected.encode()
-        assert len(forks) == count - 1
-        assert_clean(tmp_path)
-
-    def test_worker_count(self, monkeypatch):
-        monkeypatch.setattr(writer, "_usable_cpus", lambda: 4)
-        minimum = writer.MIN_ROWS_PER_WORKER
-        assert _row_bounds(minimum) == [0, minimum]
-        assert _row_bounds(minimum + 1) == [0, minimum // 2, minimum + 1]
-        assert len(_row_bounds(100 * minimum)) == 5
-        monkeypatch.setattr(writer, "_usable_cpus", lambda: 1)
-        assert _row_bounds(100 * minimum) == [0, 100 * minimum]
-
-    def failing_run(self, tmp_path, monkeypatch, fails):
-        """Run fast_doc once to leave a trajectory.csv, then again on another
-        seed with ``_trajectory_rows`` raising for the ranges ``fails``
-        selects; returns the old bytes and the output directory."""
+    @pytest.mark.parametrize("error", [KeyboardInterrupt(), MemoryError()])
+    def test_parent_range_raising_kills_workers(self, tmp_path, monkeypatch, error):
         path = tmp_path / "fast.json"
         path.write_text(json.dumps(fast_doc()))
         out = tmp_path / "o"
         assert main(["run", str(path), "--out", str(out)]) == 0
         old = (out / "trajectory.csv").read_bytes()
-        monkeypatch.setattr(writer, "MIN_ROWS_PER_WORKER", 100)
-        monkeypatch.setattr(writer, "_usable_cpus", lambda: 3)
-        real_rows = writer._trajectory_rows
+        real_lines = writer.trajectory_lines
 
-        def rows(scenario, traj, start, stop):
-            if fails(start):
-                raise fails.error
-            yield from real_rows(scenario, traj, start, stop)
+        def lines(scenario, traj):
+            # past the first write buffer, so the temporary file has bytes
+            for count, line in enumerate(real_lines(scenario, traj)):
+                if count == 500:
+                    raise error
+                yield line
 
-        monkeypatch.setattr(writer, "_trajectory_rows", rows)
-        return path, out, old
-
-    def test_failing_worker_exits_4(self, tmp_path, monkeypatch, capfd):
-        def fails(start):
-            return start > 0
-        fails.error = RuntimeError("forced")
-        path, out, old = self.failing_run(tmp_path, monkeypatch, fails)
-        code = main(["run", str(path), "--out", str(out), "--seed", "5"])
-        err = capfd.readouterr().err
-        assert code == 4
-        assert "trajectory rows 333-667" in err
-        assert "RuntimeError: forced" in err
-        assert "Traceback" not in err
-        assert (out / "trajectory.csv").read_bytes() == old
-        assert_clean(out)
-
-    @pytest.mark.parametrize("error", [KeyboardInterrupt(), MemoryError()])
-    def test_parent_range_raising_kills_workers(self, tmp_path, monkeypatch, error):
-        def fails(start):
-            return start == 0
-        fails.error = error
-        path, out, old = self.failing_run(tmp_path, monkeypatch, fails)
+        monkeypatch.setattr(writer, "trajectory_lines", lines)
         with pytest.raises(type(error)):
             main(["run", str(path), "--out", str(out), "--seed", "5"])
         assert (out / "trajectory.csv").read_bytes() == old
-        assert_clean(out)
+        assert sorted(os.listdir(out)) == ["conditions.csv", "report.csv",
+                                           "trajectory.csv"]
 
 
 class TestExitCodes:
