@@ -12,7 +12,8 @@ of its numeric cells and the number of rows in which it differs.  Files or
 columns present on one side only, and differing row counts, are reported
 too.  Cells are split at commas, with no quoting, as resopt writes them.
 
-Exits 0 when every file is byte-identical and 1 otherwise.
+Exits 0 when every file is byte-identical and 1 otherwise, and 2 when
+either argument is not a directory.
 """
 
 import filecmp
@@ -76,6 +77,11 @@ def main(argv=None):
         print("usage: csv_diff.py OLD_DIR NEW_DIR", file=sys.stderr)
         return 2
     old_dir, new_dir = args
+    missing = [root for root in args if not os.path.isdir(root)]
+    for root in missing:
+        print(f"error: {root} is not a directory", file=sys.stderr)
+    if missing:
+        return 2
     old_files, new_files = csv_files(old_dir), csv_files(new_dir)
     same = True
     for rel in sorted(old_files | new_files):

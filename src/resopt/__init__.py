@@ -10,7 +10,8 @@ from .attack import (AttackBudget, AttackMetrics, AttackSchedule, attack_active,
                      attack_metrics, check_duration_condition,
                      check_frequency_condition)
 from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
-                         eta_flow, eta_step, firing, trigger_functions)
+                         eta_flow, eta_step, firing, trigger_functions,
+                         trigger_threshold)
 from .cost import (CostSpec, RegularityEstimate, centralized_optimum,
                    estimate_regularity, gradient)
 from .errors import (AssumptionViolatedError, ConvexityViolatedError,

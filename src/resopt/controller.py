@@ -106,40 +106,45 @@ def consensus_errors(lap: np.ndarray, table: np.ndarray, silenced):
     return errs
 
 
-def trigger_functions(hats, live, errs, params: TriggerParams):
+def trigger_threshold(errs, params: TriggerParams):
+    """The trigger thresholds ``theta_g |e_y|^2`` (row 0) and ``theta_h
+    |e_s|^2`` (row 1) of every agent, from the (2, N, q) errors ``[e_y; e_s]``,
+    with Euclidean squared sizes over the q columns."""
+    return params.thetas * np.add.reduce(errs * errs, 2)
+
+
+def trigger_functions(hats, live, threshold):
     """The trigger functions of every agent, as a (2, N) table: row 0 is
     ``g``, row 1 is ``h``.
 
-    ``hats``, ``live`` and ``errs`` are the (2, N, q) tables of the last
-    broadcasts, the live values and the consensus errors, y in row 0 and
-    rho + z in row 1.  ``g`` compares the squared drift of y away from the
-    agent's own last broadcast against a fraction ``theta_g`` of its squared
-    consensus error; ``h`` does the same for rho + z.  The squared sizes are
-    Euclidean over the q columns.
+    ``hats`` and ``live`` are the (2, N, q) tables of the last broadcasts
+    and the live values, y in row 0 and rho + z in row 1.  ``g`` compares
+    the squared drift of y away from the agent's own last broadcast against
+    its ``threshold`` (``trigger_threshold``); ``h`` does the same for rho + z.
     """
     drift = hats - live
-    return (drift * drift).sum(2) - params.thetas * (errs * errs).sum(2)
+    return np.add.reduce(drift * drift, 2) - threshold
 
 
-def firing(first: bool, t: float, gh, eta, attacked_last, attacked_at,
+def firing(first: bool, t: float, gh, eta, frozen, attacked_at,
            params: TriggerParams) -> np.ndarray:
     """Which agents attempt a broadcast at time ``t``, as an (N,) mask.
 
     ``gh`` and ``eta`` are (2, N) tables, g and eta_g in row 0, h and eta_h
     in row 1.  Every agent fires at the first grid point.  After that an
     agent fires when ``sigma_g * g > eta_g`` or ``sigma_h * h > eta_h``,
-    unless its last attempt (at ``attacked_at``) fell under attack: then it
-    retries once ``t`` reaches ``attacked_at + dwell_kappa``.  Right after a
-    successful broadcast both drifts are zero and eta is positive, so it
-    never fires.
+    unless it is ``frozen`` (False, or the (N,) mask of agents whose last
+    attempt, at ``attacked_at``, fell under attack): then it retries once
+    ``t`` reaches ``attacked_at + dwell_kappa``.  Right after a successful
+    broadcast both drifts are zero and eta is positive, so it never fires.
     """
     if first:
         return np.ones(gh.shape[1], dtype=bool)
-    triggered = (params.sigmas * gh > eta).any(axis=0)
-    if not attacked_last.any():
+    triggered = np.logical_or.reduce(params.sigmas * gh > eta, 0)
+    if frozen is False:
         return triggered
     retry = t >= attacked_at + params.dwell_kappa - RETRY_SLACK
-    return np.where(attacked_last, retry, triggered)
+    return np.where(frozen, retry, triggered)
 
 
 def eta_flow(params: TriggerParams, step: float):
@@ -160,8 +165,10 @@ def eta_step(eta, gh, frozen, flow):
     coefficients), a linear ODE with constant forcing.  Its exact flow over
     the step is ``decay eta - gain gh`` with ``flow = (decay, gain)`` from
     ``eta_flow`` (Girard, "Dynamic triggering mechanisms for event-triggered
-    control", IEEE TAC 2015).  Agents in the ``frozen`` mask (governing
-    attempt attacked) keep their trigger variables bit for bit.
+    control", IEEE TAC 2015).  ``frozen`` is False or an (N,) mask, as in
+    ``firing``; agents in the mask (governing attempt attacked) keep their
+    trigger variables bit for bit.
     """
     decay, gain = flow
-    return np.where(frozen, eta, decay * eta - gain * gh)
+    flowed = decay * eta - gain * gh
+    return flowed if frozen is False else np.where(frozen, eta, flowed)

@@ -16,16 +16,19 @@ of its scenario:
   step.
 
 The step loop is lean, as it is almost all numpy dispatch on short vectors.
-x and rho are one RK4 state ``xr = [x; rho]`` (a view of the state array
-``[x; rho; z]``; z is advanced exactly), and eta_g, eta_h are one (2, N)
-table advanced by the exact flow of their linear ODE.  The law's per-agent
-values live in the stacked (2, N, q) tables of ``controller``.  On the
-event-based law the broadcast table's consensus errors, and the consensus
-part of theta with them, are recomputed only when someone fires or the graph
-switches, and on a quiet step (no agent fires) the trigger values of the
-firing decision also freeze the eta forcing, since nothing they read has
-changed.  Every element that feeds x, rho, z or u sees the same
-floating-point operations in the same order as in the unfused loop; eta
+It writes into preallocated arrays only: a work row ``[x; rho; z; y; rho +
+z]`` (the history row, then the live table), the RK4 stages and the
+``np.dot`` products.  x and rho are one RK4 state ``xr``, z is advanced
+exactly, and eta_g, eta_h are one (2, N) table advanced by the exact flow of
+their linear ODE.  The law's per-agent values live in the stacked (2, N, q)
+tables of ``controller``.  The consensus part of theta, z's increment and
+the trigger thresholds are computed with the consensus errors; on the
+event-based law those are recomputed only when someone fires or the graph
+switches, and on a quiet step the firing decision's trigger values also
+freeze the eta forcing.  u feeds nothing in the step: it is computed
+afterwards, a block at a time, from the recorded x, rho and stage-1 theta by
+the same per-row products.  Every element that feeds x, rho, z or u sees the
+same floating-point operations in the same order as in the unfused loop; eta
 alone differs from that loop's RK4 in its last bits.  Since eta feeds the
 trigger comparisons, an agent at its threshold could fire on another step
 and move the state from there on.  That is not guaranteed against, only
@@ -50,12 +53,15 @@ import numpy as np
 
 from .attack import AttackSchedule, activity_series
 from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
-                         eta_flow, eta_step, firing, trigger_functions)
+                         eta_flow, eta_step, firing, trigger_functions,
+                         trigger_threshold)
 from .errors import DivergenceError, InvariantViolatedError, ValidationError
 from .graph import GraphProcess, laplacian, sample_switching_path, stationary_weighting
 
 ALGORITHMS = ("attack_free", "time_based", "event_based")
 STATE_LIMIT = 1e9
+# Grid points per block of u, which is computed after the steps (``run``).
+U_BLOCK = 256
 LOG_FLOOR = 1e-15
 
 
@@ -226,20 +232,20 @@ class _Stacked:
             self.w_blk[u0:u1, c0:c1] = m.W
 
         # theta = -grad f(y) + const_theta, the optimization input of every
-        # agent, from the stacked outputs y, with each cost's gradient kernel.
+        # agent, written into ``out`` from the stacked outputs y, with each
+        # cost's gradient kernel.  const_theta is a list when q = 1.
         fns = [c.grad for c in scenario.costs]
         if q == 1:
-            def theta_eval(y: np.ndarray, const_theta: np.ndarray) -> np.ndarray:
-                return np.array([-fn(t) + c for fn, t, c in
-                                 zip(fns, y.tolist(), const_theta.tolist())])
+            def theta_eval(y: np.ndarray, const_theta: list, out: np.ndarray):
+                out[:] = [-fn(t) + c for fn, t, c in zip(fns, y.tolist(), const_theta)]
         else:
             blocks = [(fn, slice(i * q, (i + 1) * q)) for i, fn in enumerate(fns)]
 
-            def theta_eval(y: np.ndarray, const_theta: np.ndarray) -> np.ndarray:
-                grad = np.empty(self.nq)
+            def theta_eval(y: np.ndarray, const_theta: np.ndarray, out: np.ndarray):
                 for fn, rows in blocks:
-                    grad[rows] = fn(y[rows])
-                return -grad + const_theta
+                    out[rows] = fn(y[rows])
+                np.negative(out, out=out)
+                out += const_theta
 
         self.theta_eval = theta_eval
 
@@ -291,26 +297,40 @@ def run(scenario: Scenario) -> Trajectory:
 
     laplacians = [laplacian(g) for g in scenario.graph_process.graphs]
 
-    # One state array [x; rho; z], advanced in place.  x and rho form the
-    # RK4 state xr; z has a constant derivative within a step and is
-    # advanced exactly.  Each grid point's history row is [x; rho; z; y].
-    state = np.concatenate(_draw_initial(scenario))
-    nx, nq = st.nx, st.nq
+    # One work row [x; rho; z; y; rho + z], advanced in place.  x and rho
+    # form the RK4 state xr; z has a constant derivative within a step and
+    # is advanced exactly.  Each grid point's history row is [x; rho; z; y],
+    # and the last two blocks are the live table [y; rho + z] as a
+    # (2, N, q) table.
+    nx, nq, pu = st.nx, st.nq, st.pu
     m, ns = nx + nq, nx + 2 * nq
+    work = np.concatenate((*_draw_initial(scenario), np.empty(2 * nq)))
+    state, record = work[:ns], work[:ns + nq]
     x, rho, z, xr = state[:nx], state[nx:m], state[m:], state[:m]
+    y, s_live = work[ns:ns + nq], work[ns + nq:]
+    live = work[ns:].reshape(2, big_n, q)
     hist = np.empty((n_steps + 1, ns + nq))
-    hist_u = np.empty((n_steps + 1, st.pu))
+    hist_u = np.empty((n_steps + 1, pu))
     hist_eta = np.zeros((n_steps + 1, 2, big_n))
     # Broadcast attempts per grid point; with attack_on they give the
     # successful and the blocked attempts of every agent.
     hist_fired = np.zeros((n_steps + 1, big_n), dtype=bool)
 
-    # The live table [y; rho + z] as a (2, N, q) table, with flat (N q,)
-    # views of its rows.
-    live = np.empty((2, big_n, q))
-    y, s_live = live.reshape(2, nq)
+    # The RK4 stage derivatives [dx; theta] (one row each, split into views),
+    # the stage state and its outputs, and a product buffer.  u feeds nothing
+    # in the step: stage-1 theta is kept for the grid points of the current
+    # block of U_BLOCK, and u is filled from the history a block at a time
+    # (``fill_u``).
+    ks = np.empty((4, m))
+    k1, k2, k3, k4 = ks
+    k_parts = [(k[:nx], k[nx:]) for k in ks]
+    stage = np.empty(m)
+    stage_x, stage_rho = stage[:nx], stage[nx:]
+    y_stage, prod, abs_buf = np.empty(nq), np.empty(nx), np.empty(ns)
+    theta_block, u_prod = np.empty((U_BLOCK, nq)), np.empty((U_BLOCK, pu, 1))
 
     trig = scenario.trigger
+    frozen = False  # or the mask of agents whose last attempt was attacked
     if event_mode:
         eta = np.array([np.full(big_n, trig.eta_g0), np.full(big_n, trig.eta_h0)])
         hats = np.zeros((2, big_n, q))  # each agent's last successful broadcast
@@ -325,21 +345,39 @@ def run(scenario: Scenario) -> Trajectory:
     half_h, sixth_h = 0.5 * h, h / 6.0
     r_list, on_list = r_series.tolist(), attack_on.tolist()
 
-    def consensus_part(errs):
-        """The consensus part of theta (read by rhs) and z's derivative,
-        both frozen over the step, from the errors [e_y; e_s]."""
-        e_y, e_s = errs.reshape(2, nq)
-        return -beta * e_s - ab * e_y, ab * e_y
+    # np.dot multiplies a 1 x 1 matrix as a scalar, which keeps the sign of a
+    # zero product that ``@`` drops; only a team with one scalar state has one.
+    dot = np.dot if nx > 1 else lambda a, b, out: np.matmul(a, b, out=out)
 
-    def rhs(xr_s, y_s=None):
-        """Derivative of the fused state [x; rho]; ``y_s`` is C x if known."""
-        x_s = xr_s[:nx]
-        if y_s is None:
-            y_s = c_blk @ x_s
-        theta = theta_eval(y_s, const_theta)
-        return np.concatenate((m_a @ x_s - m_bukx @ xr_s[nx:] + m_bw @ theta, theta))
+    def consensus_part(errs):
+        """From the errors [e_y; e_s], what is frozen over the step: the
+        consensus part of theta (read by rhs; a list when q = 1), z's
+        increment and, on the event-based law, the trigger thresholds."""
+        e_y, e_s = errs.reshape(2, nq)
+        ab_e_y = ab * e_y
+        const = -beta * e_s - ab_e_y
+        return (const.tolist() if q == 1 else const, h * ab_e_y,
+                trigger_threshold(errs, trig) if event_mode else None)
+
+    def rhs(x_s, rho_s, y_s, out):
+        """d[x; rho] at (x_s, rho_s), y_s = C x_s, into the views (dx, theta)."""
+        dx, theta = out
+        theta_eval(y_s, const_theta, theta)
+        dot(m_a, x_s, dx)
+        dot(m_bukx, rho_s, prod)
+        dx -= prod
+        dot(m_bw, theta, prod)
+        dx += prod
+
+    def fill_u(r0: int, r1: int):
+        """u = -K x - (U - K X) rho + W theta at grid points r0..r1-1, per row."""
+        out, tmp = hist_u[r0:r1, :, None], u_prod[:r1 - r0]
+        np.matmul(neg_k, hist[r0:r1, :nx, None], out=out)
+        out -= np.matmul(ukx_blk, hist[r0:r1, nx:m, None], out=tmp)
+        out += np.matmul(w_blk, theta_block[:r1 - r0, :, None], out=tmp)
 
     def finish(last: int, diverged_at: float | None):
+        fill_u(last - last % U_BLOCK, last + 1)
         fired, on, t = hist_fired[:last + 1], attack_on[:last + 1], times[:last + 1]
         rows = hist[:last + 1]
         traj = Trajectory(
@@ -359,7 +397,7 @@ def run(scenario: Scenario) -> Trajectory:
     # guard, so arithmetic warnings along that path are expected noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
-            np.matmul(c_blk, x, out=y)
+            dot(c_blk, x, y)
             np.add(rho, z, out=s_live)
             lap = laplacians[r_list[k]]
             attacked = on_list[k]
@@ -367,57 +405,67 @@ def run(scenario: Scenario) -> Trajectory:
             if event_mode:
                 # Trigger decisions first (against the pre-update broadcast
                 # table), then all broadcasts land simultaneously at this
-                # instant.  The consensus errors of the table change only
-                # when someone fires or the graph switches.  On a quiet step
-                # nothing the trigger functions read has changed, so their
-                # values also freeze this step's eta forcing; otherwise they
-                # are evaluated again.
+                # instant.  The consensus errors of the table, and the
+                # consensus part of theta, z's increment and the trigger
+                # thresholds with them, change only when someone fires or
+                # the graph switches.  On a quiet step nothing the trigger
+                # functions read has changed, so their values also freeze
+                # this step's eta forcing; otherwise they are evaluated
+                # again.
                 if lap is not table_lap:
-                    errs = consensus_errors(lap, hats, attacked_last)
-                    const_theta, dz_const = consensus_part(errs)
+                    const_theta, dz, threshold = consensus_part(
+                        consensus_errors(lap, hats, frozen))
                     table_lap = lap
-                gh = trigger_functions(hats, live, errs, trig)
-                fired = firing(k == 0, times[k], gh, eta, attacked_last,
-                               attacked_at, trig)
-                if fired.any():
+                gh = trigger_functions(hats, live, threshold)
+                fired = firing(k == 0, times[k], gh, eta, frozen, attacked_at, trig)
+                if np.count_nonzero(fired):
                     hist_fired[k] = fired
+                    attacked_last[fired] = attacked
                     if attacked:
                         attacked_at[fired] = times[k]
+                        frozen = attacked_last
                     else:
                         hats[:, fired] = live[:, fired]
-                    attacked_last[fired] = attacked
-                    errs = consensus_errors(lap, hats, attacked_last)
-                    const_theta, dz_const = consensus_part(errs)
-                    gh = trigger_functions(hats, live, errs, trig)
+                        if frozen is not False and not attacked_last.any():
+                            frozen = False
+                    const_theta, dz, threshold = consensus_part(
+                        consensus_errors(lap, hats, frozen))
+                    gh = trigger_functions(hats, live, threshold)
                 hist_eta[k] = eta
             else:
-                errs = consensus_errors(lap, live, attacked)
-                const_theta, dz_const = consensus_part(errs)
+                const_theta, dz, _ = consensus_part(consensus_errors(lap, live, attacked))
 
-            k1 = rhs(xr, y)
-            row = hist[k]
-            row[:ns] = state
-            row[ns:] = y
-            hist_u[k] = neg_k @ x - ukx_blk @ rho + w_blk @ k1[nx:]
+            rhs(x, rho, y, k_parts[0])
+            hist[k] = record
+            theta_block[k % U_BLOCK] = k_parts[0][1]
+            if k % U_BLOCK == U_BLOCK - 1:
+                fill_u(k + 1 - U_BLOCK, k + 1)
 
             if k == n_steps:
                 break
 
-            k2 = rhs(xr + half_h * k1)
-            k3 = rhs(xr + half_h * k2)
-            k4 = rhs(xr + h * k3)
-            xr += sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            z += h * dz_const
+            for c, k_prev, out in zip((half_h, half_h, h), ks, k_parts[1:]):
+                np.multiply(c, k_prev, out=stage)
+                np.add(xr, stage, out=stage)
+                dot(c_blk, stage_x, y_stage)
+                rhs(stage_x, stage_rho, y_stage, out)
+            ks[1:3] *= 2.0
+            np.add(k1, k2, out=stage)
+            stage += k3
+            stage += k4
+            stage *= sixth_h
+            xr += stage
+            z += dz
 
             if event_mode:
-                eta = eta_step(eta, gh, attacked_last, flow)
-                if not (eta > 0.0).all():
+                eta = eta_step(eta, gh, frozen, flow)
+                if not np.minimum.reduce(eta, None) > 0.0:
                     t_next = float(times[k + 1])
                     raise InvariantViolatedError(
                         f"trigger variable lost positivity at t={t_next:.6f}", t_next)
 
             # NaN fails the comparison, so this also catches non-finite states.
-            if not np.abs(state).max() <= STATE_LIMIT:
+            if not np.maximum.reduce(np.abs(state, out=abs_buf)) <= STATE_LIMIT:
                 return finish(k, float(times[k + 1]))
 
         return finish(n_steps, None)

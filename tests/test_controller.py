@@ -5,7 +5,8 @@ import pytest
 
 from resopt.attack import AttackSchedule
 from resopt.controller import (AlgorithmParams, TriggerParams, consensus_errors,
-                               eta_flow, eta_step, firing, trigger_functions)
+                               eta_flow, eta_step, firing, trigger_functions,
+                               trigger_threshold)
 from resopt.cost import CostSpec
 from resopt.errors import ValidationError
 from resopt.graph import GraphProcess, WeightedDigraph, laplacian
@@ -83,12 +84,17 @@ class TestEventBasedErrors:
 
 
 def fires(params, s_hat, y_hat, s, y, e_s, e_y, eta_g, eta_h):
+    threshold = trigger_threshold(table(column(*e_y), column(*e_s)), params)
     gh = trigger_functions(table(column(*y_hat), column(*s_hat)),
-                           table(column(*y), column(*s)),
-                           table(column(*e_y), column(*e_s)), params)
+                           table(column(*y), column(*s)), threshold)
     n = gh.shape[1]
-    return firing(False, 1.0, gh, np.array([eta_g, eta_h], dtype=float),
-                  np.zeros(n, dtype=bool), np.full(n, np.inf), params)
+    eta = np.array([eta_g, eta_h], dtype=float)
+    fired = firing(False, 1.0, gh, eta, False, np.full(n, np.inf), params)
+    # a mask with no frozen agent decides the same as ``False``
+    masked = firing(False, 1.0, gh, eta, np.zeros(n, dtype=bool),
+                    np.full(n, np.inf), params)
+    assert fired.tobytes() == masked.tobytes()
+    return fired
 
 
 class TestTriggerCheck:
@@ -118,8 +124,8 @@ class TestTriggerCheck:
     def test_everyone_fires_first(self):
         params = trigger_params()
         gh = np.full((2, 3), -1.0)
-        fired = firing(True, 0.0, gh, np.ones((2, 3)),
-                       np.zeros(3, dtype=bool), np.full(3, np.inf), params)
+        fired = firing(True, 0.0, gh, np.ones((2, 3)), False, np.full(3, np.inf),
+                       params)
         assert fired.all()
 
     def test_rows_use_their_own_sigma(self):
@@ -127,8 +133,7 @@ class TestTriggerCheck:
         params = trigger_params(sigma_g=2.0, sigma_h=0.5, k_h=3.0)
         eta = np.ones((2, 2))
         gh = np.array([[1.0, 0.0], [0.0, 1.0]])
-        fired = firing(False, 1.0, gh, eta, np.zeros(2, dtype=bool),
-                       np.full(2, np.inf), params)
+        fired = firing(False, 1.0, gh, eta, False, np.full(2, np.inf), params)
         assert list(fired) == [True, False]
 
 
@@ -159,10 +164,16 @@ def exact_decay_reference(eta, rate, force, step):
 
 
 def step_rows(eta_g, g, frozen, params, step=1e-3):
-    """eta_step on one column per agent; the h row mirrors the g row."""
+    """eta_step on one column per agent; the h row mirrors the g row.  With
+    no agent frozen, ``False`` and the all-false mask give the same bits."""
     eta = np.array([eta_g, eta_g], dtype=float)
     gh = np.array([g, g], dtype=float)
-    return eta_step(eta, gh, np.asarray(frozen, dtype=bool), eta_flow(params, step))
+    flow = eta_flow(params, step)
+    mask = np.asarray(frozen, dtype=bool)
+    new = eta_step(eta, gh, mask, flow)
+    if not mask.any():
+        assert eta_step(eta, gh, False, flow).tobytes() == new.tobytes()
+    return new
 
 
 class TestEtaDerivative:
@@ -189,8 +200,8 @@ class TestEtaDerivative:
 
     def test_rows_use_their_own_coefficients(self):
         params = trigger_params(k_g=1.0, delta_g=0.5, k_h=3.0, delta_h=0.25)
-        new = eta_step(np.full((2, 1), 2.0), np.array([[-1.0], [4.0]]),
-                       np.array([False]), eta_flow(params, 1e-3))
+        new = eta_step(np.full((2, 1), 2.0), np.array([[-1.0], [4.0]]), False,
+                       eta_flow(params, 1e-3))
         assert new[0, 0] == pytest.approx(exact_decay_reference(2.0, 1.0, -0.5, 1e-3))
         assert new[1, 0] == pytest.approx(exact_decay_reference(2.0, 3.0, 1.0, 1e-3))
 

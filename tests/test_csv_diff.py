@@ -40,3 +40,17 @@ class TestCsvDiff:
         assert lines[3].startswith("  eta_g1: max |delta| 3e-13 in 2 rows")
         assert lines[4] == "  status: max |delta| 0 in 1 rows (1 non-numeric)"
         assert lines[5] == "  extra only in NEW"
+
+    def test_missing_or_file_roots_exit_2(self, tmp_path):
+        write(tmp_path / "old" / "report.csv", "a\n1\n")
+        write(tmp_path / "file.csv", "a\n1\n")
+        for old, new in ((tmp_path / "absent_a", tmp_path / "absent_b"),
+                         (tmp_path / "old", tmp_path / "absent_b"),
+                         (tmp_path / "file.csv", tmp_path / "old")):
+            proc = subprocess.run([sys.executable, SCRIPT, str(old), str(new)],
+                                  capture_output=True, text=True, check=False)
+            bad = [root for root in (old, new) if not root.is_dir()]
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr.splitlines() == [f"error: {root} is not a directory"
+                                                for root in bad]

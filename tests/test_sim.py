@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from resopt.errors import (DivergenceError, InvariantViolatedError,
 from resopt.graph import (GraphProcess, WeightedDigraph, laplacian,
                           sample_switching_path)
 from resopt.plant import AgentModel
-from resopt.sim import (STATE_LIMIT, InitialCondition, Scenario, Trajectory,
-                        _draw_initial, _Stacked, compare_beta_sweep,
+from resopt.sim import (STATE_LIMIT, U_BLOCK, InitialCondition, Scenario,
+                        Trajectory, _draw_initial, _Stacked, compare_beta_sweep,
                         convergence_report, final_spread, run)
 
 
@@ -594,6 +597,54 @@ def q2_scenario(algorithm):
     return scenario_from(doc)
 
 
+def ring16_scenario():
+    """The generated 16-agent ring of the ``ring16_bursty_dos`` benchmark
+    workload, at its smoke horizon."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return scenario_from(module.ring_document(1, True))
+
+
+def product_inputs(rng, rows, width):
+    """Random rows over many magnitudes, with exact and negative zeros."""
+    values = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-6, 7, (rows, width))
+    values[rng.random((rows, width)) < 0.2] = 0.0
+    values[rng.random((rows, width)) < 0.1] = -0.0
+    return values
+
+
+class TestBufferedProductsMatchMatmul:
+    """``run`` multiplies into preallocated buffers: ``np.dot(M, v, out)`` in
+    the step, and stacked column products ``np.matmul(M, V[:, :, None],
+    out=...)`` for u after it.  Both must give ``M @ v`` of every row bit for
+    bit (one BLAS gemv per row); a matrix-matrix product or ``einsum`` does
+    not.  A numpy or BLAS change that breaks this fails here, with this
+    reason, before the trajectories of ``TestLeanLoopMatchesReference`` do."""
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3", "ring16"])
+    def test_stacked_matrices(self, name):
+        from resopt.cli import preset
+        scenario = ring16_scenario() if name == "ring16" else scenario_from(preset(name))
+        st = _Stacked(scenario)
+        rng = np.random.default_rng(20261019)
+        for mat in (st.m_a, st.m_bukx, st.m_bw, st.c_blk):
+            out = np.empty(mat.shape[0])
+            for v in product_inputs(rng, 500, mat.shape[1]):
+                np.dot(mat, v, out)
+                assert out.tobytes() == (mat @ v).tobytes()
+        for mat in (-st.k_blk, st.ukx_blk, st.w_blk):
+            # a column block of a wider history, as ``run`` reads it
+            history = product_inputs(rng, U_BLOCK, mat.shape[1] + 3)
+            columns = history[:, 1:1 + mat.shape[1]]
+            out = np.empty((U_BLOCK, mat.shape[0], 1))
+            np.matmul(mat, columns[:, :, None], out=out)
+            want = np.array([mat @ v for v in columns])
+            assert out[:, :, 0].tobytes() == want.tobytes()
+
+
 class TestLeanLoopMatchesReference:
     def check(self, scenario):
         traj, err = outcome(run, scenario)
@@ -631,6 +682,40 @@ class TestLeanLoopMatchesReference:
         traj, err = self.check(single_agent_scenario(cost, x0=0.0, horizon=5.0))
         assert isinstance(err, DivergenceError)
         assert traj.times[-1] < err.time
+
+    def test_event_based_retry_succeeds(self):
+        # a 0.25 s burst from 0.2 s: every agent is frozen by a blocked
+        # attempt, then unfrozen by a successful retry well before the end
+        doc = case3_early_burst(horizon=0.8)
+        doc["attacks"]["periodic"]["active"] = 0.25
+        traj, err = self.check(scenario_from(doc))
+        assert err is None
+        for events, blocked in zip(traj.events, traj.blocked_attempts):
+            retries = events[events > blocked[-1]]
+            assert len(blocked) >= 1 and retries.size and retries[0] < 0.6
+
+    def test_time_based_divergence_across_u_blocks(self):
+        # case1 at twice its step size diverges at t = 2.766 (seed 3): u is
+        # filled for whole blocks and a partial one
+        from resopt.cli import preset
+        doc = preset("case1")
+        doc["sim"].update(horizon=3.0, step=2e-3, seed=3)
+        traj, err = self.check(scenario_from(doc))
+        assert isinstance(err, DivergenceError)
+        assert traj.times.size > U_BLOCK and traj.times.size % U_BLOCK
+
+    def test_signed_zeros_of_one_scalar_state(self):
+        # np.dot keeps the sign of a 1 x 1 product that ``@`` drops, so a
+        # team with one scalar state must multiply with matmul
+        proc = GraphProcess(graphs=(WeightedDigraph(np.zeros((1, 1))),),
+                            generator=[[0.0]], initial_distribution=[1.0])
+        init = InitialCondition(mode="explicit", states=(([-0.0], [-0.0], [-0.0]),))
+        traj, _ = self.check(Scenario(
+            agents=(scalar_agent(),), costs=(CostSpec("quartic", (1.0, 2.0, 2.0)),),
+            graph_process=proc, attack_schedule=None, algorithm="time_based",
+            params=AlgorithmParams(2.0, 1.0), horizon=0.01, step=1e-3, seed=0,
+            initial=init))
+        assert np.signbit(traj.rho).any()
 
     def test_event_based_divergence_truncation(self):
         # seed 1 draws initial states that the exp_pair agent cannot absorb
