@@ -14,7 +14,6 @@ its start time, which keeps counts additive over adjacent windows.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -259,38 +258,37 @@ def check_duration_condition(schedule: AttackSchedule, budget: AttackBudget,
     retry dwell keeps errors zeroed a little past each burst), so the check
     is never more permissive than the plain one.
 
-    For each left endpoint the right endpoint sweeps forward once, adding
-    the attacked time of each interval it passes, so the check is O(P^2) in
-    the number of endpoints P.  Intervals are added in schedule order, the
-    float additions of a direct per-window sum over the schedule, so
-    ``tightest`` is bit-identical to measuring every sub-window separately.
+    For each left endpoint ``lo``, the attacked time of the intervals
+    ending at or before each right endpoint is a prefix sum of the
+    intervals' terms ``b - max(a, lo)``, added in schedule order from 0.0 by
+    ``np.cumsum`` (a sequential add.accumulate); the interval still open at
+    the right endpoint adds its part last.  These are the float additions of
+    a direct per-window sum over the schedule, so ``tightest`` is
+    bit-identical to measuring every sub-window separately, in O(P^2) for
+    P endpoints.
     """
     t1, t2 = float(window[0]), float(window[1])
     if not t2 > t1:
         raise ValidationError("window must satisfy t2 > t1")
     inflate = budget.kappa_star if event_variant else 0.0
-    merged = _merged_intervals(schedule, inflate)
-    points = np.unique(np.clip(
-        np.concatenate([[t1, t2]] + [[a, b] for a, b in merged]) if merged
-        else np.array([t1, t2]), t1, t2)).tolist()
-    ends = [b for _, b in merged]
+    merged = np.array(_merged_intervals(schedule, inflate)).reshape(-1, 2)
+    starts, ends = merged.T
+    points = np.unique(np.clip(np.concatenate([[t1, t2], merged.ravel()]), t1, t2))
+    # Intervals ending at or before each point; the next one may be open there.
+    closed_at = np.searchsorted(ends, points, side="right")
+    next_start = np.append(starts, np.inf)[closed_at]
 
     best_rate = 0.0
-    for i, lo in enumerate(points):
-        # Intervals ending at or before lo add nothing to any window from lo.
-        m = bisect.bisect_right(ends, lo)
-        closed = 0.0  # attacked time of the intervals ending at or before hi
-        for hi in points[i + 1:]:
-            while m < len(merged) and merged[m][1] <= hi:
-                a, b = merged[m]
-                closed += b - max(a, lo)
-                m += 1
-            attacked = closed
-            if m < len(merged) and merged[m][0] < hi:
-                attacked += hi - max(merged[m][0], lo)
-            excess = attacked - budget.t0
-            if excess > 0.0:
-                best_rate = max(best_rate, excess / (hi - lo))
+    for i, lo in enumerate(points[:-1].tolist()):
+        m, his = closed_at[i], points[i + 1:]
+        closed = np.cumsum(np.concatenate(([0.0], ends[m:] - np.maximum(starts[m:], lo))))
+        closed = closed[closed_at[i + 1:] - m]
+        tail = next_start[i + 1:]
+        attacked = np.where(tail < his, closed + (his - np.maximum(tail, lo)), closed)
+        excess = attacked - budget.t0
+        over = excess > 0.0
+        if over.any():
+            best_rate = max(best_rate, float((excess[over] / (his[over] - lo)).max()))
     tightest = math.inf if best_rate == 0.0 else 1.0 / best_rate
     return ConditionReport(kind="duration", threshold=budget.t_a_star,
                            tightest=tightest, passed=tightest > budget.t_a_star,

@@ -11,10 +11,12 @@ Four cost kinds are supported.  ``exp_pair``, ``quartic`` and
 ``custom_polynomial`` takes coefficients (c0, c1, ...) of a one-variable
 polynomial applied separably to each coordinate, so it works for any q.
 
-Each cost's gradient is written once, as the kernel ``CostSpec.grad``, and
-``gradient`` is that kernel behind a point check.  The integrator (``sim``)
-calls the kernel directly and the q = 1 oracle bisects on the kernels' sum,
-so both evaluate the same floating-point expressions.
+Each kind's gradient is written once, as a short statement template over
+``t`` and named parameters (``_GRADIENTS``).  From the templates, functions
+are compiled: ``CostSpec.grad`` for one cost, which ``gradient`` puts behind
+a point check and the q = 1 oracle bisects on, and ``team_theta`` for a
+whole team, which the integrator (``sim``) calls at every RK4 stage.  Both
+run the same floating-point expressions.
 
 Regularity constants are estimated on a user-declared working box rather
 than globally; several interesting costs have gradients that are only
@@ -72,44 +74,98 @@ class CostSpec:
 
     @cached_property
     def grad(self):
-        """The gradient kernel, built once: a function of a float t (for
-        custom_polynomial also elementwise of a (q,) array, returning a float
-        below degree 2).  t is not checked; exp saturates to +inf."""
-        return _gradient_kernel(self.kind, self.parameters)
+        """The gradient kernel, compiled once from the kind's statements: a
+        function of a float t (for custom_polynomial also elementwise of a
+        (q,) array, returning a float below degree 2).  t is not checked;
+        exp saturates to +inf."""
+        params, lines = _GRADIENTS[self.kind](self.parameters)
+        return _compile(["def grad(t_):", *lines, "return g_"], {**_KERNEL_NAMES, **params})
 
 
-def _gradient_kernel(kind: str, p: tuple):
-    exp, log1p, inf = math.exp, math.log1p, math.inf
-    if kind == "exp_pair":
-        c1r1, r1, c2r2, r2 = p[0] * p[1], p[1], p[2] * p[3], p[3]
+# Each kind's gradient, written once: statements over ``t_`` that leave the
+# gradient in ``g_``, and the parameters they read, folded from the cost's
+# own.  Every name ends in ``_``, which a team's function replaces by
+# ``_<agent index>`` (``team_theta``).  Parameters are bound by name in the
+# compiled function's namespace, never written into its source.  These are
+# the only gradient formulas: the integrator and the oracle both run them.
+def _exp_pair(p):
+    return ({"c1r1_": p[0] * p[1], "r1_": p[1], "c2r2_": p[2] * p[3], "r2_": p[3]},
+            ["v1_ = r1_ * t_", "v2_ = r2_ * t_",
+             "g_ = (c1r1_ * (exp(v1_) if v1_ < 700.0 else inf)"
+             " + c2r2_ * (exp(v2_) if v2_ < 700.0 else inf))"])
 
-        def grad_exp(t):
-            v1, v2 = r1 * t, r2 * t
-            return (c1r1 * (exp(v1) if v1 < 700.0 else inf)
-                    + c2r2 * (exp(v2) if v2 < 700.0 else inf))
 
-        return grad_exp
-    if kind == "quartic":
-        a4, b2 = 4.0 * p[0], 2.0 * p[1]
-        return lambda t: a4 * t * t * t + b2 * t
-    if kind == "log_quadratic":
-        a2, b2 = 2.0 * p[0], 2.0 * p[1]
+def _quartic(p):
+    return {"a4_": 4.0 * p[0], "b2_": 2.0 * p[1]}, ["g_ = a4_ * t_ * t_ * t_ + b2_ * t_"]
 
-        def grad_lq(t):
-            t2, a2t = t * t, a2 * t
-            return a2t * log1p(t2) + a2t * t2 / (1.0 + t2) + b2 * t
 
-        return grad_lq
-    scaled = [k * c for k, c in enumerate(p)][1:]
+def _log_quadratic(p):
+    return ({"a2_": 2.0 * p[0], "b2_": 2.0 * p[1]},
+            ["t2_ = t_ * t_", "a2t_ = a2_ * t_",
+             "g_ = a2t_ * log1p(t2_) + a2t_ * t2_ / (1.0 + t2_) + b2_ * t_"])
 
-    def grad_poly(t):
-        acc, power = 0.0, 1.0
-        for kc in scaled:
-            acc += kc * power
-            power *= t
-        return acc
 
-    return grad_poly
+def _custom_polynomial(p):
+    # acc += k c_k power; power *= t, unrolled; the last power is not read
+    lines = ["g_ = 0.0", "power_ = 1.0"]
+    for k in range(1, len(p)):
+        lines += [f"g_ = g_ + k{k}_ * power_", "power_ = power_ * t_"]
+    return {f"k{k}_": k * c for k, c in enumerate(p) if k}, lines[:-1]
+
+
+_GRADIENTS = {"exp_pair": _exp_pair, "quartic": _quartic,
+              "log_quadratic": _log_quadratic, "custom_polynomial": _custom_polynomial}
+_KERNEL_NAMES = {"exp": math.exp, "log1p": math.log1p, "inf": math.inf,
+                 "negative": np.negative}
+
+
+def _compile(lines: list, namespace: dict):
+    """The function that ``lines`` (a def line, then its body) define, with
+    ``namespace`` as its globals.  It is taken out of the namespace, so that
+    the two form no reference cycle and are freed as soon as it is dropped,
+    without waiting for the cyclic garbage collector."""
+    name = lines[0][4:lines[0].index("(")]
+    exec(compile("\n    ".join(lines), f"<resopt {name}>", "exec"), namespace)
+    return namespace.pop(name)
+
+
+def _suffixed(params: dict, lines: list, suffix: str, namespace: dict) -> list:
+    namespace.update((name.replace("_", suffix), v) for name, v in params.items())
+    return [line.replace("_", suffix) for line in lines]
+
+
+def team_theta(costs, q: int):
+    """``theta(y, const, out)``: ``out = -grad f(y) + const`` for a whole
+    team, y and const stacked over the agents, compiled into one function.
+
+    For q = 1 it unpacks ``y.tolist()`` and the list ``const`` and runs every
+    agent's statements in line, in float arithmetic.  For q > 1 (every cost
+    a custom_polynomial) each group of agents with the same coefficient
+    count runs the statements once on its (n_g, q) block of y, with (n_g, 1)
+    coefficient columns: the same elementwise operations."""
+    namespace = dict(_KERNEL_NAMES)
+    n = len(costs)
+    if q == 1:
+        body = ["".join(f"t_{i}, " for i in range(n)) + "= y.tolist()",
+                "".join(f"c_{i}, " for i in range(n)) + "= const"]
+        for i, c in enumerate(costs):
+            body += _suffixed(*_GRADIENTS[c.kind](c.parameters), f"_{i}", namespace)
+        body.append("out[:] = [" + ", ".join(f"-g_{i} + c_{i}" for i in range(n)) + "]")
+        return _compile(["def theta(y, const, out):", *body], namespace)
+    groups = {}
+    for i, c in enumerate(costs):
+        groups.setdefault((c.kind, len(c.parameters)), []).append(i)
+    body = [f"ys, gs = y.reshape({n}, {q}), out.reshape({n}, {q})"]
+    for j, rows in enumerate(groups.values()):
+        tables = [_GRADIENTS[costs[i].kind](costs[i].parameters) for i in rows]
+        columns = {name: np.array([[t[0][name]] for t in tables]) for name in tables[0][0]}
+        contiguous = rows[-1] - rows[0] == len(rows) - 1
+        namespace[f"rows_{j}"] = slice(rows[0], rows[-1] + 1) if contiguous else np.array(rows)
+        body += [f"t_{j} = ys[rows_{j}]",
+                 *_suffixed(columns, tables[0][1], f"_{j}", namespace),
+                 f"gs[rows_{j}] = g_{j}"]
+    body += ["negative(out, out=out)", "out += const"]
+    return _compile(["def theta(y, const, out):", *body], namespace)
 
 
 def _check_point(c: CostSpec, y) -> np.ndarray:

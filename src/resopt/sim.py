@@ -40,7 +40,13 @@ Initial states declared "random" are drawn uniformly from a box with the
 scenario's seeded generator (PCG64, ``low + (high-low) * u``), agent by
 agent in the order x_i, rho_i, z_i.  States are aborted (with the truncated
 trajectory attached to the error) once anything leaves [-1e9, 1e9] or stops
-being finite.
+being finite, and an event-triggered run once a trigger variable stops being
+positive.  These guards are checked on the recorded rows, a block of
+``U_BLOCK`` grid points at a time (when the block's u is filled) and once
+after the last step; the first failing step is reported exactly as a check
+after every step would report it.  The steps after it in its block are
+integrated and discarded.  Nothing in them can raise: the gradient kernels
+saturate, and float arithmetic yields inf and nan.
 """
 
 from __future__ import annotations
@@ -55,12 +61,14 @@ from .attack import AttackSchedule, activity_series
 from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
                          eta_flow, eta_step, firing, trigger_functions,
                          trigger_threshold)
+from .cost import team_theta
 from .errors import DivergenceError, InvariantViolatedError, ValidationError
 from .graph import GraphProcess, laplacian, sample_switching_path, stationary_weighting
 
 ALGORITHMS = ("attack_free", "time_based", "event_based")
 STATE_LIMIT = 1e9
-# Grid points per block of u, which is computed after the steps (``run``).
+# Grid points per block: u is computed after the steps, and the guards are
+# checked, a block at a time (``run``).
 U_BLOCK = 256
 LOG_FLOOR = 1e-15
 
@@ -232,22 +240,9 @@ class _Stacked:
             self.w_blk[u0:u1, c0:c1] = m.W
 
         # theta = -grad f(y) + const_theta, the optimization input of every
-        # agent, written into ``out`` from the stacked outputs y, with each
-        # cost's gradient kernel.  const_theta is a list when q = 1.
-        fns = [c.grad for c in scenario.costs]
-        if q == 1:
-            def theta_eval(y: np.ndarray, const_theta: list, out: np.ndarray):
-                out[:] = [-fn(t) + c for fn, t, c in zip(fns, y.tolist(), const_theta)]
-        else:
-            blocks = [(fn, slice(i * q, (i + 1) * q)) for i, fn in enumerate(fns)]
-
-            def theta_eval(y: np.ndarray, const_theta: np.ndarray, out: np.ndarray):
-                for fn, rows in blocks:
-                    out[rows] = fn(y[rows])
-                np.negative(out, out=out)
-                out += const_theta
-
-        self.theta_eval = theta_eval
+        # agent, written into ``out`` from the stacked outputs y by one
+        # compiled function.  const_theta is a list when q = 1.
+        self.theta_eval = team_theta(scenario.costs, q)
 
 
 def _draw_initial(scenario: Scenario):
@@ -326,7 +321,7 @@ def run(scenario: Scenario) -> Trajectory:
     k_parts = [(k[:nx], k[nx:]) for k in ks]
     stage = np.empty(m)
     stage_x, stage_rho = stage[:nx], stage[nx:]
-    y_stage, prod, abs_buf = np.empty(nq), np.empty(nx), np.empty(ns)
+    y_stage, prod = np.empty(nq), np.empty(nx)
     theta_block, u_prod = np.empty((U_BLOCK, nq)), np.empty((U_BLOCK, pu, 1))
 
     trig = scenario.trigger
@@ -342,7 +337,8 @@ def run(scenario: Scenario) -> Trajectory:
     theta_eval = st.theta_eval
     m_a, m_bukx, m_bw, c_blk = st.m_a, st.m_bukx, st.m_bw, st.c_blk
     neg_k, ukx_blk, w_blk = -st.k_blk, st.ukx_blk, st.w_blk
-    half_h, sixth_h = 0.5 * h, h / 6.0
+    half_h, sixth_h, neg_h = 0.5 * h, h / 6.0, -h
+    neg_gains = np.array([[-ab], [-beta]])
     r_list, on_list = r_series.tolist(), attack_on.tolist()
 
     # np.dot multiplies a 1 x 1 matrix as a scalar, which keeps the sign of a
@@ -353,10 +349,10 @@ def run(scenario: Scenario) -> Trajectory:
         """From the errors [e_y; e_s], what is frozen over the step: the
         consensus part of theta (read by rhs; a list when q = 1), z's
         increment and, on the event-based law, the trigger thresholds."""
-        e_y, e_s = errs.reshape(2, nq)
-        ab_e_y = ab * e_y
-        const = -beta * e_s - ab_e_y
-        return (const.tolist() if q == 1 else const, h * ab_e_y,
+        # [-ab e_y; -beta e_s]: -beta e_s - ab e_y and h ab e_y, bit for bit
+        pn = neg_gains * errs.reshape(2, nq)
+        const = pn[1] + pn[0]
+        return (const.tolist() if q == 1 else const, neg_h * pn[0],
                 trigger_threshold(errs, trig) if event_mode else None)
 
     def rhs(x_s, rho_s, y_s, out):
@@ -376,8 +372,33 @@ def run(scenario: Scenario) -> Trajectory:
         out -= np.matmul(ukx_blk, hist[r0:r1, nx:m, None], out=tmp)
         out += np.matmul(w_blk, theta_block[:r1 - r0, :, None], out=tmp)
 
+    def check(r0: int, r1: int):
+        """Raise at the first of history rows r0..r1-1 (row r holds the
+        result of step r - 1) that breaks a guard, as a check after every
+        step would: InvariantViolatedError for a trigger variable that is no
+        longer positive, checked first, and DivergenceError from ``finish``
+        for a state outside [-STATE_LIMIT, STATE_LIMIT]."""
+        r0 = max(r0, 1)
+        rows = hist[r0:r1, :ns]
+        # max |state| <= STATE_LIMIT by the extremes, with no (rows, ns)
+        # temporary; NaN fails every comparison, so this also catches
+        # non-finite states.
+        bad = ~((np.maximum.reduce(rows, 1) <= STATE_LIMIT)
+                & (np.minimum.reduce(rows, 1) >= -STATE_LIMIT))
+        if event_mode:
+            lost = ~(np.minimum.reduce(hist_eta[r0:r1].reshape(-1, 2 * big_n), 1) > 0.0)
+            bad |= lost
+        if bad.any():
+            r = int(np.argmax(bad))
+            t_bad = float(times[r0 + r])
+            if event_mode and lost[r]:
+                raise InvariantViolatedError(
+                    f"trigger variable lost positivity at t={t_bad:.6f}", t_bad)
+            finish(r0 + r - 1, t_bad)
+
     def finish(last: int, diverged_at: float | None):
-        fill_u(last - last % U_BLOCK, last + 1)
+        if last % U_BLOCK != U_BLOCK - 1:  # else the block's u is filled
+            fill_u(last - last % U_BLOCK, last + 1)
         fired, on, t = hist_fired[:last + 1], attack_on[:last + 1], times[:last + 1]
         rows = hist[:last + 1]
         traj = Trajectory(
@@ -393,8 +414,8 @@ def run(scenario: Scenario) -> Trajectory:
             raise DivergenceError(diverged_at, traj)
         return traj
 
-    # Divergence is detected by letting inf/nan propagate to the step-end
-    # guard, so arithmetic warnings along that path are expected noise.
+    # Divergence is detected by letting inf/nan propagate to the block's
+    # guards, so arithmetic warnings along that path are expected noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             dot(c_blk, x, y)
@@ -425,7 +446,7 @@ def run(scenario: Scenario) -> Trajectory:
                         attacked_at[fired] = times[k]
                         frozen = attacked_last
                     else:
-                        hats[:, fired] = live[:, fired]
+                        np.copyto(hats, live, where=fired[:, None])
                         if frozen is not False and not attacked_last.any():
                             frozen = False
                     const_theta, dz, threshold = consensus_part(
@@ -439,6 +460,7 @@ def run(scenario: Scenario) -> Trajectory:
             hist[k] = record
             theta_block[k % U_BLOCK] = k_parts[0][1]
             if k % U_BLOCK == U_BLOCK - 1:
+                check(k + 1 - U_BLOCK, k + 1)
                 fill_u(k + 1 - U_BLOCK, k + 1)
 
             if k == n_steps:
@@ -459,15 +481,8 @@ def run(scenario: Scenario) -> Trajectory:
 
             if event_mode:
                 eta = eta_step(eta, gh, frozen, flow)
-                if not np.minimum.reduce(eta, None) > 0.0:
-                    t_next = float(times[k + 1])
-                    raise InvariantViolatedError(
-                        f"trigger variable lost positivity at t={t_next:.6f}", t_next)
 
-            # NaN fails the comparison, so this also catches non-finite states.
-            if not np.maximum.reduce(np.abs(state, out=abs_buf)) <= STATE_LIMIT:
-                return finish(k, float(times[k + 1]))
-
+        check(n_steps - n_steps % U_BLOCK, n_steps + 1)
         return finish(n_steps, None)
 
 

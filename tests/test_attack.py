@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -297,6 +298,76 @@ def reference_tightest_t_a(schedule, budget, window, event_variant):
             if excess > 0.0:
                 best_rate = max(best_rate, excess / (points[j] - points[i]))
     return math.inf if best_rate == 0.0 else 1.0 / best_rate
+
+
+def sweep_tightest_t_a(schedule, budget, window, event_variant):
+    """Reference duration check: for each left endpoint the right endpoint
+    sweeps forward once, adding the attacked time of each interval it
+    passes (O(P^2), one float addition at a time)."""
+    t1, t2 = float(window[0]), float(window[1])
+    inflate = budget.kappa_star if event_variant else 0.0
+    merged = _merged_intervals(schedule, inflate)
+    points = np.unique(np.clip(
+        np.concatenate([[t1, t2]] + [[a, b] for a, b in merged]) if merged
+        else np.array([t1, t2]), t1, t2)).tolist()
+    ends = [b for _, b in merged]
+    best_rate = 0.0
+    for i, lo in enumerate(points):
+        m = bisect.bisect_right(ends, lo)
+        closed = 0.0
+        for hi in points[i + 1:]:
+            while m < len(merged) and merged[m][1] <= hi:
+                a, b = merged[m]
+                closed += b - max(a, lo)
+                m += 1
+            attacked = closed
+            if m < len(merged) and merged[m][0] < hi:
+                attacked += hi - max(merged[m][0], lo)
+            excess = attacked - budget.t0
+            if excess > 0.0:
+                best_rate = max(best_rate, excess / (hi - lo))
+    return math.inf if best_rate == 0.0 else 1.0 / best_rate
+
+
+@st.composite
+def dyadic_cases(draw):
+    """A schedule on a 1/8 grid, so that inflating by kappa makes bursts
+    overlap or touch exactly, and a window whose ends may clip bursts."""
+    intervals, t = [], 0.0
+    for _ in range(draw(st.integers(0, 15))):
+        start = t + draw(st.integers(1, 16)) / 8.0
+        tau = draw(st.integers(0, 16)) / 8.0
+        intervals.append((start, tau))
+        t = start + tau
+    schedule = AttackSchedule(intervals=tuple(intervals), horizon=t + 1.0)
+    kappa = draw(st.one_of(st.integers(0, 8).map(lambda k: k / 8.0),
+                           st.floats(0.0, 2.0)))
+    t1 = draw(st.one_of(st.integers(0, 8 * int(t)).map(lambda k: k / 8.0 + 1.0 / 16.0),
+                        st.floats(0.0, t)))
+    width = draw(st.one_of(st.integers(1, 8 * int(t) + 8).map(lambda k: k / 8.0),
+                           st.floats(0.01, t + 1.0)))
+    return schedule, kappa, (t1, t1 + width)
+
+
+class TestDurationCheckMatchesSweep:
+    """The vectorized duration check reports the sweep's tightest T_a bit for
+    bit, on overlapping, touching, kappa-inflated and clipped windows."""
+
+    @given(dyadic_cases(), st.sampled_from([0.0, 0.125, 1.5]), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_tightest_equal(self, case, t0, event_variant):
+        sched, kappa, window = case
+        b = budget(t0=t0, kappa_star=kappa)
+        dur = check_duration_condition(sched, b, window, event_variant)
+        assert dur.tightest == sweep_tightest_t_a(sched, b, window, event_variant)
+
+    @pytest.mark.parametrize("event_variant", [False, True])
+    def test_many_short_bursts(self, event_variant):
+        sched = AttackSchedule.periodic(period=0.05, active=0.01, phase=0.025,
+                                        horizon=5.25)
+        b = budget(mu=1.001, n0=1.0, t0=0.02, kappa_star=0.004)
+        dur = check_duration_condition(sched, b, (0.0, 5.25), event_variant)
+        assert dur.tightest == sweep_tightest_t_a(sched, b, (0.0, 5.25), event_variant)
 
 
 class TestBudgetChecksMatchReference:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from conftest import THETA_STAR
-from resopt.cost import (CostSpec, centralized_optimum, estimate_regularity,
-                         gradient, second_derivative, value)
+from resopt.cost import (KINDS, CostSpec, centralized_optimum, estimate_regularity,
+                         gradient, second_derivative, team_theta, value)
 from resopt.errors import (ConvexityViolatedError, UnboundedObjectiveError,
                            ValidationError)
 
@@ -89,6 +89,80 @@ class TestGradient:
         assert rows.shape == (len(point),)
         want = np.array([gradient(scalar, [t])[0] for t in point])
         assert rows.tobytes() == want.tobytes()
+
+
+# Parameters at the edges of the float range, and points a step can hand the
+# kernels: r t >= 700 (exp saturates to +inf), infinities and nan.
+EDGE_PARAMETERS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -0.5]
+EDGE_POINTS = [0.0, -0.0, 5e-324, 700.0, -1400.0, 1e308, math.inf, -math.inf, math.nan]
+parameters = hs.one_of(hs.sampled_from(EDGE_PARAMETERS), hs.floats(-50.0, 50.0))
+points = hs.one_of(hs.sampled_from(EDGE_POINTS), hs.floats(-30.0, 30.0), hs.floats())
+
+
+@hs.composite
+def cost_specs(draw, q=1):
+    kind = draw(hs.sampled_from(KINDS if q == 1 else ("custom_polynomial",)))
+    count = {"exp_pair": 4, "quartic": 3, "log_quadratic": 2}.get(kind) \
+        or draw(hs.integers(1, 6))
+    return CostSpec(kind, tuple(draw(hs.lists(parameters, min_size=count,
+                                              max_size=count))), q)
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestTeamTheta:
+    """A team's compiled function gives each agent -grad + const bit for bit
+    as that agent's ``CostSpec.grad`` does: the integrator and the oracle
+    run the same statements."""
+
+    @given(hs.lists(hs.tuples(cost_specs(), points, parameters), min_size=1, max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_scalar_team_matches_each_kernel(self, agents):
+        costs = [c for c, _, _ in agents]
+        out = np.empty(len(costs))
+        team_theta(costs, 1)(np.array([t for _, t, _ in agents]),
+                             [k for _, _, k in agents], out)
+        assert bits(out) == bits([-c.grad(t) + k for c, t, k in agents])
+
+    @given(hs.integers(2, 3).flatmap(lambda q: hs.tuples(
+        hs.just(q), hs.lists(hs.tuples(cost_specs(q), hs.lists(points, min_size=q, max_size=q),
+                                       hs.lists(parameters, min_size=q, max_size=q)),
+                             min_size=1, max_size=6))))
+    @settings(max_examples=300, deadline=None)
+    def test_polynomial_groups_match_each_kernel(self, drawn):
+        # agents with equal coefficient counts are evaluated as one block
+        q, agents = drawn
+        costs = [c for c, _, _ in agents]
+        y = np.array([t for _, ts, _ in agents for t in ts])
+        const = np.array([k for _, _, ks in agents for k in ks])
+        out = np.empty(len(costs) * q)
+        with np.errstate(all="ignore"):
+            team_theta(costs, q)(y, const, out)
+            want = [-np.full(q, c.grad(np.array(ts))) + ks for c, ts, ks in agents]
+        assert bits(out) == bits(np.concatenate(want))
+
+    def test_one_agent_and_signed_zero(self):
+        out = np.empty(1)
+        team_theta([CostSpec("quartic", (1.0, 2.0, 3.0))], 1)(np.array([0.0]), [-0.0], out)
+        assert out[0] == 0.0 and np.signbit(out[0])
+
+    def test_bundled_team_on_random_points(self, demo_costs):
+        rng = np.random.default_rng(16)
+        theta = team_theta(demo_costs, 1)
+        out = np.empty(len(demo_costs))
+        for y in rng.uniform(-30.0, 30.0, (2000, len(demo_costs))):
+            const = rng.standard_normal(len(demo_costs)).tolist()
+            theta(y, const, out)
+            assert bits(out) == bits([-c.grad(t) + k
+                                      for c, t, k in zip(demo_costs, y.tolist(), const)])
+
+    def test_saturated_exponential_is_inf(self):
+        out = np.empty(1)
+        team_theta([CostSpec("exp_pair", (1.0, 2.0, 0.5, 0.3))], 1)(np.array([350.0]),
+                                                                    [0.0], out)
+        assert out[0] == -math.inf
 
 
 class TestEstimateRegularity:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import math
@@ -571,15 +572,16 @@ def case3_early_burst(seed=0, horizon=1.5):
     return doc
 
 
-def q2_scenario(algorithm):
+def q2_scenario(algorithm, coefficients=((0.0, -1.0, 0.5, 0.1), (0.0, 0.5, 0.5, 0.1),
+                                         (0.0, 2.0, 0.5, 0.1))):
     """Three agents with two-dimensional outputs and a burst at 0.1 s."""
     agent = {"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[1.0, 0.0], [0.0, 1.0]],
              "C": [[1.0, 0.0], [0.0, 1.0]], "K": [[2.0, 1.0], [0.0, 1.5]]}
     ring = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
     doc = {
         "agents": [agent] * 3,
-        "costs": [{"kind": "custom_polynomial", "parameters": [0.0, c, 0.5, 0.1],
-                   "dimension": 2} for c in (-1.0, 0.5, 2.0)],
+        "costs": [{"kind": "custom_polynomial", "parameters": list(c),
+                   "dimension": 2} for c in coefficients],
         "graph_process": {"weights": [ring, [row[::-1] for row in ring[::-1]]],
                           "generator": [[-5.0, 5.0], [5.0, -5.0]],
                           "initial_distribution": [1.0, 0.0]},
@@ -595,6 +597,23 @@ def q2_scenario(algorithm):
             delta_g=0.2, delta_h=0.3, k_g=1.0, k_h=2.0, eta_g0=0.1,
             eta_h0=0.2, dwell_kappa=0.03)
     return scenario_from(doc)
+
+
+def growing_scenario(x0, n_steps):
+    """One agent on the concave cost -50 t^2, whose state grows by 1.43-1.44
+    bits a step of 1e-2 s.  The run is linear in x0, so scaling x0 by a power
+    of two scales every row exactly."""
+    return single_agent_scenario(CostSpec("custom_polynomial", (0.0, 0.0, -50.0)),
+                                 x0=x0, horizon=n_steps * 1e-2, step=1e-2)
+
+
+def diverging_at(row, n_steps):
+    """A ``growing_scenario`` whose state first leaves STATE_LIMIT at grid
+    point ``row``, the result of step ``row - 1``."""
+    probe, _ = outcome(reference_run, growing_scenario(2.0 ** -1000, n_steps))
+    peak = np.abs(np.hstack([probe.x, probe.rho, probe.z])).max(1)
+    shift = math.floor(math.log2(STATE_LIMIT / peak[:row].max()))
+    return growing_scenario(2.0 ** (shift - 1000), n_steps)
 
 
 def ring16_scenario():
@@ -677,6 +696,23 @@ class TestLeanLoopMatchesReference:
         assert err is None and traj.q == 2
         assert np.count_nonzero(np.diff(traj.r_state)) >= 1
 
+    @pytest.mark.parametrize("algorithm", ["time_based", "event_based"])
+    def test_two_dimensional_outputs_of_mixed_degree(self, algorithm):
+        # coefficient counts 4, 3, 4 and 2: the gradients are evaluated in
+        # groups, one of them not contiguous, and one gradient is constant
+        scenario = q2_scenario(algorithm, ((0.0, -1.0, 0.5, 0.1), (0.3, 0.5, 0.5),
+                                           (0.0, 2.0, 0.5, 0.1)))
+        traj, err = self.check(scenario)
+        assert err is None
+        agents = scenario.agents + (scenario.agents[0],)
+        costs = scenario.costs + (CostSpec("custom_polynomial", (1.0, -0.5), 2),)
+        weights = np.ones((4, 4)) - np.eye(4)
+        one_graph = GraphProcess(graphs=(WeightedDigraph(weights),), generator=[[0.0]],
+                                 initial_distribution=[1.0])
+        _, err = self.check(dataclasses.replace(scenario, agents=agents, costs=costs,
+                                                graph_process=one_graph))
+        assert err is None
+
     def test_exp_pair_divergence_truncation(self):
         cost = CostSpec("exp_pair", (-2.0, -0.5, 0.5, 0.3))
         traj, err = self.check(single_agent_scenario(cost, x0=0.0, horizon=5.0))
@@ -716,6 +752,35 @@ class TestLeanLoopMatchesReference:
             params=AlgorithmParams(2.0, 1.0), horizon=0.01, step=1e-3, seed=0,
             initial=init))
         assert np.signbit(traj.rho).any()
+
+    @pytest.mark.parametrize("row, n_steps", [
+        (U_BLOCK, 3 * U_BLOCK),            # the last good row ends a block
+        (U_BLOCK + 100, 3 * U_BLOCK),      # inside a block
+        (2 * U_BLOCK + 40, 2 * U_BLOCK + 100),  # inside the final partial block
+        (2 * U_BLOCK, 2 * U_BLOCK + 100),  # the last full block's last row
+    ])
+    def test_divergence_found_in_its_block(self, row, n_steps):
+        # the guards are checked a block at a time; the steps after the
+        # failure are integrated and discarded
+        traj, err = self.check(diverging_at(row, n_steps))
+        assert isinstance(err, DivergenceError)
+        assert err.time == row * 1e-2 and traj.times.size == row
+
+    def test_trigger_positivity_and_divergence_at_one_step(self):
+        # one agent has zero consensus errors under either law, so the
+        # event-based run has the time-based run's state; at 0.002 s its
+        # state leaves the range and, from a drift it did not fire on, its
+        # trigger variable turns negative: the trigger variable is reported
+        base = single_agent_scenario(CostSpec("custom_polynomial", (0.0, 0.0, -1e5)),
+                                     x0=2.0 ** -20, horizon=0.3)
+        _, diverged = self.check(base)
+        trigger = default_trigger(sigma_g=1e-4, sigma_h=1e-4, delta_g=0.99,
+                                  delta_h=0.99, k_g=200.0, k_h=200.0)
+        _, err = self.check(dataclasses.replace(base, algorithm="event_based",
+                                                trigger=trigger))
+        assert isinstance(diverged, DivergenceError)
+        assert isinstance(err, InvariantViolatedError)
+        assert err.time == diverged.time == 0.002
 
     def test_event_based_divergence_truncation(self):
         # seed 1 draws initial states that the exp_pair agent cannot absorb
