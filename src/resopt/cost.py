@@ -159,8 +159,7 @@ def team_theta(costs, q: int):
     for j, rows in enumerate(groups.values()):
         tables = [_GRADIENTS[costs[i].kind](costs[i].parameters) for i in rows]
         columns = {name: np.array([[t[0][name]] for t in tables]) for name in tables[0][0]}
-        contiguous = rows[-1] - rows[0] == len(rows) - 1
-        namespace[f"rows_{j}"] = slice(rows[0], rows[-1] + 1) if contiguous else np.array(rows)
+        namespace[f"rows_{j}"] = np.array(rows)
         body += [f"t_{j} = ys[rows_{j}]",
                  *_suffixed(columns, tables[0][1], f"_{j}", namespace),
                  f"gs[rows_{j}] = g_{j}"]
