@@ -14,7 +14,8 @@ import dataclasses
 import sys
 
 from resopt.cli import preset_scenario
-from resopt.sim import compare_beta_sweep
+from resopt.cost import centralized_optimum
+from resopt.sim import convergence_report, run
 
 
 def main() -> int:
@@ -24,14 +25,21 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
 
-    betas = [float(v) for v in args.betas.split(",")]
     scenario = dataclasses.replace(preset_scenario("case1").scenario,
                                    seed=args.seed)
-    report = compare_beta_sweep(scenario, betas, probe_time=args.probe)
-    print(f"probe time t={report.probe_time:g}s (error vs the optimum, "
-          "best first)")
-    for entry in report.entries:
-        print(f"  beta={entry.beta:<4g} max_error={entry.probe_error:.6e}")
+    if not 0.0 <= args.probe <= scenario.horizon:
+        parser.error(f"--probe must lie in [0, {scenario.horizon:g}]")
+    theta_star = centralized_optimum(scenario.costs)
+    probe = round(args.probe / scenario.step)
+    errors = []
+    for beta in (float(v) for v in args.betas.split(",")):
+        params = dataclasses.replace(scenario.params, beta=beta)
+        traj = run(dataclasses.replace(scenario, params=params))
+        errors.append((convergence_report(traj, theta_star).error_series[probe].max(),
+                       beta))
+    print(f"probe time t={args.probe:g}s (error vs the optimum, best first)")
+    for error, beta in sorted(errors, key=lambda e: e[0]):
+        print(f"  beta={beta:<4g} max_error={error:.6e}")
     return 0
 
 

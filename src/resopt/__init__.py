@@ -12,19 +12,17 @@ from .attack import (AttackBudget, AttackMetrics, AttackSchedule, attack_active,
 from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
                          eta_flow, eta_step, firing, trigger_functions,
                          trigger_threshold)
-from .cost import (CostSpec, RegularityEstimate, centralized_optimum,
-                   estimate_regularity, gradient)
-from .errors import (AssumptionViolatedError, ConvexityViolatedError,
-                     DivergenceError, InvariantViolatedError, RegulationError,
-                     ResoptError, UnboundedObjectiveError, ValidationError)
+from .cost import CostSpec, centralized_optimum, gradient
+from .errors import (AssumptionViolatedError, DivergenceError,
+                     InvariantViolatedError, RegulationError, ResoptError,
+                     UnboundedObjectiveError, ValidationError)
 from .graph import (GraphProcess, StationaryWeighting, SwitchingPath,
-                    WeightedDigraph, laplacian, disagreement_lower_bound,
-                    disagreement_weighting_matrix, minimum_cut,
+                    WeightedDigraph, laplacian, minimum_cut,
                     mirror_union_laplacian, sample_switching_path,
                     stationary_weighting, union_graph)
 from .plant import (AgentModel, check_rank_condition, is_hurwitz,
                     solve_regulation)
 from .sim import (ConvergenceReport, InitialCondition, Scenario, Trajectory,
-                  compare_beta_sweep, convergence_report, final_spread, run)
+                  convergence_report, final_spread, run)
 
 __version__ = "0.1.0"

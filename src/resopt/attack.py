@@ -25,8 +25,9 @@ from .errors import ValidationError
 # about 0.1 s.
 MAX_PERIODIC_BURSTS = 10**6
 # The most bursts a schedule may hold when a budget is checked against it:
-# the duration check is O(P^2) in the burst count P and takes about a
-# second at this limit.
+# both checks are O(P^2) in the burst count P.  At this limit the duration
+# check takes about 0.05 s and the frequency check 0.025 s (1000 bursts of
+# 10 ms every 50 ms; 2-core x86_64 Xeon, Python 3.11, numpy 2.4).
 MAX_BUDGET_BURSTS = 1000
 
 

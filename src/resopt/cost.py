@@ -1,5 +1,5 @@
-"""Per-agent convex costs: values, analytic gradients, curvature bounds, and
-a centralized optimum oracle.
+"""Per-agent convex costs: values, analytic gradients, and a centralized
+optimum oracle.
 
 Four cost kinds are supported.  ``exp_pair``, ``quartic`` and
 ``log_quadratic`` are scalar (q = 1) with parameters
@@ -14,14 +14,9 @@ polynomial applied separably to each coordinate, so it works for any q.
 Each kind's gradient is written once, as a short statement template over
 ``t`` and named parameters (``_GRADIENTS``).  From the templates, functions
 are compiled: ``CostSpec.grad`` for one cost, which ``gradient`` puts behind
-a point check and the q = 1 oracle bisects on, and ``team_theta`` for a
+a point check and the optimum oracle bisects on, and ``team_theta`` for a
 whole team, which the integrator (``sim``) calls at every RK4 stage.  Both
 run the same floating-point expressions.
-
-Regularity constants are estimated on a user-declared working box rather
-than globally; several interesting costs have gradients that are only
-locally Lipschitz, and one of the bundled ones is not even convex on the
-whole line.
 """
 
 from __future__ import annotations
@@ -32,12 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (ConvexityViolatedError, UnboundedObjectiveError,
-                     ValidationError)
+from .errors import UnboundedObjectiveError, ValidationError
 
 KINDS = ("exp_pair", "quartic", "log_quadratic", "custom_polynomial")
 _PARAM_COUNTS = {"exp_pair": 4, "quartic": 3, "log_quadratic": 2}
-REGULARITY_GRID = 10_000
 _BRACKET_LIMIT = 1e10
 
 
@@ -140,9 +133,8 @@ def team_theta(costs, q: int):
 
     For q = 1 it unpacks ``y.tolist()`` and the list ``const`` and runs every
     agent's statements in line, in float arithmetic.  For q > 1 (every cost
-    a custom_polynomial) each group of agents with the same coefficient
-    count runs the statements once on its (n_g, q) block of y, with (n_g, 1)
-    coefficient columns: the same elementwise operations."""
+    a custom_polynomial) it runs each agent's statements on that agent's row
+    ``ys[i]`` of y: the same operations, elementwise."""
     namespace = dict(_KERNEL_NAMES)
     n = len(costs)
     if q == 1:
@@ -152,17 +144,11 @@ def team_theta(costs, q: int):
             body += _suffixed(*_GRADIENTS[c.kind](c.parameters), f"_{i}", namespace)
         body.append("out[:] = [" + ", ".join(f"-g_{i} + c_{i}" for i in range(n)) + "]")
         return _compile(["def theta(y, const, out):", *body], namespace)
-    groups = {}
-    for i, c in enumerate(costs):
-        groups.setdefault((c.kind, len(c.parameters)), []).append(i)
     body = [f"ys, gs = y.reshape({n}, {q}), out.reshape({n}, {q})"]
-    for j, rows in enumerate(groups.values()):
-        tables = [_GRADIENTS[costs[i].kind](costs[i].parameters) for i in rows]
-        columns = {name: np.array([[t[0][name]] for t in tables]) for name in tables[0][0]}
-        namespace[f"rows_{j}"] = np.array(rows)
-        body += [f"t_{j} = ys[rows_{j}]",
-                 *_suffixed(columns, tables[0][1], f"_{j}", namespace),
-                 f"gs[rows_{j}] = g_{j}"]
+    for i, c in enumerate(costs):
+        body += [f"t_{i} = ys[{i}]",
+                 *_suffixed(*_GRADIENTS[c.kind](c.parameters), f"_{i}", namespace),
+                 f"gs[{i}] = g_{i}"]
     body += ["negative(out, out=out)", "out += const"]
     return _compile(["def theta(y, const, out):", *body], namespace)
 
@@ -197,69 +183,6 @@ def gradient(c: CostSpec, y) -> np.ndarray:
     return np.full(y.shape, c.grad(y if c.dimension > 1 else float(y[0])))
 
 
-def second_derivative(c: CostSpec, y) -> np.ndarray:
-    """Diagonal of the Hessian at ``y`` (all supported kinds are separable)."""
-    y = _check_point(c, y)
-    p = c.parameters
-    if c.kind == "exp_pair":
-        t = y[0]
-        h = p[0] * p[1] ** 2 * _exp(p[1] * t) + p[2] * p[3] ** 2 * _exp(p[3] * t)
-        return np.array([h])
-    if c.kind == "quartic":
-        t = y[0]
-        return np.array([12.0 * p[0] * t ** 2 + 2.0 * p[1]])
-    if c.kind == "log_quadratic":
-        t = y[0]
-        t2 = t * t
-        h = (2.0 * p[0] * math.log1p(t2)
-             + 2.0 * p[0] * t2 * (3.0 + t2) / (1.0 + t2) ** 2
-             + 2.0 * p[1])
-        return np.array([h])
-    out = np.zeros_like(y)
-    for k, coef in enumerate(p):
-        if k > 1 and coef != 0.0:
-            out += k * (k - 1) * coef * y ** (k - 2)
-    return out
-
-
-@dataclass(frozen=True)
-class RegularityEstimate:
-    """Curvature bounds of a cost on a working box."""
-
-    iota: float
-    lipschitz: float
-    box: tuple
-
-    def __post_init__(self):
-        if not (0.0 < self.iota <= self.lipschitz):
-            raise ValidationError("regularity needs 0 < iota <= lipschitz")
-
-
-def estimate_regularity(c: CostSpec, box, grid_points: int = REGULARITY_GRID
-                        ) -> RegularityEstimate:
-    """Strong-convexity and gradient-Lipschitz bounds on ``box`` (q = 1).
-
-    Scans the second derivative on a uniform grid; a non-positive value
-    anywhere on the grid means the cost is not strongly convex there and is
-    reported as an error rather than silently clamped to a tiny constant.
-    """
-    if c.dimension != 1:
-        raise ValidationError("regularity estimation is implemented for q = 1 costs")
-    lo, hi = float(box[0]), float(box[1])
-    if not hi > lo:
-        raise ValidationError("working box must be a nonempty interval")
-    grid = np.linspace(lo, hi, grid_points)
-    curvature = np.array([second_derivative(c, [t])[0] for t in grid])
-    iota = float(curvature.min())
-    if iota <= 0.0:
-        worst = grid[int(np.argmin(curvature))]
-        raise ConvexityViolatedError(
-            f"second derivative is {iota:.6g} at t={worst:.6g}; "
-            f"cost is not strongly convex on [{lo}, {hi}]")
-    return RegularityEstimate(iota=iota, lipschitz=float(curvature.max()),
-                              box=(lo, hi))
-
-
 def _sum_gradient(costs, t: float) -> float:
     return float(sum(c.grad(t) for c in costs))
 
@@ -267,10 +190,11 @@ def _sum_gradient(costs, t: float) -> float:
 def centralized_optimum(costs, tolerance: float = 1e-12):
     """Minimizer of the summed cost, to first-order tolerance.
 
-    For q = 1 this brackets a sign change of the summed gradient (expanding
-    from [-1, 1] up to 1e10) and bisects until ``|sum grad| < tolerance``.
-    For larger q (custom polynomials) a damped Newton iteration on the
-    separable coordinates is used.
+    This brackets a sign change of the summed gradient (expanding from
+    [-1, 1] up to 1e10) and bisects until ``|sum grad| < tolerance``.  For
+    q > 1 every cost applies one polynomial to each coordinate, so the
+    minimizer is that root in every coordinate, and the criterion holds
+    coordinate by coordinate.
     """
     costs = list(costs)
     if not costs:
@@ -278,9 +202,8 @@ def centralized_optimum(costs, tolerance: float = 1e-12):
     q = costs[0].dimension
     if any(c.dimension != q for c in costs):
         raise ValidationError("all costs must share the decision dimension")
-    if q == 1:
-        return _bisect_optimum(costs, tolerance)
-    return _newton_optimum(costs, tolerance)
+    root = _bisect_optimum(costs, tolerance)
+    return root if q == 1 else np.full(q, root)
 
 
 def _bisect_optimum(costs, tolerance: float) -> float:
@@ -311,31 +234,3 @@ def _bisect_optimum(costs, tolerance: float) -> float:
         return mid
     raise UnboundedObjectiveError(
         f"bisection stalled with |sum grad| = {abs(g_mid):.3e} >= {tolerance}")
-
-
-def _newton_optimum(costs, tolerance: float) -> np.ndarray:
-    q = costs[0].dimension
-    point = np.zeros(q)
-    for _ in range(200):
-        grad = sum(gradient(c, point) for c in costs)
-        if np.linalg.norm(grad) < tolerance:
-            return point
-        hess = sum(second_derivative(c, point) for c in costs)
-        if np.any(hess <= 0.0):
-            raise ConvexityViolatedError("summed Hessian is not positive at the iterate")
-        step = grad / hess
-        scale = 1.0
-        base = sum(value(c, point) for c in costs)
-        while scale > 1e-12:
-            trial = point - scale * step
-            if sum(value(c, trial) for c in costs) <= base:
-                point = trial
-                break
-            scale *= 0.5
-        else:
-            break
-    grad = sum(gradient(c, point) for c in costs)
-    if np.linalg.norm(grad) >= tolerance:
-        raise UnboundedObjectiveError(
-            f"Newton stalled with |sum grad| = {np.linalg.norm(grad):.3e}")
-    return point

@@ -27,10 +27,6 @@ class RegulationError(ValidationError):
     """The regulator equations admit no solution at the requested tolerance."""
 
 
-class ConvexityViolatedError(ValidationError):
-    """A cost's second derivative is non-positive somewhere on the working box."""
-
-
 class UnboundedObjectiveError(ResoptError):
     """No sign change of the summed gradient was found inside the search range."""
 

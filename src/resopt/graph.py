@@ -267,33 +267,6 @@ def stationary_weighting(process: GraphProcess) -> StationaryWeighting:
     return StationaryWeighting(pi=pi, min_cut=cut)
 
 
-def disagreement_weighting_matrix(lap: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Weighted disagreement matrix ``Q = L Pi + Pi L^T`` for a Laplacian."""
-    lap = _matrix(lap, "Laplacian")
-    big_pi = np.diag(np.asarray(pi, dtype=float).reshape(-1))
-    return lap @ big_pi + big_pi @ lap.T
-
-
-def disagreement_lower_bound(q: np.ndarray, pi: np.ndarray, c: float, xi: np.ndarray):
-    """Both sides of the disagreement bound ``xi^T Q xi >= pi_min c / N^2 |xi|^2``.
-
-    Requires ``pi . xi == 0`` (the bound's hypothesis); returns ``(lhs, rhs)``
-    so property suites can assert ``lhs >= rhs - tol`` themselves.
-    """
-    q = _matrix(q, "Q")
-    pi = np.asarray(pi, dtype=float).reshape(-1)
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    n = xi.size
-    if q.shape != (n, n) or pi.shape != (n,):
-        raise ValidationError("Q, pi, xi dimensions are inconsistent")
-    norm = float(np.linalg.norm(xi))
-    if abs(float(pi @ xi)) > 1e-9 * max(1.0, norm):
-        raise ValidationError("xi must be pi-orthogonal (pi . xi == 0 within 1e-9)")
-    lhs = float(xi @ q @ xi)
-    rhs = float(pi.min()) * float(c) / float(n * n) * norm * norm
-    return lhs, rhs
-
-
 def sample_switching_path(process: GraphProcess, horizon: float, seed: int) -> SwitchingPath:
     """Sample the Markov chain's graph index over ``[0, horizon)``.
 

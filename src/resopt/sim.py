@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -542,44 +542,3 @@ def final_spread(traj: Trajectory) -> float:
     y = traj.y_per_agent()[-1]
     return float(max(np.linalg.norm(y[i] - y[j])
                      for i in range(y.shape[0]) for j in range(y.shape[0])))
-
-
-@dataclass
-class BetaSweepEntry:
-    beta: float
-    probe_error: float
-
-
-@dataclass
-class BetaSweepReport:
-    probe_time: float
-    entries: tuple  # sorted by probe_error, ascending
-
-
-def compare_beta_sweep(base: Scenario, betas, probe_time: float | None = None
-                       ) -> BetaSweepReport:
-    """Run the scenario once per beta and order the betas by probe error.
-
-    The probe error is ``max_i |y_i(t_probe) - theta*|``, read from the
-    convergence report against the centralized oracle's theta*;
-    ``probe_time`` defaults to mid-horizon.
-    """
-    from .cost import centralized_optimum
-
-    if base.algorithm == "event_based":
-        raise ValidationError("beta sweeps support attack_free/time_based scenarios")
-    if probe_time is None:
-        probe_time = 0.5 * base.horizon
-    if not 0.0 <= probe_time <= base.horizon:
-        raise ValidationError("probe time must lie inside the horizon")
-    theta_star = centralized_optimum(list(base.costs), 1e-12)
-    idx = round(probe_time / base.step)
-    entries = []
-    for b in betas:
-        scen = replace(base, params=AlgorithmParams(alpha=base.params.alpha,
-                                                    beta=float(b)))
-        err = float(convergence_report(run(scen), theta_star).error_series[idx].max())
-        entries.append(BetaSweepEntry(beta=float(b), probe_error=err))
-    entries.sort(key=lambda e: e.probe_error)
-    return BetaSweepReport(probe_time=float(probe_time), entries=tuple(entries))
-

@@ -57,3 +57,13 @@ def single_edge(n, j, i, weight=1.0):
     a = np.zeros((n, n))
     a[i, j] = weight
     return WeightedDigraph(a)
+
+
+def disagreement_sides(lap, pi, cut, xi):
+    """Both sides of the disagreement bound ``xi^T Q xi >= pi_min c / N^2 |xi|^2``
+    with ``Q = L Pi + Pi L^T``, for a pi-orthogonal ``xi``."""
+    pi, xi = np.asarray(pi, dtype=float), np.asarray(xi, dtype=float)
+    big_pi = np.diag(pi)
+    q = lap @ big_pi + big_pi @ lap.T
+    norm = float(np.linalg.norm(xi))
+    return float(xi @ q @ xi), float(pi.min()) * float(cut) / float(xi.size ** 2) * norm * norm

@@ -449,6 +449,20 @@ class TestRunCommand:
         assert float(values["theta_star_1"]) == pytest.approx(0.0, abs=1e-9)
         assert float(values["theta_star_2"]) == pytest.approx(0.0, abs=1e-9)
 
+    def test_q2_cost_flat_at_the_origin(self, tmp_path, capsys):
+        # t + t^4 is convex with zero curvature at t = 0; its optimum is the
+        # q = 1 root in each coordinate
+        doc = q2_doc()
+        for cost in doc["costs"]:
+            cost["parameters"] = [0.0, 1.0, 0.0, 0.0, 1.0]
+        path = tmp_path / "q2.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        report = (out / "report.csv").read_text().splitlines()
+        values = dict(zip(report[0].split(","), report[1].split(",")))
+        assert values["theta_star_1"] == values["theta_star_2"] == "-0.6299605249473643"
+
     def test_unsafe_output_names_rejected(self, tmp_path, capsys):
         # a repeated name would replace an output, "../x" would land outside
         # --out, and "" would name the directory itself
@@ -665,11 +679,11 @@ class TestEventsLines:
         assert list(_events_lines(traj)) == ["agent,time,status"]
 
 
-class TestParallelTrajectoryWriter:
+class TestInterruptedTrajectoryWrite:
     """A trajectory.csv write that fails part-way keeps the old file."""
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt(), MemoryError()])
-    def test_parent_range_raising_kills_workers(self, tmp_path, monkeypatch, error):
+    def test_raising_row_generator_keeps_old_file(self, tmp_path, monkeypatch, error):
         path = tmp_path / "fast.json"
         path.write_text(json.dumps(fast_doc()))
         out = tmp_path / "o"

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from conftest import THETA_STAR
-from resopt.cost import (KINDS, CostSpec, centralized_optimum, estimate_regularity,
-                         gradient, second_derivative, team_theta, value)
-from resopt.errors import (ConvexityViolatedError, UnboundedObjectiveError,
-                           ValidationError)
+from resopt.cost import (KINDS, CostSpec, centralized_optimum, gradient, team_theta,
+                         value)
+from resopt.errors import ResoptError, UnboundedObjectiveError, ValidationError
 
 
 def fd_gradient(cost, t, h=1e-6):
@@ -132,7 +131,7 @@ class TestTeamTheta:
                              min_size=1, max_size=6))))
     @settings(max_examples=300, deadline=None)
     def test_polynomial_groups_match_each_kernel(self, drawn):
-        # agents with equal coefficient counts are evaluated as one block
+        # each agent's statements run on its own row of y
         q, agents = drawn
         costs = [c for c, _, _ in agents]
         y = np.array([t for _, ts, _ in agents for t in ts])
@@ -163,43 +162,6 @@ class TestTeamTheta:
         team_theta([CostSpec("exp_pair", (1.0, 2.0, 0.5, 0.3))], 1)(np.array([350.0]),
                                                                     [0.0], out)
         assert out[0] == -math.inf
-
-
-class TestEstimateRegularity:
-    def test_quartic_on_unit_box(self, demo_costs):
-        est = estimate_regularity(demo_costs[1], (-1.0, 1.0))
-        assert est.iota == pytest.approx(4.0, abs=1e-4)
-        assert est.lipschitz == pytest.approx(16.0)
-
-    def test_pure_quadratic(self):
-        c = CostSpec("custom_polynomial", (0.0, 0.0, 0.5))
-        est = estimate_regularity(c, (-5.0, 5.0))
-        assert est.iota == pytest.approx(1.0)
-        assert est.lipschitz == pytest.approx(1.0)
-
-    def test_exp_pair_not_convex_near_origin(self, demo_costs):
-        # the first bundled cost has negative curvature left of t ~ 3, so the
-        # strong-convexity scan must refuse rather than report a bogus bound
-        with pytest.raises(ConvexityViolatedError):
-            estimate_regularity(demo_costs[0], (-2.0, 2.0))
-
-    def test_exp_pair_convex_far_right(self, demo_costs):
-        est = estimate_regularity(demo_costs[0], (4.0, 6.0))
-        assert est.iota > 0.0
-
-    def test_curvature_sandwich_property(self, demo_costs):
-        # iota |x-y|^2 <= (x-y)(grad x - grad y) <= lipschitz |x-y|^2
-        cost = demo_costs[1]
-        est = estimate_regularity(cost, (-3.0, 3.0))
-        rng = np.random.default_rng(1)
-        for _ in range(1000):
-            a, b = rng.uniform(-3.0, 3.0, size=2)
-            if a == b:
-                continue
-            inner = (a - b) * (gradient(cost, [a])[0] - gradient(cost, [b])[0])
-            gap = (a - b) ** 2
-            assert est.iota * gap <= inner + 1e-9
-            assert inner <= est.lipschitz * gap + 1e-9
 
 
 class TestCentralizedOptimum:
@@ -247,6 +209,27 @@ class TestCentralizedOptimum:
         point = centralized_optimum(costs, 1e-10)
         np.testing.assert_allclose(point, [0.5, 0.5], atol=1e-8)
 
+    @given(hs.lists(hs.one_of(
+        hs.lists(hs.floats(-5.0, 5.0), min_size=1, max_size=6),
+        # convex quartics, some with zero curvature at the origin (t + t^4)
+        hs.tuples(hs.floats(-5.0, 5.0), hs.floats(-5.0, 5.0), hs.floats(0.0, 5.0),
+                  hs.just(0.0), hs.floats(0.01, 5.0)).map(list)), min_size=1, max_size=4),
+        hs.sampled_from([2, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_q_repeats_the_scalar_root(self, team, q):
+        def optimum(dimension):
+            try:
+                return centralized_optimum(
+                    [CostSpec("custom_polynomial", tuple(c), dimension) for c in team])
+            except ResoptError as exc:
+                return type(exc)
+
+        scalar, wide = optimum(1), optimum(q)
+        if isinstance(scalar, type):
+            assert wide is scalar
+        else:
+            assert bits(wide) == bits(np.full(q, scalar))
+
 
 class TestCostSpecValidation:
     def test_unknown_kind(self):
@@ -261,5 +244,3 @@ class TestCostSpecValidation:
         with pytest.raises(ValidationError):
             CostSpec("quartic", (1.0, 2.0, 2.0), dimension=2)
 
-    def test_second_derivative_quartic(self, demo_costs):
-        assert second_derivative(demo_costs[1], [1.0])[0] == pytest.approx(16.0)

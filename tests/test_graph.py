@@ -5,13 +5,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import GENERATOR, RAW_DIST, single_edge
+from conftest import GENERATOR, RAW_DIST, disagreement_sides, single_edge
 from resopt.controller import AlgorithmParams
 from resopt.cost import CostSpec
 from resopt.errors import AssumptionViolatedError, ValidationError
-from resopt.graph import (GraphProcess, WeightedDigraph, laplacian,
-                          disagreement_lower_bound, disagreement_weighting_matrix,
-                          minimum_cut, mirror_union_laplacian,
+from resopt.graph import (GraphProcess, WeightedDigraph, laplacian, minimum_cut,
+                          mirror_union_laplacian,
                           sample_switching_path, stationary_weighting,
                           union_graph)
 from resopt.plant import AgentModel
@@ -194,8 +193,7 @@ class TestStationaryWeighting:
 
 class TestDisagreementBound:
     def test_zero_vector(self):
-        q = np.zeros((2, 2))
-        lhs, rhs = disagreement_lower_bound(q, [0.5, 0.5], 1.0, [0.0, 0.0])
+        lhs, rhs = disagreement_sides(np.zeros((2, 2)), [0.5, 0.5], 1.0, [0.0, 0.0])
         assert lhs == 0.0 and rhs == 0.0
 
     def test_two_vertex_balanced(self):
@@ -203,27 +201,21 @@ class TestDisagreementBound:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         lap = laplacian(WeightedDigraph(a))
         pi = np.array([0.5, 0.5])
-        q = disagreement_weighting_matrix(lap, pi)
         xi = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        lhs, rhs = disagreement_lower_bound(q, pi, 1.0, xi)
+        lhs, rhs = disagreement_sides(lap, pi, 1.0, xi)
         # direct evaluation: Q = L here, so xi^T Q xi = (xi1 - xi2)^2 = 2
         assert lhs == pytest.approx(2.0)
         assert rhs == pytest.approx(0.5 * 1.0 / 4.0)
         assert lhs >= rhs - 1e-9
 
-    def test_orthogonality_precondition(self):
-        with pytest.raises(ValidationError):
-            disagreement_lower_bound(np.zeros((2, 2)), [0.5, 0.5], 1.0, [1.0, 1.0])
-
     def test_monte_carlo_on_bundled_union(self, bundled_process):
         sw = stationary_weighting(bundled_process)
         lap_un = laplacian(union_graph(bundled_process.graphs))
-        q = disagreement_weighting_matrix(lap_un, sw.pi)
         rng = np.random.default_rng(42)
         for _ in range(1000):
             xi = rng.standard_normal(3)
             xi -= sw.pi * (sw.pi @ xi) / (sw.pi @ sw.pi)
-            lhs, rhs = disagreement_lower_bound(q, sw.pi, sw.min_cut, xi)
+            lhs, rhs = disagreement_sides(lap_un, sw.pi, sw.min_cut, xi)
             assert lhs >= rhs - 1e-9
 
 

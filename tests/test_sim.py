@@ -19,8 +19,8 @@ from resopt.graph import (GraphProcess, WeightedDigraph, laplacian,
                           sample_switching_path)
 from resopt.plant import AgentModel
 from resopt.sim import (STATE_LIMIT, U_BLOCK, InitialCondition, Scenario,
-                        Trajectory, _draw_initial, _Stacked, compare_beta_sweep,
-                        convergence_report, final_spread, run)
+                        Trajectory, _draw_initial, _Stacked, convergence_report,
+                        final_spread, run)
 
 
 def scalar_agent():
@@ -226,35 +226,6 @@ class TestConvergenceReport:
     def test_final_spread(self):
         traj = run(pair_scenario(horizon=1.0, start=(1.0, -1.0)))
         assert final_spread(traj) >= 0.0
-
-
-class TestBetaSweep:
-    def test_identical_betas_identical_errors(self):
-        scen = bundled_scenario(horizon=2.0)
-        rep = compare_beta_sweep(scen, [1.0, 1.0, 1.0], probe_time=1.0)
-        errs = [e.probe_error for e in rep.entries]
-        assert errs[0] == errs[1] == errs[2]
-
-    def test_single_beta(self):
-        scen = bundled_scenario(horizon=1.0)
-        rep = compare_beta_sweep(scen, [1.0], probe_time=0.5)
-        assert len(rep.entries) == 1
-
-    def test_event_based_rejected(self):
-        scen = pair_scenario(horizon=1.0, algorithm="event_based",
-                             trigger=default_trigger())
-        with pytest.raises(ValidationError):
-            compare_beta_sweep(scen, [0.5, 1.0])
-
-    def test_default_probe_orders_betas_after_topology_switch(self):
-        # with seed 3 the mid-horizon default probe (t = 14) falls right
-        # after a topology switch, where the larger beta has both injected a
-        # smaller disturbance and damped it faster
-        scen = bundled_scenario(horizon=28.0, seed=3)
-        rep = compare_beta_sweep(scen, [0.5, 1.5])
-        assert rep.probe_time == pytest.approx(14.0)
-        assert rep.entries[0].beta == 1.5
-        assert rep.entries[0].probe_error < rep.entries[1].probe_error
 
 
 class TestZenoAudit:
