@@ -348,13 +348,8 @@ def _build_schedule(doc: dict, horizon: float) -> AttackSchedule | None:
 
 
 def _build_budget(doc: dict) -> AttackBudget | None:
-    budget = doc.get("attacks", {}).get("budget") if doc.get("attacks") else None
-    if budget is None:
-        return None
-    return AttackBudget(lambda_a=budget["lambda_a"], lambda_b=budget["lambda_b"],
-                        mu=budget["mu"], eta_star=budget["eta_star"],
-                        n0=budget.get("n0", 1.0), t0=budget.get("t0", 0.0),
-                        kappa_star=budget.get("kappa_star", 0.0))
+    budget = (doc.get("attacks") or {}).get("budget")
+    return None if budget is None else AttackBudget(**budget)
 
 
 def _output_names(doc: dict) -> dict:
@@ -402,16 +397,9 @@ def build_scenario(doc: dict) -> LoadedScenario:
             f"attacks.budget cannot be checked against {len(schedule.intervals)} "
             f"bursts, above the limit of {MAX_BUDGET_BURSTS}; without "
             f"attacks.budget the schedule is admitted")
-    init_doc = simdoc.get("initial", {"mode": "random"})
-    if init_doc.get("mode", "random") == "explicit":
-        initial = InitialCondition(
-            mode="explicit",
-            states=tuple((s["x"], s["rho"], s["z"])
-                         for s in init_doc.get("states", ())))
-    else:
-        initial = InitialCondition(mode="random",
-                                   low=init_doc.get("low", -10.0),
-                                   high=init_doc.get("high", 10.0))
+    initial = dict(simdoc.get("initial", {}))
+    if "states" in initial:
+        initial["states"] = tuple((s["x"], s["rho"], s["z"]) for s in initial["states"])
     params_doc = doc["params"]
     trigger_doc = params_doc.get("trigger")
     trigger = TriggerParams(**trigger_doc) if trigger_doc else None
@@ -421,7 +409,8 @@ def build_scenario(doc: dict) -> LoadedScenario:
         params=AlgorithmParams(alpha=params_doc["alpha"],
                                beta=params_doc["beta"]),
         horizon=horizon, step=float(simdoc["step"]),
-        seed=int(simdoc["seed"]), initial=initial, trigger=trigger)
+        seed=int(simdoc["seed"]), initial=InitialCondition(**initial),
+        trigger=trigger)
     return LoadedScenario(scenario=scenario, budget=budget, raw=doc)
 
 
@@ -646,7 +635,7 @@ def _conditions_lines(scenario: Scenario, budget: AttackBudget | None):
               "duty,t_f_star,tightest_t_f,frequency_pass,t_a_star,"
               "tightest_t_a,duration_pass")
     yield header
-    schedule = scenario.attack_schedule or AttackSchedule.empty(scenario.horizon)
+    schedule = scenario.attack_schedule
     window = (0.0, scenario.horizon)
     metrics = attack_metrics(schedule, *window)
     variants = [("plain", False)]

@@ -78,9 +78,9 @@ class CostSpec:
 # Each kind's gradient, written once: statements over ``t_`` that leave the
 # gradient in ``g_``, and the parameters they read, folded from the cost's
 # own.  Every name ends in ``_``, which a team's function replaces by
-# ``_<agent index>`` (``team_theta``).  Parameters are bound by name in the
-# compiled function's namespace, never written into its source.  These are
-# the only gradient formulas: the integrator and the oracle both run them.
+# ``_<coordinate index>`` (``team_theta``).  Parameters are bound by name in
+# the compiled function's namespace, never written into its source.  These
+# are the only gradient formulas: the integrator and the oracle both run them.
 def _exp_pair(p):
     return ({"c1r1_": p[0] * p[1], "r1_": p[1], "c2r2_": p[2] * p[3], "r2_": p[3]},
             ["v1_ = r1_ * t_", "v2_ = r2_ * t_",
@@ -108,8 +108,7 @@ def _custom_polynomial(p):
 
 _GRADIENTS = {"exp_pair": _exp_pair, "quartic": _quartic,
               "log_quadratic": _log_quadratic, "custom_polynomial": _custom_polynomial}
-_KERNEL_NAMES = {"exp": math.exp, "log1p": math.log1p, "inf": math.inf,
-                 "negative": np.negative}
+_KERNEL_NAMES = {"exp": math.exp, "log1p": math.log1p, "inf": math.inf}
 
 
 def _compile(lines: list, namespace: dict):
@@ -129,27 +128,21 @@ def _suffixed(params: dict, lines: list, suffix: str, namespace: dict) -> list:
 
 def team_theta(costs, q: int):
     """``theta(y, const, out)``: ``out = -grad f(y) + const`` for a whole
-    team, y and const stacked over the agents, compiled into one function.
+    team, compiled into one function.
 
-    For q = 1 it unpacks ``y.tolist()`` and the list ``const`` and runs every
-    agent's statements in line, in float arithmetic.  For q > 1 (every cost
-    a custom_polynomial) it runs each agent's statements on that agent's row
-    ``ys[i]`` of y: the same operations, elementwise."""
+    y, the list const and out run over the team's scalar coordinates, agent
+    i's coordinate d at index i q + d.  Every cost applies its statements to
+    each coordinate (a q > 1 cost is a custom_polynomial), so the function
+    unpacks ``y.tolist()`` and ``const`` and runs every coordinate's
+    statements in line, in float arithmetic."""
     namespace = dict(_KERNEL_NAMES)
-    n = len(costs)
-    if q == 1:
-        body = ["".join(f"t_{i}, " for i in range(n)) + "= y.tolist()",
-                "".join(f"c_{i}, " for i in range(n)) + "= const"]
-        for i, c in enumerate(costs):
-            body += _suffixed(*_GRADIENTS[c.kind](c.parameters), f"_{i}", namespace)
-        body.append("out[:] = [" + ", ".join(f"-g_{i} + c_{i}" for i in range(n)) + "]")
-        return _compile(["def theta(y, const, out):", *body], namespace)
-    body = [f"ys, gs = y.reshape({n}, {q}), out.reshape({n}, {q})"]
-    for i, c in enumerate(costs):
-        body += [f"t_{i} = ys[{i}]",
-                 *_suffixed(*_GRADIENTS[c.kind](c.parameters), f"_{i}", namespace),
-                 f"gs[{i}] = g_{i}"]
-    body += ["negative(out, out=out)", "out += const"]
+    coords = [c for c in costs for _ in range(q)]
+    n = len(coords)
+    body = ["".join(f"t_{i}, " for i in range(n)) + "= y.tolist()",
+            "".join(f"c_{i}, " for i in range(n)) + "= const"]
+    for i, c in enumerate(coords):
+        body += _suffixed(*_GRADIENTS[c.kind](c.parameters), f"_{i}", namespace)
+    body.append("out[:] = [" + ", ".join(f"-g_{i} + c_{i}" for i in range(n)) + "]")
     return _compile(["def theta(y, const, out):", *body], namespace)
 
 

@@ -252,8 +252,10 @@ def stationary_weighting(process: GraphProcess) -> StationaryWeighting:
         if np.any(cand <= 0.0):
             continue
         cand = cand / cand.sum()
-        residual = max(np.abs(lap @ cand).max() for lap in laps)
-        if residual < STATIONARY_TOL:
+        # Row sums round at about eps |L_g|, so the residual is measured
+        # against each Laplacian's largest entry.
+        if all(np.abs(lap @ cand).max() <= STATIONARY_TOL * np.abs(lap).max()
+               for lap in laps):
             pi = cand
             break
     if pi is None:

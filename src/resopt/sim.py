@@ -99,7 +99,8 @@ class Scenario:
     inconsistent one, and AssumptionViolatedError when the graph process
     fails the joint-connectivity hypothesis (no common positive stationary
     vector, or a disconnected mirror union).  A constructed scenario is one
-    ``run`` accepts.
+    ``run`` accepts.  An ``attack_schedule`` of None is stored as the empty
+    schedule.
     """
 
     agents: tuple
@@ -139,10 +140,11 @@ class Scenario:
         n_steps = round(self.horizon / self.step)
         if abs(n_steps * self.step - self.horizon) > 1e-6 * max(1.0, self.horizon):
             raise ValidationError("horizon must be an integer multiple of step")
+        if self.attack_schedule is None:
+            object.__setattr__(self, "attack_schedule", AttackSchedule.empty(self.horizon))
         if self.algorithm == "event_based" and self.trigger is None:
             raise ValidationError("event_based scenarios need trigger parameters")
-        if self.algorithm == "attack_free" and self.attack_schedule is not None \
-                and self.attack_schedule.intervals:
+        if self.algorithm == "attack_free" and self.attack_schedule.intervals:
             raise ValidationError("attack_free scenarios cannot carry attack intervals")
         if self.initial.mode == "explicit":
             if len(self.initial.states) != n_agents:
@@ -241,7 +243,7 @@ class _Stacked:
 
         # theta = -grad f(y) + const_theta, the optimization input of every
         # agent, written into ``out`` from the stacked outputs y by one
-        # compiled function.  const_theta is a list when q = 1.
+        # compiled function.  const_theta is a list.
         self.theta_eval = team_theta(scenario.costs, q)
 
 
@@ -284,11 +286,7 @@ def run(scenario: Scenario) -> Trajectory:
     path = sample_switching_path(scenario.graph_process, scenario.horizon,
                                  scenario.seed)
     r_series = path.state_at(times)
-    if scenario.algorithm == "attack_free" or scenario.attack_schedule is None:
-        schedule = AttackSchedule.empty(scenario.horizon)
-    else:
-        schedule = scenario.attack_schedule
-    attack_on = activity_series(schedule, times)
+    attack_on = activity_series(scenario.attack_schedule, times)
 
     laplacians = [laplacian(g) for g in scenario.graph_process.graphs]
 
@@ -347,12 +345,12 @@ def run(scenario: Scenario) -> Trajectory:
 
     def consensus_part(errs):
         """From the errors [e_y; e_s], what is frozen over the step: the
-        consensus part of theta (read by rhs; a list when q = 1), z's
-        increment and, on the event-based law, the trigger thresholds."""
+        consensus part of theta (read by rhs; a list), z's increment and, on
+        the event-based law, the trigger thresholds."""
         # [-ab e_y; -beta e_s]: -beta e_s - ab e_y and h ab e_y, bit for bit
         pn = neg_gains * errs.reshape(2, nq)
         const = pn[1] + pn[0]
-        return (const.tolist() if q == 1 else const, neg_h * pn[0],
+        return (const.tolist(), neg_h * pn[0],
                 trigger_threshold(errs, trig) if event_mode else None)
 
     def rhs(x_s, rho_s, y_s, out):

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,3 +71,13 @@ def disagreement_sides(lap, pi, cut, xi):
     q = lap @ big_pi + big_pi @ lap.T
     norm = float(np.linalg.norm(xi))
     return float(xi @ q @ xi), float(pi.min()) * float(cut) / float(xi.size ** 2) * norm * norm
+
+
+def load_workloads():
+    """The benchmark's ``perfbench/workloads.py``, imported as a module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module

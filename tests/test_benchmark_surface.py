@@ -5,23 +5,11 @@ operation and its per-layer probe on every workload's smoke document here
 makes a renamed or removed function fail this suite, not the benchmark.
 """
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look the module up
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import load_workloads
 
 workloads = load_workloads()
 

@@ -94,7 +94,7 @@ class TestPresets:
 
     def test_case1_has_no_attacks(self):
         scen = preset_scenario("case1").scenario
-        assert scen.attack_schedule is None
+        assert scen.attack_schedule.intervals == ()
         assert scen.algorithm == "time_based"
 
     def test_case2_attack_template(self):
@@ -782,6 +782,20 @@ class TestAdmission:
         assert main(["check", str(path), "--set",
                      "graph_process.weights.0.1.0=0"]) == 2
         assert "joint connectivity fails" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e7, 1e8])
+    def test_check_admits_large_weights(self, tmp_path, scale):
+        # a strongly connected graph whose Laplacian rows sum to zero only up
+        # to rounding at its own scale
+        rng = np.random.default_rng(0)
+        a = (rng.random((3, 3)) + 0.1) * scale
+        np.fill_diagonal(a, 0.0)
+        doc = preset("case1")
+        doc["graph_process"] = {"weights": [a.tolist()], "generator": [[0.0]],
+                                "initial_distribution": [1.0]}
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 0
 
     def test_sweep_rejects_disconnected_member_before_any_runs(self, tmp_path, capsys):
         path = tmp_path / "path.json"

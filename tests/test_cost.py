@@ -130,8 +130,8 @@ class TestTeamTheta:
                                        hs.lists(parameters, min_size=q, max_size=q)),
                              min_size=1, max_size=6))))
     @settings(max_examples=300, deadline=None)
-    def test_polynomial_groups_match_each_kernel(self, drawn):
-        # each agent's statements run on its own row of y
+    def test_polynomial_coordinates_match_each_kernel(self, drawn):
+        # each scalar coordinate of y runs its agent's statements
         q, agents = drawn
         costs = [c for c, _, _ in agents]
         y = np.array([t for _, ts, _ in agents for t in ts])

@@ -169,17 +169,32 @@ class TestStationaryWeighting:
         assert sw.min_cut > 0.0
 
     @staticmethod
-    def two_block_process():
+    def two_block_process(weight=1.0):
         """Two isolated blocks: the union mirror has a zero cut."""
         a = np.zeros((4, 4))
-        a[0, 1] = a[1, 0] = 1.0
-        a[2, 3] = a[3, 2] = 1.0
+        a[0, 1] = a[1, 0] = weight
+        a[2, 3] = a[3, 2] = weight
         return GraphProcess(graphs=(WeightedDigraph(a),),
                             generator=[[0.0]], initial_distribution=[1.0])
 
     def test_disconnected_union_rejected(self):
         with pytest.raises(AssumptionViolatedError):
             stationary_weighting(self.two_block_process())
+
+    @pytest.mark.parametrize("scale", [1e7, 1e8])
+    def test_large_weights_admitted_unless_disconnected(self, scale):
+        # L_g's rows sum to zero only up to about eps max|L_g|, which at
+        # these weights is far above an absolute 1e-9
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            a = (rng.random((6, 6)) + 0.1) * scale
+            np.fill_diagonal(a, 0.0)
+            sw = stationary_weighting(GraphProcess(
+                graphs=(WeightedDigraph(a),), generator=[[0.0]],
+                initial_distribution=[1.0]))
+            assert np.all(sw.pi > 0.0) and sw.min_cut > 0.0
+        with pytest.raises(AssumptionViolatedError):
+            stationary_weighting(self.two_block_process(scale))
 
     def test_scenario_on_disconnected_union_rejected(self):
         agent = AgentModel.build([[0.0]], [[1.0]], [[1.0]], [[1.0]])

@@ -1,14 +1,11 @@
 import dataclasses
-import importlib.util
 import itertools
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import THETA_STAR
+from conftest import THETA_STAR, load_workloads
 from resopt.attack import AttackSchedule, activity_series
 from resopt.controller import (RETRY_SLACK, AlgorithmParams, TriggerParams,
                                consensus_errors)
@@ -590,12 +587,7 @@ def diverging_at(row, n_steps):
 def ring16_scenario():
     """The generated 16-agent ring of the ``ring16_bursty_dos`` benchmark
     workload, at its smoke horizon."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look the module up
-    spec.loader.exec_module(module)
-    return scenario_from(module.ring_document(1, True))
+    return scenario_from(load_workloads().ring_document(1, True))
 
 
 def product_inputs(rng, rows, width):
