@@ -105,16 +105,12 @@ def attack_active(schedule: AttackSchedule, t: float) -> bool:
     """True iff ``t`` lies inside some attack interval ``[a_m, a_m + tau_m)``."""
     if t < 0.0 or t > schedule.horizon:
         raise ValidationError(f"t={t} is outside [0, {schedule.horizon}]")
-    for a, tau in schedule.intervals:
-        if a <= t < a + tau:
-            return True
-        if a > t:
-            break
-    return False
+    return bool(activity_series(schedule, t))
 
 
 def activity_series(schedule: AttackSchedule, times: np.ndarray) -> np.ndarray:
-    """Vectorized ``attack_active`` over a time grid.
+    """Whether each of ``times`` lies inside some attack interval, the one
+    definition behind ``attack_active`` and the integrator's grid.
 
     The intervals are sorted and disjoint, so only the last one starting at
     or before a time can hold it.

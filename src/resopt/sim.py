@@ -25,16 +25,20 @@ tables of ``controller``.  The consensus part of theta, z's increment and
 the trigger thresholds are computed with the consensus errors; on the
 event-based law those are recomputed only when someone fires or the graph
 switches, and on a quiet step the firing decision's trigger values also
-freeze the eta forcing.  u feeds nothing in the step: it is computed
-afterwards, a block at a time, from the recorded x, rho and stage-1 theta by
-the same per-row products.  Every element that feeds x, rho, z or u sees the
-same floating-point operations in the same order as in the unfused loop; eta
-alone differs from that loop's RK4 in its last bits.  Since eta feeds the
-trigger comparisons, an agent at its threshold could fire on another step
-and move the state from there on.  That is not guaranteed against, only
-measured: on the scenarios of the tests, the three presets and seeds 0-120
-of the ``dos_event_based`` benchmark workload, x, y, rho, z, u and every
-event are bit-for-bit those of the unfused loop.
+freeze the eta forcing.  On the time-based law an attack silences the whole
+team, whose consensus errors are then exact zeros whatever the graph and the
+state, so that silenced part is computed once per run and reused at every
+attacked grid point.  The RK4 sum k1 + 2 k2 + 2 k3 + k4 is one reduce over
+the stage rows, which adds them one after another.  u feeds nothing in the
+step: it is computed afterwards, a block at a time, from the recorded x, rho
+and stage-1 theta by the same per-row products.  Every element that feeds x,
+rho, z or u sees the same floating-point operations in the same order as in
+the unfused loop; eta alone differs from that loop's RK4 in its last bits.
+Since eta feeds the trigger comparisons, an agent at its threshold could
+fire on another step and move the state from there on.  That is not
+guaranteed against, only measured: on the scenarios of the tests, the three
+presets and seeds 0-120 of the ``dos_event_based`` benchmark workload, x, y,
+rho, z, u and every event are bit-for-bit those of the unfused loop.
 
 Initial states declared "random" are drawn uniformly from a box with the
 scenario's seeded generator (PCG64, ``low + (high-low) * u``), agent by
@@ -99,8 +103,9 @@ class Scenario:
     inconsistent one, and AssumptionViolatedError when the graph process
     fails the joint-connectivity hypothesis (no common positive stationary
     vector, or a disconnected mirror union).  A constructed scenario is one
-    ``run`` accepts.  An ``attack_schedule`` of None is stored as the empty
-    schedule.
+    ``run`` accepts, and its initial states, drawn or explicit, start inside
+    the [-STATE_LIMIT, STATE_LIMIT] that ``run`` guards.  An
+    ``attack_schedule`` of None is stored as the empty schedule.
     """
 
     agents: tuple
@@ -152,6 +157,14 @@ class Scenario:
             for i, (model, entry) in enumerate(zip(agents, self.initial.states)):
                 if tuple(np.size(v) for v in entry) != (model.n, q, q):
                     raise ValidationError(f"explicit initial state {i} has wrong shape")
+                for name, v in zip(("x", "rho", "z"), entry):
+                    if not np.all(np.abs(np.asarray(v, dtype=float)) <= STATE_LIMIT):
+                        raise ValidationError(
+                            f"explicit initial {name} of agent {i} must be finite "
+                            "and within the state limits [-1e9, 1e9]")
+        elif not max(-self.initial.low, self.initial.high) <= STATE_LIMIT:
+            raise ValidationError("random initial box must lie within the state "
+                                  "limits [-1e9, 1e9]")
         stationary_weighting(self.graph_process)
         object.__setattr__(self, "agents", agents)
         object.__setattr__(self, "costs", costs)
@@ -315,7 +328,6 @@ def run(scenario: Scenario) -> Trajectory:
     # block of U_BLOCK, and u is filled from the history a block at a time
     # (``fill_u``).
     ks = np.empty((4, m))
-    k1, k2, k3, k4 = ks
     k_parts = [(k[:nx], k[nx:]) for k in ks]
     stage = np.empty(m)
     stage_x, stage_rho = stage[:nx], stage[nx:]
@@ -336,6 +348,10 @@ def run(scenario: Scenario) -> Trajectory:
     m_a, m_bukx, m_bw, c_blk = st.m_a, st.m_bukx, st.m_bw, st.c_blk
     neg_k, ukx_blk, w_blk = -st.k_blk, st.ukx_blk, st.w_blk
     half_h, sixth_h, neg_h = 0.5 * h, h / 6.0, -h
+    # k1 + 2 k2 + 2 k3 + k4 as one reduce over the rows of ks, added one
+    # after another onto -0.0; without that start, numpy's reduce starts a
+    # column of -0.0s from +0.0 and returns +0.0.
+    add_reduce = np.add.reduce
     neg_gains = np.array([[-ab], [-beta]])
     r_list, on_list = r_series.tolist(), attack_on.tolist()
 
@@ -412,6 +428,14 @@ def run(scenario: Scenario) -> Trajectory:
             raise DivergenceError(diverged_at, traj)
         return traj
 
+    # While an attack is active the time-based law's consensus errors are
+    # exact zeros whatever the graph and the state, so the part frozen over
+    # an attacked step is one constant of the run: const_theta all -0.0, dz
+    # all +0.0.
+    if not event_mode:
+        silenced = consensus_part(
+            consensus_errors(laplacians[0], np.zeros_like(live), True))
+
     # Divergence is detected by letting inf/nan propagate to the block's
     # guards, so arithmetic warnings along that path are expected noise.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -451,8 +475,10 @@ def run(scenario: Scenario) -> Trajectory:
                         consensus_errors(lap, hats, frozen))
                     gh = trigger_functions(hats, live, threshold)
                 hist_eta[k] = eta
+            elif attacked:
+                const_theta, dz, _ = silenced
             else:
-                const_theta, dz, _ = consensus_part(consensus_errors(lap, live, attacked))
+                const_theta, dz, _ = consensus_part(consensus_errors(lap, live, False))
 
             rhs(x, rho, y, k_parts[0])
             hist[k] = record
@@ -470,9 +496,7 @@ def run(scenario: Scenario) -> Trajectory:
                 dot(c_blk, stage_x, y_stage)
                 rhs(stage_x, stage_rho, y_stage, out)
             ks[1:3] *= 2.0
-            np.add(k1, k2, out=stage)
-            stage += k3
-            stage += k4
+            add_reduce(ks, 0, out=stage, initial=-0.0)
             stage *= sixth_h
             xr += stage
             z += dz

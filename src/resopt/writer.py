@@ -6,8 +6,14 @@ the target only when it is complete, so a failed write leaves the old file.
 The temporary file is given the mode a new file gets under the umask
 (``0o666 & ~umask``), not the 0600 of ``tempfile.mkstemp``.
 
-trajectory.csv is formatted ``CSV_CHUNK_ROWS`` rows at a time, each block of
-float cells by one ``orjson.dumps`` call.  Like ``repr``, orjson writes a
+trajectory.csv is assembled ``CSV_CHUNK_ROWS`` rows at a time.  A block's
+float cells are gathered by one ``hstack`` of the eight Trajectory arrays
+(t, x, y, rho, z, u, eta_g, eta_h) and one ``take`` through the header's
+column order, computed once; ``take`` leaves the block C-contiguous, as
+orjson needs.  Each row's ``,r_state,attack_active`` cells come from a
+table indexed by the (graph, attack) pair, and the block's rows are joined
+into one string, written by one call.  The float cells of a block are
+formatted by one ``orjson.dumps`` call.  Like ``repr``, orjson writes a
 float64 as the shortest decimal digits that read back to the same value,
 choosing the nearest such digits (a Ryu-style encoder; Adams, PLDI 2018).
 The two pick the same digits and differ only in how they lay them out,
@@ -113,27 +119,51 @@ def _repr_rows(block: np.ndarray) -> list:
     return text[2:-2].split("],[")
 
 
-def trajectory_lines(scenario: Scenario, traj):
-    """The lines of trajectory.csv: the header, then one row per time.
+def _column_order(scenario: Scenario, traj) -> np.ndarray:
+    """The float columns of trajectory.csv in header order, as indices into
+    a row of the eight Trajectory arrays side by side: t, x, y, rho, z, u,
+    eta_g, eta_h."""
+    q, big_n = scenario.q, scenario.n_agents
+    nx, nq, pu = traj.x.shape[1], big_n * q, traj.u.shape[1]
+    x0 = 1
+    y0 = x0 + nx
+    rho0 = y0 + nq
+    z0 = rho0 + nq
+    u0 = z0 + nq
+    eta_g0 = u0 + pu
+    eta_h0 = eta_g0 + big_n
+    order = [0]
+    for i in range(big_n):
+        s0, s1 = traj.state_slices[i]
+        i0, i1 = traj.input_slices[i]
+        c0, c1 = i * q, (i + 1) * q
+        order += [*range(x0 + s0, x0 + s1), *range(y0 + c0, y0 + c1),
+                  *range(rho0 + c0, rho0 + c1), *range(z0 + c0, z0 + c1),
+                  *range(u0 + i0, u0 + i1), eta_g0 + i, eta_h0 + i]
+    return np.array(order)
 
-    The float columns are gathered ``CSV_CHUNK_ROWS`` rows at a time into
-    one array, and each row's float cells are written as ``repr`` writes
-    them (``_repr_rows``), which is what ``cli._fmt`` writes for a float cell.
+
+def trajectory_lines(scenario: Scenario, traj):
+    """The text of trajectory.csv without its line ends: the header, then
+    one block of ``CSV_CHUNK_ROWS`` rows at a time, its rows joined by
+    newlines.
+
+    A block's float cells are the eight Trajectory arrays' rows side by side
+    (one ``hstack``), put in header order by one ``take`` through a column
+    order computed once, and written as ``repr`` writes them
+    (``_repr_rows``), which is what ``cli._fmt`` writes for a float cell.
+    Each row then gets its ``,r_state,attack_active`` cells from a table
+    indexed by the (graph, attack) pair.
     """
     yield ",".join(trajectory_header(scenario))
-    q = scenario.q
-    columns = [traj.times[:, None]]  # the float columns in header order
-    for i in range(scenario.n_agents):
-        s0, s1 = traj.state_slices[i]
-        u0, u1 = traj.input_slices[i]
-        c0, c1 = i * q, (i + 1) * q
-        columns += [traj.x[:, s0:s1], traj.y[:, c0:c1], traj.rho[:, c0:c1],
-                    traj.z[:, c0:c1], traj.u[:, u0:u1], traj.eta_g[:, i:i + 1],
-                    traj.eta_h[:, i:i + 1]]
+    order = _column_order(scenario, traj)
+    arrays = (traj.times[:, None], traj.x, traj.y, traj.rho, traj.z, traj.u,
+              traj.eta_g, traj.eta_h)
+    tails = [f",{r},{attacked}"
+             for r in range(len(scenario.graph_process.graphs)) for attacked in (0, 1)]
+    pair = 2 * traj.r_state + traj.attack_on
     for r0 in range(0, len(traj.times), CSV_CHUNK_ROWS):
         r1 = r0 + CSV_CHUNK_ROWS
-        block = np.hstack([c[r0:r1] for c in columns])
-        r_state = traj.r_state[r0:r1].tolist()
-        attack_on = traj.attack_on[r0:r1].tolist()
-        for cells, r, attacked in zip(_repr_rows(block), r_state, attack_on):
-            yield f"{cells},{int(r)},{'1' if attacked else '0'}"
+        block = np.take(np.hstack([a[r0:r1] for a in arrays]), order, axis=1)
+        yield "\n".join(map(str.__add__, _repr_rows(block),
+                              map(tails.__getitem__, pair[r0:r1].tolist())))

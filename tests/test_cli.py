@@ -604,10 +604,16 @@ FLOAT_TABLES = {
 }
 
 
+def trajectory_text(scenario, traj):
+    """trajectory.csv without its last line end; ``trajectory_lines``
+    yields the header, then blocks of rows."""
+    return "\n".join(trajectory_lines(scenario, traj))
+
+
 class TestTrajectoryWriter:
     def assert_matches_reference(self, scenario, traj):
-        assert list(trajectory_lines(scenario, traj)) == \
-            list(per_cell_trajectory_lines(scenario, traj))
+        assert trajectory_text(scenario, traj) == \
+            "\n".join(per_cell_trajectory_lines(scenario, traj))
 
     def test_event_based_run(self):
         scenario, traj = event_based_trajectory()
@@ -622,8 +628,20 @@ class TestTrajectoryWriter:
 
     def test_nan_inf_and_signed_zero_cells(self):
         scenario, traj = nonfinite_trajectory()
-        lines = list(trajectory_lines(scenario, traj))
+        lines = trajectory_text(scenario, traj).split("\n")
         assert "nan" in lines[2] and "inf" in lines[3] and "-inf" in lines[4]
+        self.assert_matches_reference(scenario, traj)
+
+    def test_two_dimensional_outputs_over_many_blocks(self):
+        # the committed q = 2 team: graph switches and the attack's start
+        # and end fall inside blocks, and the last block is partial
+        path = os.path.join(os.path.dirname(__file__), "data", "q2_event_based.json")
+        scenario = load_scenario_file(path, [("sim.horizon", 0.8)]).scenario
+        traj = run(scenario)
+        assert scenario.q == 2 and len(traj.times) % CSV_CHUNK_ROWS
+        for flags in (traj.r_state, traj.attack_on):
+            changes = np.flatnonzero(np.diff(flags.astype(int))) + 1
+            assert (changes % CSV_CHUNK_ROWS).all() and changes.size >= 2
         self.assert_matches_reference(scenario, traj)
 
     def test_fewer_rows_than_a_block(self):
@@ -692,11 +710,12 @@ class TestInterruptedTrajectoryWrite:
         real_lines = writer.trajectory_lines
 
         def lines(scenario, traj):
-            # past the first write buffer, so the temporary file has bytes
-            for count, line in enumerate(real_lines(scenario, traj)):
-                if count == 500:
+            # after two blocks of rows: the first block's bytes are then in
+            # the temporary file
+            for count, text in enumerate(real_lines(scenario, traj)):
+                if count == 3:
                     raise error
-                yield line
+                yield text
 
         monkeypatch.setattr(writer, "trajectory_lines", lines)
         with pytest.raises(type(error)):
@@ -794,6 +813,35 @@ class TestAdmission:
         doc["graph_process"] = {"weights": [a.tolist()], "generator": [[0.0]],
                                 "initial_distribution": [1.0]}
         path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 0
+
+    def test_initial_box_beyond_state_limit_refused(self, tmp_path, capsys):
+        # a run would start out of range, and the guard reports it as a
+        # divergence at the first step
+        doc = preset("case1")
+        doc["sim"]["initial"] = {"mode": "random", "low": -1e12, "high": 1e12}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["check", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert "state limits" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["check", str(path), "--set", "sim.initial.low=-1e9",
+                     "--set", "sim.initial.high=1e9"]) == 0
+
+    @pytest.mark.parametrize("value", [1.5e9, -1e10])
+    @pytest.mark.parametrize("name", ["x", "rho", "z"])
+    def test_explicit_initial_state_beyond_state_limit_refused(self, tmp_path, capsys,
+                                                               name, value):
+        doc = fast_doc()
+        doc["sim"]["initial"]["states"][0][name] = [value]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        assert f"explicit initial {name} of agent 0" in capsys.readouterr().err
+        doc["sim"]["initial"]["states"][0][name] = [1e9]
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 0
 

@@ -627,6 +627,19 @@ class TestBufferedProductsMatchMatmul:
             assert out[:, :, 0].tobytes() == want.tobytes()
 
 
+    def test_rk4_sum_is_sequential(self):
+        # ``run`` adds k1 + 2 k2 + 2 k3 + k4 by one reduce over the rows,
+        # onto -0.0, so that a column of negative zeros sums to -0.0
+        rng = np.random.default_rng(20261020)
+        for width in (2, 3, 9, 64, 151):
+            stacks = product_inputs(rng, 2000, width).reshape(500, 4, width)
+            stacks[::5, :, 0] = -0.0
+            out = np.empty(width)
+            for ks in stacks:
+                np.add.reduce(ks, 0, out=out, initial=-0.0)
+                assert out.tobytes() == (ks[0] + ks[1] + ks[2] + ks[3]).tobytes()
+
+
 class TestLeanLoopMatchesReference:
     def check(self, scenario):
         traj, err = outcome(run, scenario)
@@ -645,6 +658,13 @@ class TestLeanLoopMatchesReference:
         doc["attacks"]["periodic"]["phase"] = 0.3
         traj, _ = self.check(scenario_from(doc))
         assert traj.attack_on.any() and not traj.attack_on.all()
+
+    def test_time_based_bursts_on_sixteen_agents(self):
+        # the ring16_bursty_dos ring at its smoke horizon: six bursts, on
+        # which every attacked step reuses the silenced consensus part
+        traj, err = self.check(ring16_scenario())
+        assert err is None
+        assert np.count_nonzero(np.diff(traj.attack_on.astype(int)) == 1) == 6
 
     def test_event_based_retries_and_switches(self):
         traj, _ = self.check(scenario_from(case3_early_burst()))
