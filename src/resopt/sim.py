@@ -348,10 +348,6 @@ def run(scenario: Scenario) -> Trajectory:
     m_a, m_bukx, m_bw, c_blk = st.m_a, st.m_bukx, st.m_bw, st.c_blk
     neg_k, ukx_blk, w_blk = -st.k_blk, st.ukx_blk, st.w_blk
     half_h, sixth_h, neg_h = 0.5 * h, h / 6.0, -h
-    # k1 + 2 k2 + 2 k3 + k4 as one reduce over the rows of ks, added one
-    # after another onto -0.0; without that start, numpy's reduce starts a
-    # column of -0.0s from +0.0 and returns +0.0.
-    add_reduce = np.add.reduce
     neg_gains = np.array([[-ab], [-beta]])
     r_list, on_list = r_series.tolist(), attack_on.tolist()
 
@@ -495,8 +491,11 @@ def run(scenario: Scenario) -> Trajectory:
                 np.add(xr, stage, out=stage)
                 dot(c_blk, stage_x, y_stage)
                 rhs(stage_x, stage_rho, y_stage, out)
+            # k1 + 2 k2 + 2 k3 + k4 by one reduce, which adds the rows one
+            # after another onto -0.0; without that start, a column of -0.0s
+            # would sum to +0.0.
             ks[1:3] *= 2.0
-            add_reduce(ks, 0, out=stage, initial=-0.0)
+            np.add.reduce(ks, 0, out=stage, initial=-0.0)
             stage *= sixth_h
             xr += stage
             z += dz

@@ -119,46 +119,33 @@ def _repr_rows(block: np.ndarray) -> list:
     return text[2:-2].split("],[")
 
 
-def _column_order(scenario: Scenario, traj) -> np.ndarray:
+def _column_order(scenario: Scenario, traj, arrays) -> np.ndarray:
     """The float columns of trajectory.csv in header order, as indices into
-    a row of the eight Trajectory arrays side by side: t, x, y, rho, z, u,
-    eta_g, eta_h."""
-    q, big_n = scenario.q, scenario.n_agents
-    nx, nq, pu = traj.x.shape[1], big_n * q, traj.u.shape[1]
-    x0 = 1
-    y0 = x0 + nx
-    rho0 = y0 + nq
-    z0 = rho0 + nq
-    u0 = z0 + nq
-    eta_g0 = u0 + pu
-    eta_h0 = eta_g0 + big_n
-    order = [0]
-    for i in range(big_n):
+    a row of ``arrays``, the eight Trajectory arrays side by side."""
+    widths = [a.shape[1] for a in arrays]
+    t, x, y, rho, z, u, eta_g, eta_h = np.split(np.arange(sum(widths)),
+                                                np.cumsum(widths)[:-1])
+    q = scenario.q
+    order = [t]
+    for i in range(scenario.n_agents):
         s0, s1 = traj.state_slices[i]
-        i0, i1 = traj.input_slices[i]
+        u0, u1 = traj.input_slices[i]
         c0, c1 = i * q, (i + 1) * q
-        order += [*range(x0 + s0, x0 + s1), *range(y0 + c0, y0 + c1),
-                  *range(rho0 + c0, rho0 + c1), *range(z0 + c0, z0 + c1),
-                  *range(u0 + i0, u0 + i1), eta_g0 + i, eta_h0 + i]
-    return np.array(order)
+        order += [x[s0:s1], y[c0:c1], rho[c0:c1], z[c0:c1], u[u0:u1],
+                  eta_g[i:i + 1], eta_h[i:i + 1]]
+    return np.concatenate(order)
 
 
 def trajectory_lines(scenario: Scenario, traj):
-    """The text of trajectory.csv without its line ends: the header, then
-    one block of ``CSV_CHUNK_ROWS`` rows at a time, its rows joined by
-    newlines.
-
-    A block's float cells are the eight Trajectory arrays' rows side by side
-    (one ``hstack``), put in header order by one ``take`` through a column
-    order computed once, and written as ``repr`` writes them
+    """trajectory.csv in pieces that ``write_atomic`` ends with a newline:
+    the header, then each block of ``CSV_CHUNK_ROWS`` rows as one string,
+    its rows joined by newlines.  Each float cell is written as ``repr`` writes it
     (``_repr_rows``), which is what ``cli._fmt`` writes for a float cell.
-    Each row then gets its ``,r_state,attack_active`` cells from a table
-    indexed by the (graph, attack) pair.
     """
     yield ",".join(trajectory_header(scenario))
-    order = _column_order(scenario, traj)
     arrays = (traj.times[:, None], traj.x, traj.y, traj.rho, traj.z, traj.u,
               traj.eta_g, traj.eta_h)
+    order = _column_order(scenario, traj, arrays)
     tails = [f",{r},{attacked}"
              for r in range(len(scenario.graph_process.graphs)) for attacked in (0, 1)]
     pair = 2 * traj.r_state + traj.attack_on
