@@ -139,8 +139,9 @@ def _column_order(scenario: Scenario, traj, arrays) -> np.ndarray:
 def trajectory_lines(scenario: Scenario, traj):
     """trajectory.csv in pieces that ``write_atomic`` ends with a newline:
     the header, then each block of ``CSV_CHUNK_ROWS`` rows as one string,
-    its rows joined by newlines.  Each float cell is written as ``repr`` writes it
-    (``_repr_rows``), which is what ``cli._fmt`` writes for a float cell.
+    its rows joined by newlines.  Each float cell is written as ``repr``
+    writes it (``_repr_rows``), which is what ``cli._fmt`` writes for a
+    float cell.
     """
     yield ",".join(trajectory_header(scenario))
     arrays = (traj.times[:, None], traj.x, traj.y, traj.rho, traj.z, traj.u,

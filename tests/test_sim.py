@@ -626,7 +626,6 @@ class TestBufferedProductsMatchMatmul:
             want = np.array([mat @ v for v in columns])
             assert out[:, :, 0].tobytes() == want.tobytes()
 
-
     def test_rk4_sum_is_sequential(self):
         # ``run`` adds k1 + 2 k2 + 2 k3 + k4 by one reduce over the rows,
         # onto -0.0, so that a column of negative zeros sums to -0.0
