@@ -16,10 +16,9 @@ from .cost import CostSpec, centralized_optimum, gradient
 from .errors import (AssumptionViolatedError, DivergenceError,
                      InvariantViolatedError, RegulationError, ResoptError,
                      UnboundedObjectiveError, ValidationError)
-from .graph import (GraphProcess, StationaryWeighting, SwitchingPath,
-                    WeightedDigraph, laplacian, minimum_cut,
-                    mirror_union_laplacian, sample_switching_path,
-                    stationary_weighting, union_graph)
+from .graph import (GraphProcess, SwitchingPath, WeightedDigraph, laplacian,
+                    minimum_cut, mirror_union_laplacian,
+                    sample_switching_path, stationary_weighting, union_graph)
 from .plant import (AgentModel, check_rank_condition, is_hurwitz,
                     solve_regulation)
 from .sim import (ConvergenceReport, InitialCondition, Scenario, Trajectory,

@@ -16,19 +16,22 @@ threshold to 102.2 s, above the 101 s its two bursts admit, so its
 check passes).
 
 A scenario is admitted once, when it is built (``build_scenario``): the
-schema, the numeric invariants and the joint-connectivity hypothesis of the
-switching digraphs are all checked there, so ``check``, ``run`` and every
-member of a ``sweep`` accept and reject the same documents, before anything
-is run or written.
+schema, the numeric invariants and the graph hypothesis are all checked
+there, so ``check``, ``run`` and every member of a ``sweep`` accept and
+reject the same documents, before anything is run or written.  The graph
+hypothesis is that every graph is weight-balanced (in-weight equals
+out-weight at each vertex, with ``weights[g][i][j]`` the weight of edge
+j -> i) and that the mirror union is connected; an unbalanced family would
+converge to the optimum of a pi-weighted sum of the costs, not of their sum.
 
 Every output file is written atomically by ``writer``, which formats the
 float cells of trajectory.csv with orjson, byte for byte as ``repr`` writes
 them.
 
-Exit codes: 0 success, 2 validation failure (including a failed
-joint-connectivity assumption), 3 divergence or a violated run-time
-invariant, 4 I/O error.  A sweep runs every member and writes its summary
-before it exits with the largest code of its members.
+Exit codes: 0 success, 2 validation failure (including a failed graph
+hypothesis), 3 divergence or a violated run-time invariant, 4 I/O error.  A
+sweep runs every member and writes its summary before it exits with the
+largest code of its members.
 """
 
 from __future__ import annotations
@@ -368,9 +371,9 @@ def _output_names(doc: dict) -> dict:
 def build_scenario(doc: dict) -> LoadedScenario:
     """Admit a scenario document: schema, rectangular matrices, output names,
     then the Scenario (plus budget), whose construction checks the numeric
-    invariants and the joint-connectivity hypothesis.  A budget is admitted
-    with at most ``MAX_BUDGET_BURSTS`` bursts.  Raises a ResoptError before
-    anything is run or written."""
+    invariants and the graph hypothesis.  A budget is admitted with at most
+    ``MAX_BUDGET_BURSTS`` bursts.  Raises a ResoptError before anything is
+    run or written."""
     validate_document(doc)
     _output_names(doc)
     agents = tuple(
@@ -713,8 +716,8 @@ def run_command(scenario_path: str, out_dir: str, overrides=()) -> RunOutputs:
 def sweep_command(scenario_path: str, out_dir: str, param: str, values,
                   overrides=()):
     """One run per parameter value, one after another, and a summary sorted
-    by name.  Every member's scenario is built and admitted (joint
-    connectivity included) before any runs or the output directory exists.
+    by name.  Every member's scenario is built and admitted (graph
+    hypothesis included) before any runs or the output directory exists.
     Values whose member labels (directory and row names) coincide, such as
     ``1`` and ``1.0``, are rejected.
 
@@ -761,7 +764,7 @@ def sweep_command(scenario_path: str, out_dir: str, param: str, values,
 
 def check_command(scenario_path: str, overrides=()) -> int:
     """Admit a scenario, as ``run`` does before simulating (schema, numeric
-    invariants, joint connectivity), and print its attack-condition report."""
+    invariants, the graph hypothesis), and print its attack-condition report."""
     loaded = load_scenario_file(scenario_path, overrides)
     for line in _conditions_lines(loaded.scenario, loaded.budget):
         print(line)

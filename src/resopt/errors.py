@@ -19,8 +19,9 @@ class ValidationError(ResoptError):
 
 
 class AssumptionViolatedError(ValidationError):
-    """The joint-connectivity hypothesis fails: no common positive stationary
-    vector, or the union mirror graph has a non-positive minimum cut."""
+    """The graph hypothesis fails: a graph of the family is not
+    weight-balanced, or the union mirror graph has a non-positive minimum
+    cut."""
 
 
 class RegulationError(ValidationError):

@@ -157,14 +157,6 @@ class SwitchingPath:
         return self.states[np.clip(idx, 0, len(self.states) - 1)]
 
 
-@dataclass(frozen=True)
-class StationaryWeighting:
-    """Common stationary vector of a graph process plus the union min cut."""
-
-    pi: np.ndarray
-    min_cut: float
-
-
 def mirror_union_laplacian(process: GraphProcess) -> np.ndarray:
     """Laplacian of the mirror (symmetrized) union graph.
 
@@ -224,49 +216,38 @@ def minimum_cut(l_s: np.ndarray) -> float:
     return best
 
 
-def stationary_weighting(process: GraphProcess) -> StationaryWeighting:
-    """Common positive stationary vector and union min cut of a process.
+def stationary_weighting(process: GraphProcess) -> np.ndarray:
+    """Admit a graph process and return its common stationary vector.
 
-    Solves the stacked system [L_1; ...; L_s] pi = 0 via SVD, taking the
-    right-singular vector of the smallest singular value and fixing its sign.
-    When the stacked system is rank-deficient that vector may straddle zero,
-    so the projection of the uniform vector onto the null space is tried as a
-    fallback before giving up.
+    Every graph must be weight-balanced: at each vertex the in-weight (row
+    sum of ``weights``) equals the out-weight (column sum), up to
+    ``STATIONARY_TOL`` times the graph's largest Laplacian entry, as the two
+    sums round differently at about eps max|L_g|.  The mirror union must be
+    connected.  Balance gives 1^T L_g = 0 for every graph, and a balanced
+    union whose mirror is connected is strongly connected, so the uniform
+    vector is the only common left-null vector that sums to 1: it is
+    returned.  Balance is what makes the team reach argmin sum_i f_i.  On a
+    family whose common left-null vector pi is not uniform, the dynamics
+    reach argmin sum_i pi_i f_i instead (Gharesifard & Cortes, IEEE TAC
+    2014), so such a family is refused.
     """
-    laps = [laplacian(g) for g in process.graphs]
-    stack = np.vstack(laps)
-    _, svals, vh = np.linalg.svd(stack)
-    candidates = [vh[-1]]
-    scale = svals[0] if svals[0] > 0 else 1.0
-    null_mask = svals < STATIONARY_TOL * scale
-    if null_mask.any():
-        basis = vh[len(svals) - int(null_mask.sum()):]
-        uniform = np.full(process.n_vertices, 1.0 / process.n_vertices)
-        candidates.append(basis.T @ (basis @ uniform))
-
-    pi = None
-    for cand in candidates:
-        if abs(cand.sum()) < 1e-30:
-            continue
-        cand = cand * np.sign(cand.sum())
-        if np.any(cand <= 0.0):
-            continue
-        cand = cand / cand.sum()
-        # Row sums round at about eps |L_g|, so the residual is measured
-        # against each Laplacian's largest entry.
-        if all(np.abs(lap @ cand).max() <= STATIONARY_TOL * np.abs(lap).max()
-               for lap in laps):
-            pi = cand
-            break
-    if pi is None:
-        raise AssumptionViolatedError(
-            "no common positive stationary vector exists for the graph family")
-
+    for index, g in enumerate(process.graphs):
+        w_in, w_out = g.weights.sum(axis=1), g.weights.sum(axis=0)
+        # The largest in-weight is max|L_g|: each diagonal entry is its row's
+        # in-weight, and no off-diagonal weight exceeds it.
+        bad = np.flatnonzero(np.abs(w_out - w_in) > STATIONARY_TOL * w_in.max())
+        if bad.size:
+            v = int(bad[0])
+            raise AssumptionViolatedError(
+                f"graph {index} is not weight-balanced at vertex {v}: in-weight "
+                f"{float(w_in[v])!r}, out-weight {float(w_out[v])!r} "
+                "(weights[g][i][j] is the weight of edge j -> i); an unbalanced "
+                "family converges to a weighted optimum, not to argmin sum f_i")
     cut = minimum_cut(mirror_union_laplacian(process))
     if not cut > 0.0:
         raise AssumptionViolatedError(
             f"union mirror graph has minimum cut {cut}; joint connectivity fails")
-    return StationaryWeighting(pi=pi, min_cut=cut)
+    return np.full(process.n_vertices, 1.0 / process.n_vertices)
 
 
 def sample_switching_path(process: GraphProcess, horizon: float, seed: int) -> SwitchingPath:

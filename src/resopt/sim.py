@@ -15,6 +15,11 @@ of its scenario:
   event-based law, so the two laws coincide when the trigger fires at every
   step.
 
+The event-based law is thus periodic event-triggered control (Heemels,
+Donkers & Teel, IEEE TAC 2013), with the step h as its sampling period: an
+inter-event gap, and so the reported ``min_gap``, is at least h by
+construction.
+
 The step loop is lean, as it is almost all numpy dispatch on short vectors.
 It writes into preallocated arrays only: a work row ``[x; rho; z; y; rho +
 z]`` (the history row, then the live table), the RK4 stages and the
@@ -101,11 +106,14 @@ class Scenario:
 
     Construction admits the scenario: it raises ValidationError for an
     inconsistent one, and AssumptionViolatedError when the graph process
-    fails the joint-connectivity hypothesis (no common positive stationary
-    vector, or a disconnected mirror union).  A constructed scenario is one
-    ``run`` accepts, and its initial states, drawn or explicit, start inside
-    the [-STATE_LIMIT, STATE_LIMIT] that ``run`` guards.  An
-    ``attack_schedule`` of None is stored as the empty schedule.
+    fails the graph hypothesis: every graph weight-balanced (in-weight equals
+    out-weight at each vertex, with ``weights[g][i][j]`` the weight of edge
+    j -> i) and a connected mirror union.  An unbalanced family would
+    converge to the optimum of a pi-weighted sum of the costs, not of their
+    sum.  A constructed scenario is one ``run`` accepts, and its initial
+    states, drawn or explicit, start inside the [-STATE_LIMIT, STATE_LIMIT]
+    that ``run`` guards.  An ``attack_schedule`` of None is stored as the
+    empty schedule.
     """
 
     agents: tuple

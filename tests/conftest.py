@@ -1,4 +1,6 @@
 import importlib.util
+import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -65,12 +67,28 @@ def single_edge(n, j, i, weight=1.0):
 
 def disagreement_sides(lap, pi, cut, xi):
     """Both sides of the disagreement bound ``xi^T Q xi >= pi_min c / N^2 |xi|^2``
-    with ``Q = L Pi + Pi L^T``, for a pi-orthogonal ``xi``."""
+    with ``Q = L Pi + Pi L^T``, for a pi-orthogonal ``xi``.  Admitted families
+    are weight-balanced, so pi is uniform and ``Q = (L + L^T) / N``."""
     pi, xi = np.asarray(pi, dtype=float), np.asarray(xi, dtype=float)
     big_pi = np.diag(pi)
     q = lap @ big_pi + big_pi @ lap.T
     norm = float(np.linalg.norm(xi))
     return float(xi @ q @ xi), float(pi.min()) * float(cut) / float(xi.size ** 2) * norm * norm
+
+
+def brute_force_cut(l_s):
+    """Minimum cut of the symmetric graph with Laplacian ``l_s``, by
+    enumerating every proper vertex subset: the reference for
+    ``graph.minimum_cut`` and for admission's connectivity verdict."""
+    n = l_s.shape[0]
+    w = -(l_s - np.diag(np.diag(l_s)))
+    best = math.inf
+    for size in range(1, n):
+        for subset in itertools.combinations(range(n), size):
+            inside = np.zeros(n, dtype=bool)
+            inside[list(subset)] = True
+            best = min(best, w[np.ix_(inside, ~inside)].sum())
+    return best
 
 
 def load_workloads():

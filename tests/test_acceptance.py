@@ -8,14 +8,13 @@ minutes.
 
 import dataclasses
 import filecmp
-import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import THETA_STAR, disagreement_sides
+from conftest import THETA_STAR, brute_force_cut, disagreement_sides
 from resopt.attack import AttackSchedule, attack_metrics
 from resopt.cli import preset, preset_scenario, run_command, write_outputs
 from resopt.controller import TriggerParams
@@ -193,35 +192,24 @@ def test_criterion_8_trigger_variable_positivity(case3_runs):
                 f"min eta_g {min_g:.3e}, min eta_h {min_h:.3e} (every step)")
 
 
-def brute_force_cut(l_s):
-    n = l_s.shape[0]
-    w = -(l_s - np.diag(np.diag(l_s)))
-    best = math.inf
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            inside = np.zeros(n, dtype=bool)
-            inside[list(subset)] = True
-            best = min(best, w[np.ix_(inside, ~inside)].sum())
-    return best
-
-
 def test_criterion_9_disagreement_bound_suite(case1):
     process = case1.scenario.graph_process
-    sw = stationary_weighting(process)
+    pi = stationary_weighting(process)
     mirror = mirror_union_laplacian(process)
+    cut = minimum_cut(mirror)
     cross_check = brute_force_cut(mirror)
-    cut_ok = abs(sw.min_cut - cross_check) < 1e-9
+    cut_ok = abs(cut - cross_check) < 1e-9
     lap_un = laplacian(union_graph(process.graphs))
     rng = np.random.default_rng(2718)
     violations = 0
     for _ in range(1000):
         xi = rng.standard_normal(process.n_vertices)
-        xi -= sw.pi * (sw.pi @ xi) / (sw.pi @ sw.pi)
-        lhs, rhs = disagreement_sides(lap_un, sw.pi, sw.min_cut, xi)
+        xi -= pi * (pi @ xi) / (pi @ pi)
+        lhs, rhs = disagreement_sides(lap_un, pi, cut, xi)
         if lhs < rhs - 1e-9:
             violations += 1
     report_line("9 disagreement-bound property suite", cut_ok and violations == 0,
-                f"cut {sw.min_cut} == brute force {cross_check}, "
+                f"cut {cut} == brute force {cross_check}, "
                 f"0/1000 violations" if violations == 0 else
                 f"{violations}/1000 violations")
 

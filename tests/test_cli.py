@@ -65,15 +65,20 @@ def q2_doc():
 
 
 def path_doc():
-    """case1 on one 3-agent path digraph 1 -> 2 -> 3, over 0.05 s.  Setting
-    ``graph_process.weights.0.1.0`` to 0 cuts agent 1 off: the mirror union
-    is then disconnected."""
+    """case1 on one 3-agent path 1 <-> 2 <-> 3 of weight 200 each way, over
+    0.05 s.  Setting ``graph_process.weights.0`` to ``CUT_PATH`` cuts agent 3
+    off and keeps the graph balanced: the mirror union is then disconnected.
+    Setting ``graph_process.weights.0.1.0`` to 0 unbalances vertices 0 and 1."""
     doc = preset("case1")
     doc["graph_process"] = {
-        "weights": [[[0.0, 0.0, 0.0], [200.0, 0.0, 0.0], [0.0, 200.0, 0.0]]],
+        "weights": [[[0.0, 200.0, 0.0], [200.0, 0.0, 200.0], [0.0, 200.0, 0.0]]],
         "generator": [[0.0]], "initial_distribution": [1.0]}
     doc["sim"]["horizon"] = 0.05
     return doc
+
+
+CUT_PATH = "[[0,200,0],[200,0,0],[0,0,0]]"
+UNBALANCED_RING = os.path.join(os.path.dirname(__file__), "data", "unbalanced_ring.json")
 
 
 def short_case3_doc(horizon=0.6):
@@ -798,17 +803,25 @@ class TestAdmission:
         path = tmp_path / "path.json"
         path.write_text(json.dumps(path_doc()))
         assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(path), "--set",
+                     f"graph_process.weights.0={CUT_PATH}"]) == 2
+        assert "joint connectivity fails" in capsys.readouterr().err
         assert main(["check", str(path), "--set",
                      "graph_process.weights.0.1.0=0"]) == 2
-        assert "joint connectivity fails" in capsys.readouterr().err
+        assert ("graph 0 is not weight-balanced at vertex 0: in-weight 200.0, "
+                "out-weight 0.0") in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", [1e7, 1e8])
     def test_check_admits_large_weights(self, tmp_path, scale):
-        # a strongly connected graph whose Laplacian rows sum to zero only up
-        # to rounding at its own scale
-        rng = np.random.default_rng(0)
-        a = (rng.random((3, 3)) + 0.1) * scale
-        np.fill_diagonal(a, 0.0)
+        # a balanced, strongly connected graph (two directed rings and a
+        # two-cycle) whose in-weights and out-weights agree only up to
+        # rounding at its own scale
+        w = np.random.default_rng(0).uniform(0.1, 2.0, 3) * scale
+        ring = np.roll(np.eye(3), 1, axis=1)
+        a = w[0] * ring + w[1] * ring.T
+        a[0, 1] += w[2]
+        a[1, 0] += w[2]
         doc = preset("case1")
         doc["graph_process"] = {"weights": [a.tolist()], "generator": [[0.0]],
                                 "initial_distribution": [1.0]}
@@ -846,14 +859,46 @@ class TestAdmission:
         assert main(["check", str(path)]) == 0
 
     def test_sweep_rejects_disconnected_member_before_any_runs(self, tmp_path, capsys):
+        # a single weight cannot cut a balanced graph without unbalancing it,
+        # so the cut comes from an override and the bad member from the sweep
         path = tmp_path / "path.json"
         path.write_text(json.dumps(path_doc()))
         out = tmp_path / "sw"
-        code = main(["sweep", str(path), "--param", "graph_process.weights.0.1.0",
-                     "--values", "200,0", "--out", str(out)])
+        code = main(["sweep", str(path), "--param", "beta", "--values", "0.5,1",
+                     "--set", f"graph_process.weights.0={CUT_PATH}", "--out", str(out)])
         assert code == 2
         assert "joint connectivity fails" in capsys.readouterr().err
         assert not out.exists()
+        code = main(["sweep", str(path), "--param", "graph_process.weights.0.1.0",
+                     "--values", "200,0", "--out", str(out)])
+        assert code == 2
+        assert "graph 0 is not weight-balanced at vertex 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_unbalanced_family_refused(self, tmp_path, capsys, dense):
+        # strongly connected but not weight-balanced: a run would converge,
+        # with exit 0, to argmin sum pi_i f_i rather than to theta*
+        with open(UNBALANCED_RING) as fh:
+            doc = json.load(fh)
+        expected = preset("case1")
+        expected["graph_process"] = {
+            "weights": [[[0.0, 0.0, 200.0], [20.0, 0.0, 0.0], [0.0, 2.0, 0.0]]],
+            "generator": [[0.0]], "initial_distribution": [1.0]}
+        expected["sim"]["horizon"] = 30.0
+        assert doc == expected
+        overrides, message = [], "vertex 0: in-weight 200.0, out-weight 20.0"
+        if dense:
+            overrides = ["--set", "graph_process.weights.0=[[0,200,5],[10,0,200],[200,1,0]]"]
+            message = "vertex 0: in-weight 205.0, out-weight 210.0"
+        out = tmp_path / "o"
+        for argv in (["check", UNBALANCED_RING],
+                     ["run", UNBALANCED_RING, "--out", str(out)],
+                     ["sweep", UNBALANCED_RING, "--param", "beta", "--values", "1,1.5",
+                      "--out", str(out)]):
+            assert main(argv + overrides) == 2
+            assert f"graph 0 is not weight-balanced at {message}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_explicit_initial_state_shape_checked_by_check(self, tmp_path, capsys):
         doc = fast_doc()

@@ -1,16 +1,15 @@
-import itertools
-
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import GENERATOR, RAW_DIST, disagreement_sides, single_edge
+from conftest import (GENERATOR, RAW_DIST, brute_force_cut, disagreement_sides,
+                      single_edge)
 from resopt.controller import AlgorithmParams
 from resopt.cost import CostSpec
 from resopt.errors import AssumptionViolatedError, ValidationError
-from resopt.graph import (GraphProcess, WeightedDigraph, laplacian, minimum_cut,
-                          mirror_union_laplacian,
+from resopt.graph import (STATIONARY_TOL, GraphProcess, WeightedDigraph, laplacian,
+                          minimum_cut, mirror_union_laplacian,
                           sample_switching_path, stationary_weighting,
                           union_graph)
 from resopt.plant import AgentModel
@@ -21,6 +20,29 @@ def random_graph(rng, n, density=0.5, scale=2.0):
     a = rng.random((n, n)) * scale * (rng.random((n, n)) < density)
     np.fill_diagonal(a, 0.0)
     return WeightedDigraph(a)
+
+
+def cycle_sum(rng, blocks, scale, n_cycles):
+    """Adjacency of ``n_cycles`` weighted directed cycles, each through a
+    random ordered subset of one block of vertices: weight-balanced by
+    construction, since a cycle adds its weight to one in-weight and one
+    out-weight of every vertex it visits."""
+    n = sum(len(b) for b in blocks)
+    a = np.zeros((n, n))
+    for _ in range(n_cycles):
+        block = blocks[rng.integers(len(blocks))]
+        if len(block) < 2:
+            continue
+        cycle = rng.permutation(block)[:rng.integers(2, len(block) + 1)]
+        weight = scale * rng.uniform(0.1, 2.0)
+        for j, i in zip(cycle, np.roll(cycle, -1)):
+            a[i, j] += weight  # edge j -> i
+    return a
+
+
+def one_graph(a):
+    return GraphProcess(graphs=(WeightedDigraph(a),), generator=[[0.0]],
+                        initial_distribution=[1.0])
 
 
 class TestWeightedDigraph:
@@ -82,19 +104,6 @@ class TestMirrorUnion:
         assert eigs.min() > -1e-9
 
 
-def brute_force_cut(l_s):
-    """Independent reference: enumerate subsets with itertools."""
-    n = l_s.shape[0]
-    w = -(l_s - np.diag(np.diag(l_s)))
-    best = np.inf
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            inside = np.zeros(n, dtype=bool)
-            inside[list(subset)] = True
-            best = min(best, w[np.ix_(inside, ~inside)].sum())
-    return best
-
-
 class TestMinimumCut:
     def test_two_vertices(self):
         l_s = np.array([[0.5, -0.5], [-0.5, 0.5]])
@@ -118,7 +127,7 @@ class TestMinimumCut:
         proc = GraphProcess(graphs=(WeightedDigraph(a),),
                             generator=[[0.0]], initial_distribution=[1.0])
         assert minimum_cut(mirror_union_laplacian(proc)) == 200.0
-        assert stationary_weighting(proc).min_cut == 200.0
+        np.testing.assert_array_equal(stationary_weighting(proc), np.full(n, 1.0 / n))
         assert minimum_cut(np.zeros((21, 21))) == 0.0
 
     def test_rejects_asymmetric_or_negative_weights(self):
@@ -141,32 +150,32 @@ class TestStationaryWeighting:
         # a directed cycle is weight balanced
         a = single_edge(3, 0, 1).weights + single_edge(3, 1, 2).weights \
             + single_edge(3, 2, 0).weights
-        proc = GraphProcess(graphs=(WeightedDigraph(a),),
-                            generator=[[0.0]], initial_distribution=[1.0])
-        sw = stationary_weighting(proc)
-        np.testing.assert_allclose(sw.pi, np.full(3, 1.0 / 3.0), atol=1e-12)
-        assert sw.min_cut == pytest.approx(1.0)
+        proc = one_graph(a)
+        np.testing.assert_array_equal(stationary_weighting(proc), np.full(3, 1.0 / 3.0))
+        assert minimum_cut(mirror_union_laplacian(proc)) == pytest.approx(1.0)
 
     def test_single_strongly_connected(self):
+        # strongly connected but not balanced: its left-null vector is not
+        # uniform, so the team would reach a weighted optimum
         rng = np.random.default_rng(5)
         a = rng.random((4, 4)) + 0.1
         np.fill_diagonal(a, 0.0)
-        proc = GraphProcess(graphs=(WeightedDigraph(a),),
-                            generator=[[0.0]], initial_distribution=[1.0])
-        sw = stationary_weighting(proc)
         lap = laplacian(WeightedDigraph(a))
-        assert np.abs(lap @ sw.pi).max() < 1e-9
-        assert np.all(sw.pi > 0.0)
-        assert sw.pi.sum() == pytest.approx(1.0)
-        # cross-check against scipy's null space of the Laplacian
-        null = scipy.linalg.null_space(lap)
-        ref = null[:, 0] / null[:, 0].sum()
-        np.testing.assert_allclose(sw.pi, ref, atol=1e-9)
+        null = scipy.linalg.null_space(lap.T)
+        assert null.shape[1] == 1
+        left = null[:, 0] / null[:, 0].sum()
+        assert np.abs(left - 0.25).max() > 1e-3
+        vertex = int(np.flatnonzero(np.abs(lap.sum(axis=0)) > 0.0)[0])
+        with pytest.raises(AssumptionViolatedError,
+                           match=f"graph 0 is not weight-balanced at vertex {vertex}: "
+                                 f"in-weight {float(a[vertex].sum())!r}, "
+                                 f"out-weight {float(a[:, vertex].sum())!r}"):
+            stationary_weighting(one_graph(a))
 
     def test_bundled_process_uniform(self, bundled_process):
-        sw = stationary_weighting(bundled_process)
-        np.testing.assert_allclose(sw.pi, np.full(3, 1.0 / 3.0), atol=1e-9)
-        assert sw.min_cut > 0.0
+        np.testing.assert_array_equal(stationary_weighting(bundled_process),
+                                      np.full(3, 1.0 / 3.0))
+        assert minimum_cut(mirror_union_laplacian(bundled_process)) > 0.0
 
     @staticmethod
     def two_block_process(weight=1.0):
@@ -174,8 +183,7 @@ class TestStationaryWeighting:
         a = np.zeros((4, 4))
         a[0, 1] = a[1, 0] = weight
         a[2, 3] = a[3, 2] = weight
-        return GraphProcess(graphs=(WeightedDigraph(a),),
-                            generator=[[0.0]], initial_distribution=[1.0])
+        return one_graph(a)
 
     def test_disconnected_union_rejected(self):
         with pytest.raises(AssumptionViolatedError):
@@ -183,18 +191,49 @@ class TestStationaryWeighting:
 
     @pytest.mark.parametrize("scale", [1e7, 1e8])
     def test_large_weights_admitted_unless_disconnected(self, scale):
-        # L_g's rows sum to zero only up to about eps max|L_g|, which at
-        # these weights is far above an absolute 1e-9
+        # in-weights and out-weights round differently, at about
+        # eps max|L_g|, which at these weights is far above an absolute 1e-9
         rng = np.random.default_rng(3)
         for _ in range(50):
-            a = (rng.random((6, 6)) + 0.1) * scale
-            np.fill_diagonal(a, 0.0)
-            sw = stationary_weighting(GraphProcess(
-                graphs=(WeightedDigraph(a),), generator=[[0.0]],
-                initial_distribution=[1.0]))
-            assert np.all(sw.pi > 0.0) and sw.min_cut > 0.0
+            # random cycles, plus two rings that keep the mirror connected
+            a = cycle_sum(rng, [np.arange(6)], scale, 6)
+            a += scale * (np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), -1, axis=1))
+            np.testing.assert_array_equal(stationary_weighting(one_graph(a)),
+                                          np.full(6, 1.0 / 6.0))
         with pytest.raises(AssumptionViolatedError):
             stationary_weighting(self.two_block_process(scale))
+
+    @given(st.integers(3, 8), st.sampled_from([1.0, 1e7, 1e8]),
+           st.sampled_from(["balanced", "perturbed", "split"]), st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_refused_exactly_when_oracle_refuses(self, n, scale, variant, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.permutation(n)]
+        if variant == "split":
+            cut_at = rng.integers(1, n)
+            blocks = [blocks[0][:cut_at], blocks[0][cut_at:]]
+        family = [cycle_sum(rng, blocks, scale, int(rng.integers(1, 4))) for _ in range(3)]
+        if variant == "perturbed":
+            i, j = rng.choice(n, 2, replace=False)
+            family[rng.integers(3)][i, j] += scale * rng.uniform(0.01, 1.0)
+        process = GraphProcess(graphs=tuple(WeightedDigraph(a) for a in family),
+                               generator=GENERATOR,
+                               initial_distribution=RAW_DIST / RAW_DIST.sum())
+
+        laps = [laplacian(WeightedDigraph(a)) for a in family]
+        unbalanced = any(np.abs(lap.sum(axis=0)).max() > STATIONARY_TOL * np.abs(lap).max()
+                         for lap in laps)
+        assert unbalanced == (variant == "perturbed")
+        total = sum(family)
+        mirror = 0.5 * (total + total.T)
+        disconnected = brute_force_cut(np.diag(mirror.sum(axis=1)) - mirror) == 0.0
+        try:
+            pi = stationary_weighting(process)
+        except AssumptionViolatedError:
+            assert unbalanced or disconnected
+        else:
+            assert not (unbalanced or disconnected)
+            np.testing.assert_array_equal(pi, np.full(n, 1.0 / n))
 
     def test_scenario_on_disconnected_union_rejected(self):
         agent = AgentModel.build([[0.0]], [[1.0]], [[1.0]], [[1.0]])
@@ -224,13 +263,14 @@ class TestDisagreementBound:
         assert lhs >= rhs - 1e-9
 
     def test_monte_carlo_on_bundled_union(self, bundled_process):
-        sw = stationary_weighting(bundled_process)
+        pi = stationary_weighting(bundled_process)
+        cut = minimum_cut(mirror_union_laplacian(bundled_process))
         lap_un = laplacian(union_graph(bundled_process.graphs))
         rng = np.random.default_rng(42)
         for _ in range(1000):
             xi = rng.standard_normal(3)
-            xi -= sw.pi * (sw.pi @ xi) / (sw.pi @ sw.pi)
-            lhs, rhs = disagreement_sides(lap_un, sw.pi, sw.min_cut, xi)
+            xi -= pi * (pi @ xi) / (pi @ pi)
+            lhs, rhs = disagreement_sides(lap_un, pi, cut, xi)
             assert lhs >= rhs - 1e-9
 
 
