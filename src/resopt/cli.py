@@ -42,7 +42,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -51,13 +51,13 @@ from .attack import (MAX_BUDGET_BURSTS, AttackBudget, AttackSchedule,
                      attack_metrics, check_duration_condition,
                      check_frequency_condition)
 from .controller import AlgorithmParams, TriggerParams
-from .cost import CostSpec, centralized_optimum
+from .cost import KINDS, CostSpec, centralized_optimum
 from .errors import (DivergenceError, InvariantViolatedError, ResoptError,
                      UnboundedObjectiveError, ValidationError)
 from .graph import GraphProcess, WeightedDigraph
 from .plant import AgentModel
-from .sim import (ConvergenceReport, InitialCondition, Scenario, Trajectory,
-                  convergence_report, final_spread, run)
+from .sim import (ALGORITHMS, ConvergenceReport, InitialCondition, Scenario,
+                  Trajectory, convergence_report, final_spread, run)
 
 _number_schema = {"type": "number"}
 _vector_schema = {"type": "array", "minItems": 1, "items": _number_schema}
@@ -65,6 +65,15 @@ _matrix_schema = {"type": "array", "minItems": 1, "items": _vector_schema}
 # Output file names by key; events.csv is written by event-based runs only.
 OUTPUT_NAMES = {"trajectory": "trajectory.csv", "report": "report.csv",
                 "events": "events.csv", "conditions": "conditions.csv"}
+
+
+def _numbers_object(cls) -> dict:
+    """The schema of an object holding the number fields of the dataclass
+    ``cls``, in field order; a field without a default is required."""
+    return {"type": "object", "additionalProperties": False,
+            "required": [f.name for f in fields(cls) if f.default is MISSING],
+            "properties": {f.name: _number_schema for f in fields(cls)}}
+
 
 SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -87,8 +96,7 @@ SCENARIO_SCHEMA = {
                 "type": "object", "additionalProperties": False,
                 "required": ["kind", "parameters"],
                 "properties": {
-                    "kind": {"enum": ["exp_pair", "quartic", "log_quadratic",
-                                      "custom_polynomial"]},
+                    "kind": {"enum": list(KINDS)},
                     "parameters": _vector_schema,
                     "dimension": {"type": "integer", "minimum": 1},
                 },
@@ -118,34 +126,17 @@ SCENARIO_SCHEMA = {
                                    "phase": {"type": "number"}},
                 },
                 "duty": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-                "budget": {
-                    "type": "object", "additionalProperties": False,
-                    "required": ["lambda_a", "lambda_b", "mu", "eta_star"],
-                    "properties": {name: {"type": "number"}
-                                   for name in ("lambda_a", "lambda_b", "mu",
-                                                "eta_star", "n0", "t0",
-                                                "kappa_star")},
-                },
+                "budget": _numbers_object(AttackBudget),
             },
         },
-        "algorithm": {"enum": ["attack_free", "time_based", "event_based"]},
+        "algorithm": {"enum": list(ALGORITHMS)},
         "params": {
             "type": "object", "additionalProperties": False,
             "required": ["alpha", "beta"],
             "properties": {
                 "alpha": {"type": "number"},
                 "beta": {"type": "number"},
-                "trigger": {
-                    "type": "object", "additionalProperties": False,
-                    "required": ["sigma_g", "sigma_h", "theta_g", "theta_h",
-                                 "delta_g", "delta_h", "k_g", "k_h",
-                                 "eta_g0", "eta_h0", "dwell_kappa"],
-                    "properties": {name: {"type": "number"}
-                                   for name in ("sigma_g", "sigma_h", "theta_g",
-                                                "theta_h", "delta_g", "delta_h",
-                                                "k_g", "k_h", "eta_g0", "eta_h0",
-                                                "dwell_kappa")},
-                },
+                "trigger": _numbers_object(TriggerParams),
             },
         },
         "sim": {
@@ -351,7 +342,17 @@ def _build_schedule(doc: dict, horizon: float) -> AttackSchedule | None:
 
 
 def _build_budget(doc: dict) -> AttackBudget | None:
+    """The document's attack budget, if any.  On the event-based law an
+    attacked attempt is retried a dwell later, so ``kappa_star`` defaults to
+    ``dwell_kappa`` and may not be below it."""
     budget = (doc.get("attacks") or {}).get("budget")
+    dwell = (doc["params"].get("trigger") or {}).get("dwell_kappa")
+    if budget is not None and dwell is not None and doc["algorithm"] == "event_based":
+        budget = {"kappa_star": dwell, **budget}
+        if budget["kappa_star"] < dwell:
+            raise ValidationError(
+                f"attacks.budget.kappa_star {budget['kappa_star']!r} is below "
+                f"params.trigger.dwell_kappa {dwell!r}, the retry dwell")
     return None if budget is None else AttackBudget(**budget)
 
 
@@ -544,7 +545,7 @@ def _graph_docs(weight: float = GRAPH_WEIGHT):
 _CASE23_ATTACKS = {
     "periodic": {"period": 100.0, "active": 1.0, "phase": 43.0},
     "budget": {"lambda_a": 0.6, "lambda_b": 0.5, "mu": 148.4131591025766,
-               "eta_star": 0.05, "n0": 1.0, "t0": 1.0, "kappa_star": 0.0},
+               "eta_star": 0.05, "n0": 1.0, "t0": 1.0},
 }
 
 _TRIGGER = {"sigma_g": 1e4, "sigma_h": 1e4, "theta_g": 1e-6, "theta_h": 1e-6,
@@ -578,7 +579,6 @@ def preset(name: str) -> dict:
     if name == "case3":
         doc["algorithm"] = "event_based"
         doc["params"]["trigger"] = dict(_TRIGGER)
-        doc["attacks"]["budget"]["kappa_star"] = _TRIGGER["dwell_kappa"]
     return doc
 
 

@@ -210,8 +210,6 @@ class Trajectory:
     events: tuple          # per-agent successful broadcast times
     blocked_attempts: tuple
     q: int
-    state_slices: tuple
-    input_slices: tuple
 
     def y_per_agent(self) -> np.ndarray:
         """Outputs reshaped to (n+1, N, q)."""
@@ -425,9 +423,7 @@ def run(scenario: Scenario) -> Trajectory:
             eta_g=hist_eta[:last + 1, 0], eta_h=hist_eta[:last + 1, 1],
             r_state=r_series[:last + 1], attack_on=on,
             events=tuple(t[fired[:, i] & ~on] for i in range(big_n)),
-            blocked_attempts=tuple(t[fired[:, i] & on] for i in range(big_n)), q=q,
-            state_slices=tuple(st.state_slices),
-            input_slices=tuple(st.input_slices))
+            blocked_attempts=tuple(t[fired[:, i] & on] for i in range(big_n)), q=q)
         if diverged_at is not None:
             raise DivergenceError(diverged_at, traj)
         return traj

@@ -8,36 +8,35 @@ The temporary file is given the mode a new file gets under the umask
 
 trajectory.csv is assembled ``CSV_CHUNK_ROWS`` rows at a time.  A block's
 float cells are gathered by one ``hstack`` of the eight Trajectory arrays
-(t, x, y, rho, z, u, eta_g, eta_h) and one ``take`` through the header's
-column order, computed once; ``take`` leaves the block C-contiguous, as
-orjson needs.  Each row's ``,r_state,attack_active`` cells come from a
-table indexed by the (graph, attack) pair, and the block's rows are joined
-into one string, written by one call.  The float cells of a block are
-formatted by one ``orjson.dumps`` call.  Like ``repr``, orjson writes a
-float64 as the shortest decimal digits that read back to the same value,
-choosing the nearest such digits (a Ryu-style encoder; Adams, PLDI 2018).
-The two pick the same digits and differ only in how they lay them out,
-which three rewrites undo:
+and one ``take`` through the column order of ``trajectory_columns``, which
+leaves the block C-contiguous, and formatted by one ``orjson.dumps`` call.
+Each row's ``,r_state,attack_active`` cells come from a table indexed by
+the (graph, attack) pair, and the block's rows are joined into one string,
+written by one call.
 
-1. exponents: orjson writes ``1e16`` and ``1e-7``, ``repr`` writes
-   ``1e+16`` and ``1e-07``, with a sign always and at least two digits;
-   two regular expressions add the sign and the leading zero;
-2. the decade [1e-5, 1e-4): ``repr`` writes scientific notation from 1e-4
-   down, orjson only from 1e-5 down, so it writes ``0.00001234`` where
-   ``repr`` writes ``1.234e-05``;
-3. non-finite cells: orjson writes nan, inf and -inf as ``null``.
+Like ``repr``, orjson writes the shortest digits that read back to the
+same float64, the nearest such (a Ryu-style encoder; Adams, PLDI 2018), so
+the two differ only in layout, and one rule splices ``repr`` in: each cell
+with 1e-9 <= |x| < 1e-4, |x| >= 1e16 or a non-finite value goes to orjson
+as nan, and the k-th ``null`` of a block becomes ``repr`` of the block's
+k-th such cell in row-major order.  The rule is exact:
 
-The cells of 2 and 3 are handed to orjson as nan, and the k-th ``null`` of
-a block is replaced by ``repr`` of the block's k-th such cell in row-major
-order.  Everywhere else (fixed notation from 1e-4 up to 1e16, signed zeros,
-the subnormals) the two write the same bytes, which the tests check on
-random float64 bit patterns and on every power of ten and its neighbours.
+- from 1e16 up orjson writes ``1e16``, ``repr`` ``1e+16``;
+- below 1e-4 ``repr`` writes ``1.5e-05``, a signed exponent of at least
+  two digits; orjson writes ``0.000015`` down to 1e-5, then ``1.5e-6``;
+- orjson writes nan, inf and -inf as ``null``;
+- elsewhere the two agree: on the zeros, on [1e-4, 1e16), and below 1e-9,
+  where the exponent has two or three digits.
+
+The thresholds compare as floats: a float's shortest digits are below 10^k
+exactly when it is below the float nearest 10^k.  The tests check the rule
+on random bit patterns, every power of ten and its neighbours, and densely
+over [1e-9, 1e-4).
 """
 
 from __future__ import annotations
 
 import os
-import re
 import tempfile
 from contextlib import contextmanager
 from itertools import chain
@@ -50,9 +49,6 @@ from .sim import Scenario
 # Rows of trajectory.csv gathered per block.  Larger blocks format no
 # faster and raise the peak memory of a run.
 CSV_CHUNK_ROWS = 64
-
-_EXPONENT_SIGN = re.compile(r"e(?=\d)")
-_EXPONENT_ONE_DIGIT = re.compile(r"(e[+-])(\d)(?=[,\]])")
 
 
 @contextmanager
@@ -86,32 +82,40 @@ def write_atomic(path: str, lines) -> None:
             fh.write("\n")
 
 
-def trajectory_header(scenario: Scenario) -> list:
-    cols = ["t"]
-    q = scenario.q
-    for i, model in enumerate(scenario.agents, start=1):
-        cols += [f"x{i}_{k}" for k in range(1, model.n + 1)]
-        cols += [f"y{i}"] if q == 1 else [f"y{i}_{d}" for d in range(1, q + 1)]
-        cols += [f"rho{i}"] if q == 1 else [f"rho{i}_{d}" for d in range(1, q + 1)]
-        cols += [f"z{i}"] if q == 1 else [f"z{i}_{d}" for d in range(1, q + 1)]
-        cols += [f"u{i}_{k}" for k in range(1, model.p + 1)]
-        cols += [f"eta_g{i}", f"eta_h{i}"]
-    cols += ["r_state", "attack_active"]
-    return cols
+def trajectory_columns(scenario: Scenario) -> tuple:
+    """The header of trajectory.csv, and the index of each float column in
+    a row of the eight Trajectory arrays (t, x, y, rho, z, u, eta_g, eta_h)
+    side by side, found in one walk over the agents."""
+    agents, q = scenario.agents, scenario.q
+    nq = len(agents) * q
+    # Agent i's first x, y and u columns and its eta_g column.  Its rho, z
+    # and eta_h columns lie nq, 2 nq and N columns after its y and eta_g.
+    x, y = 1, 1 + sum(m.n for m in agents)
+    u = y + 3 * nq
+    eta = u + sum(m.p for m in agents)
+    suffixes = [""] if q == 1 else [f"_{d}" for d in range(1, q + 1)]
+    columns = [("t", 0)]
+    for i, m in enumerate(agents, start=1):
+        columns += [(f"x{i}_{k + 1}", x + k) for k in range(m.n)]
+        columns += [(f"{name}{i}{s}", y + offset + d) for offset, name in
+                    ((0, "y"), (nq, "rho"), (2 * nq, "z"))
+                    for d, s in enumerate(suffixes)]
+        columns += [(f"u{i}_{k + 1}", u + k) for k in range(m.p)]
+        columns += [(f"eta_g{i}", eta), (f"eta_h{i}", eta + len(agents))]
+        x, y, u, eta = x + m.n, y + q, u + m.p, eta + 1
+    header, order = zip(*columns)
+    return [*header, "r_state", "attack_active"], np.array(order)
 
 
 def _repr_rows(block: np.ndarray) -> list:
     """Each row of the float64 ``block`` as the ``repr`` of its cells joined
     by commas."""
     magnitude = np.abs(block)
-    spliced = ~np.isfinite(block) | ((magnitude >= 1e-5) & (magnitude < 1e-4))
+    spliced = ~((magnitude < 1e-9) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
     cells = block[spliced].tolist()
     if cells:
         block = np.where(spliced, np.nan, block)
     text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    if "e" in text:
-        text = _EXPONENT_ONE_DIGIT.sub(r"\g<1>0\2",
-                                       _EXPONENT_SIGN.sub("e+", text))
     if cells:
         pieces = text.split("null")
         text = "".join(chain.from_iterable(zip(pieces, map(repr, cells))))\
@@ -119,34 +123,16 @@ def _repr_rows(block: np.ndarray) -> list:
     return text[2:-2].split("],[")
 
 
-def _column_order(scenario: Scenario, traj, arrays) -> np.ndarray:
-    """The float columns of trajectory.csv in header order, as indices into
-    a row of ``arrays``, the eight Trajectory arrays side by side."""
-    widths = [a.shape[1] for a in arrays]
-    t, x, y, rho, z, u, eta_g, eta_h = np.split(np.arange(sum(widths)),
-                                                np.cumsum(widths)[:-1])
-    q = scenario.q
-    order = [t]
-    for i in range(scenario.n_agents):
-        s0, s1 = traj.state_slices[i]
-        u0, u1 = traj.input_slices[i]
-        c0, c1 = i * q, (i + 1) * q
-        order += [x[s0:s1], y[c0:c1], rho[c0:c1], z[c0:c1], u[u0:u1],
-                  eta_g[i:i + 1], eta_h[i:i + 1]]
-    return np.concatenate(order)
-
-
 def trajectory_lines(scenario: Scenario, traj):
     """trajectory.csv in pieces that ``write_atomic`` ends with a newline:
     the header, then each block of ``CSV_CHUNK_ROWS`` rows as one string,
     its rows joined by newlines.  Each float cell is written as ``repr``
     writes it (``_repr_rows``), which is what ``cli._fmt`` writes for a
-    float cell.
-    """
-    yield ",".join(trajectory_header(scenario))
+    float cell."""
+    header, order = trajectory_columns(scenario)
+    yield ",".join(header)
     arrays = (traj.times[:, None], traj.x, traj.y, traj.rho, traj.z, traj.u,
               traj.eta_g, traj.eta_h)
-    order = _column_order(scenario, traj, arrays)
     tails = [f",{r},{attacked}"
              for r in range(len(scenario.graph_process.graphs)) for attacked in (0, 1)]
     pair = 2 * traj.r_state + traj.attack_on

@@ -19,7 +19,7 @@ from resopt.cli import (SCENARIO_SCHEMA, _apply_override, _conditions_lines,
                         preset_scenario, run_command, validate_document)
 from resopt.errors import DivergenceError, ValidationError
 from resopt.sim import run
-from resopt.writer import CSV_CHUNK_ROWS, trajectory_header, trajectory_lines
+from resopt.writer import CSV_CHUNK_ROWS, trajectory_columns, trajectory_lines
 
 CASE1_HEADER = (
     "t,"
@@ -402,14 +402,19 @@ class TestOverrides:
         assert loaded.scenario.seed == 42
 
 
-def pass_flags(name):
-    """(variant, frequency_pass, duration_pass) rows of a preset's
-    conditions.csv, computed without a simulation."""
-    loaded = preset_scenario(name)
+def conditions_rows(loaded):
+    """The rows of a scenario's conditions.csv as dicts, computed without a
+    simulation."""
     lines = list(_conditions_lines(loaded.scenario, loaded.budget))
     header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    return [(r["variant"], r["frequency_pass"], r["duration_pass"]) for r in rows]
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def pass_flags(name):
+    """(variant, frequency_pass, duration_pass) rows of a preset's
+    conditions.csv."""
+    return [(r["variant"], r["frequency_pass"], r["duration_pass"])
+            for r in conditions_rows(preset_scenario(name))]
 
 
 class TestPresetBudgets:
@@ -424,6 +429,28 @@ class TestPresetBudgets:
         # the 101 s that two bursts 100 s apart admit
         assert pass_flags("case3") == [("plain", "1", "1"),
                                        ("inflated", "0", "1")]
+
+    def test_event_based_kappa_star_defaults_to_the_dwell(self):
+        doc = preset("case3")
+        assert "kappa_star" not in doc["attacks"]["budget"]
+        assert build_scenario(doc).budget.kappa_star == 0.1
+
+    def test_inflated_row_follows_the_dwell(self):
+        doc = preset("case3")
+        doc["params"]["trigger"]["dwell_kappa"] = 0.5
+        rows = conditions_rows(build_scenario(doc))
+        assert [(r["variant"], r["t_f_star"]) for r in rows] == \
+            [("plain", "100.0"), ("inflated", "110.99999999999999")]
+
+    def test_kappa_star_below_the_dwell_refused(self, tmp_path, capsys):
+        path = tmp_path / "case3.json"
+        path.write_text(json.dumps(preset("case3")))
+        assert main(["check", str(path),
+                     "--set", "attacks.budget.kappa_star=0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "attacks.budget.kappa_star 0 is below " \
+            "params.trigger.dwell_kappa 0.1" in captured.err
 
 
 class TestRunCommand:
@@ -501,18 +528,20 @@ class TestRunCommand:
 
     def test_golden_case1_header(self):
         scen = preset_scenario("case1").scenario
-        assert ",".join(trajectory_header(scen)) == CASE1_HEADER
+        assert ",".join(trajectory_columns(scen)[0]) == CASE1_HEADER
 
 
 def per_cell_trajectory_lines(scenario, traj):
     """Reference trajectory.csv writer: every cell formatted through _fmt."""
-    yield ",".join(trajectory_header(scenario))
+    yield ",".join(trajectory_columns(scenario)[0])
     q = scenario.q
+    state_ends = np.cumsum([m.n for m in scenario.agents])
+    input_ends = np.cumsum([m.p for m in scenario.agents])
     for row in range(traj.times.shape[0]):
         parts = [_fmt(traj.times[row])]
-        for i in range(scenario.n_agents):
-            s0, s1 = traj.state_slices[i]
-            u0, u1 = traj.input_slices[i]
+        for i, m in enumerate(scenario.agents):
+            s0, s1 = state_ends[i] - m.n, state_ends[i]
+            u0, u1 = input_ends[i] - m.p, input_ends[i]
             c0, c1 = i * q, (i + 1) * q
             parts += [_fmt(v) for v in traj.x[row, s0:s1]]
             parts += [_fmt(v) for v in traj.y[row, c0:c1]]
@@ -596,16 +625,23 @@ FLOAT_TABLES = {
         [float(f"1e{k}") for k in range(-323, 309)]
         + [float(f"{m}e{k}") for m in ("1.2345", "9.87654321")
            for k in range(-320, 308)]),
-    # [1e-5, 1e-4), where orjson's fixed notation is repr's scientific one
+    # [1e-5, 1e-4), the top of the band [1e-9, 1e-4) that the rule splices,
+    # where orjson's fixed notation is repr's scientific one
     "decade_1e-5": with_neighbours(
         np.concatenate([np.linspace(1e-5, 1e-4, 997),
                         [1e-5, 1.5e-5, 2.5e-5, 1.234e-5, 9.99e-5, 1e-4]])),
-    # where either layout switches notation, the extremes, the zeros and
-    # the non-finite cells
+    # [1e-9, 1e-5), the rest of that band, where orjson writes a one-digit
+    # exponent and repr a zero-padded one
+    "decades_1e-9_to_1e-5": with_neighbours(
+        np.concatenate([np.geomspace(1e-9, 1e-5, 1997),
+                        [1e-9, 1.5e-9, 9.99e-9, 1e-8, 1.234e-7, 1e-6, 9.99e-6]])),
+    # the thresholds of the splice rule (1e-9, 1e-4, 1e16), where either
+    # layout switches notation, the extremes, the zeros and the non-finite
+    # cells
     "edges": with_neighbours(
-        [1e-5, 1e-4, 1e15, 1e16, 1e17, 5e-324, 2.2250738585072014e-308,
-         1.7976931348623157e308, 0.0, 0.1, 0.5, 1.0, 123456789.0,
-         9007199254740993.0, np.inf, np.nan]),
+        [1e-10, 1e-9, 1e-5, 1e-4, 1e15, 1e16, 1e17, 5e-324,
+         2.2250738585072014e-308, 1.7976931348623157e308, 0.0, 0.1, 0.5, 1.0,
+         123456789.0, 9007199254740993.0, np.inf, np.nan]),
 }
 
 

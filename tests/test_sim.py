@@ -203,7 +203,7 @@ def synthetic_trajectory(times, y_values):
                       r_state=np.zeros(n, dtype=int),
                       attack_on=np.zeros(n, dtype=bool),
                       events=(np.array([]),), blocked_attempts=(np.array([]),),
-                      q=1, state_slices=((0, 1),), input_slices=((0, 1),))
+                      q=1)
 
 
 class TestConvergenceReport:
@@ -408,9 +408,7 @@ def reference_run(scenario):
             eta_g=hist_eg[:last + 1], eta_h=hist_eh[:last + 1],
             r_state=r_series[:last + 1], attack_on=on,
             events=tuple(t[fired[:, i] & ~on] for i in range(big_n)),
-            blocked_attempts=tuple(t[fired[:, i] & on] for i in range(big_n)), q=q,
-            state_slices=tuple(st.state_slices),
-            input_slices=tuple(st.input_slices))
+            blocked_attempts=tuple(t[fired[:, i] & on] for i in range(big_n)), q=q)
         if diverged_at is not None:
             raise DivergenceError(diverged_at, traj)
         return traj
