@@ -10,8 +10,7 @@ from .attack import (AttackBudget, AttackMetrics, AttackSchedule, attack_active,
                      attack_metrics, check_duration_condition,
                      check_frequency_condition)
 from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
-                         eta_flow, eta_step, firing, trigger_functions,
-                         trigger_threshold)
+                         eta_flow)
 from .cost import CostSpec, centralized_optimum, gradient
 from .errors import (AssumptionViolatedError, DivergenceError,
                      InvariantViolatedError, RegulationError, ResoptError,

@@ -24,16 +24,18 @@ The step loop is lean, as it is almost all numpy dispatch on short vectors.
 It writes into preallocated arrays only: a work row ``[x; rho; z; y; rho +
 z]`` (the history row, then the live table), the RK4 stages and the
 ``np.dot`` products.  x and rho are one RK4 state ``xr``, z is advanced
-exactly, and eta_g, eta_h are one (2, N) table advanced by the exact flow of
-their linear ODE.  The law's per-agent values live in the stacked (2, N, q)
-tables of ``controller``.  The consensus part of theta, z's increment and
-the trigger thresholds are computed with the consensus errors; on the
-event-based law those are recomputed only when someone fires or the graph
-switches, and on a quiet step the firing decision's trigger values also
-freeze the eta forcing.  On the time-based law an attack silences the whole
-team, whose consensus errors are then exact zeros whatever the graph and the
-state, so that silenced part is computed once per run and reused at every
-attacked grid point.  The RK4 sum k1 + 2 k2 + 2 k3 + k4 is one reduce over
+exactly, and eta_g, eta_h take the exact flow of their linear ODE.  The
+consensus part of theta and z's increment are computed with the consensus
+errors.  On the time-based law these come from the live (2, N, q) table by
+numpy (``controller.consensus_errors``).  On the event-based law the trigger
+is one compiled team kernel (``controller.team_trigger``) that reads the
+live table as one list per grid point: a quiet step is one call, which
+decides and advances eta, and the errors of the broadcast table, with the
+thresholds, the consensus part and z's increment, are recomputed only when
+someone fires or the graph switches.  On the time-based law an attack
+silences the whole team, whose consensus errors are then exact zeros
+whatever the graph and the state, so that silenced part is computed once per
+run and reused at every attacked grid point.  The RK4 sum k1 + 2 k2 + 2 k3 + k4 is one reduce over
 the stage rows, which adds them one after another.  u feeds nothing in the
 step: it is computed afterwards, a block at a time, from the recorded x, rho
 and stage-1 theta by the same per-row products.  Every element that feeds x,
@@ -68,8 +70,7 @@ import numpy as np
 
 from .attack import AttackSchedule, activity_series
 from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
-                         eta_flow, eta_step, firing, trigger_functions,
-                         trigger_threshold)
+                         team_trigger)
 from .cost import team_theta
 from .errors import DivergenceError, InvariantViolatedError, ValidationError
 from .graph import GraphProcess, laplacian, sample_switching_path, stationary_weighting
@@ -340,36 +341,31 @@ def run(scenario: Scenario) -> Trajectory:
     y_stage, prod = np.empty(nq), np.empty(nx)
     theta_block, u_prod = np.empty((U_BLOCK, nq)), np.empty((U_BLOCK, pu, 1))
 
-    trig = scenario.trigger
-    frozen = False  # or the mask of agents whose last attempt was attacked
     if event_mode:
-        eta = np.array([np.full(big_n, trig.eta_g0), np.full(big_n, trig.eta_h0)])
-        hats = np.zeros((2, big_n, q))  # each agent's last successful broadcast
-        attacked_last = np.zeros(big_n, dtype=bool)
-        attacked_at = np.full(big_n, math.inf)
-        table_lap = None  # the Laplacian errs were last computed with
-        flow = eta_flow(trig, h)
+        decide, refresh = team_trigger(scenario.trigger, scenario.params, big_n, q, h,
+                                       hist_eta.reshape(n_steps + 1, 2 * big_n))
+        live_list = work[ns:].tolist
+        table_lap = None  # the Laplacian the trigger's errors were last computed on
 
     theta_eval = st.theta_eval
     m_a, m_bukx, m_bw, c_blk = st.m_a, st.m_bukx, st.m_bw, st.c_blk
     neg_k, ukx_blk, w_blk = -st.k_blk, st.ukx_blk, st.w_blk
     half_h, sixth_h, neg_h = 0.5 * h, h / 6.0, -h
     neg_gains = np.array([[-ab], [-beta]])
-    r_list, on_list = r_series.tolist(), attack_on.tolist()
+    r_list, on_list, time_at = r_series.tolist(), attack_on.tolist(), times.item
 
     # np.dot multiplies a 1 x 1 matrix as a scalar, which keeps the sign of a
     # zero product that ``@`` drops; only a team with one scalar state has one.
     dot = np.dot if nx > 1 else lambda a, b, out: np.matmul(a, b, out=out)
 
     def consensus_part(errs):
-        """From the errors [e_y; e_s], what is frozen over the step: the
-        consensus part of theta (read by rhs; a list), z's increment and, on
-        the event-based law, the trigger thresholds."""
+        """From the time-based law's errors [e_y; e_s], what is frozen over the
+        step: the consensus part of theta (read by rhs; a list) and z's
+        increment."""
         # [-ab e_y; -beta e_s]: -beta e_s - ab e_y and h ab e_y, bit for bit
         pn = neg_gains * errs.reshape(2, nq)
         const = pn[1] + pn[0]
-        return (const.tolist(), neg_h * pn[0],
-                trigger_threshold(errs, trig) if event_mode else None)
+        return const.tolist(), neg_h * pn[0]
 
     def rhs(x_s, rho_s, y_s, out):
         """d[x; rho] at (x_s, rho_s), y_s = C x_s, into the views (dx, theta)."""
@@ -451,34 +447,20 @@ def run(scenario: Scenario) -> Trajectory:
                 # instant.  The consensus errors of the table, and the
                 # consensus part of theta, z's increment and the trigger
                 # thresholds with them, change only when someone fires or
-                # the graph switches.  On a quiet step nothing the trigger
-                # functions read has changed, so their values also freeze
-                # this step's eta forcing; otherwise they are evaluated
-                # again.
+                # the graph switches; a quiet step's decision also advances
+                # eta, and a firing step's refresh does.
                 if lap is not table_lap:
-                    const_theta, dz, threshold = consensus_part(
-                        consensus_errors(lap, hats, frozen))
+                    const_theta, dz = refresh(lap, None)
                     table_lap = lap
-                gh = trigger_functions(hats, live, threshold)
-                fired = firing(k == 0, times[k], gh, eta, frozen, attacked_at, trig)
-                if np.count_nonzero(fired):
-                    hist_fired[k] = fired
-                    attacked_last[fired] = attacked
-                    if attacked:
-                        attacked_at[fired] = times[k]
-                        frozen = attacked_last
-                    else:
-                        np.copyto(hats, live, where=fired[:, None])
-                        if frozen is not False and not attacked_last.any():
-                            frozen = False
-                    const_theta, dz, threshold = consensus_part(
-                        consensus_errors(lap, hats, frozen))
-                    gh = trigger_functions(hats, live, threshold)
-                hist_eta[k] = eta
+                vals = live_list()
+                fired = decide(vals, time_at(k), k, attacked)
+                if fired:
+                    hist_fired[k, fired] = True
+                    const_theta, dz = refresh(lap, vals)
             elif attacked:
-                const_theta, dz, _ = silenced
+                const_theta, dz = silenced
             else:
-                const_theta, dz, _ = consensus_part(consensus_errors(lap, live, False))
+                const_theta, dz = consensus_part(consensus_errors(lap, live, False))
 
             rhs(x, rho, y, k_parts[0])
             hist[k] = record
@@ -503,9 +485,6 @@ def run(scenario: Scenario) -> Trajectory:
             stage *= sixth_h
             xr += stage
             z += dz
-
-            if event_mode:
-                eta = eta_step(eta, gh, frozen, flow)
 
         check(n_steps - n_steps % U_BLOCK, n_steps + 1)
         return finish(n_steps, None)

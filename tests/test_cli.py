@@ -653,8 +653,18 @@ def trajectory_text(scenario, traj):
 
 class TestTrajectoryWriter:
     def assert_matches_reference(self, scenario, traj):
-        assert trajectory_text(scenario, traj) == \
-            "\n".join(per_cell_trajectory_lines(scenario, traj))
+        # Compared as lists of lines, and reported by the first differing
+        # line: an assertion on the whole text would have pytest diff
+        # megabytes of it, which takes minutes.
+        got = trajectory_text(scenario, traj).split("\n")
+        want = list(per_cell_trajectory_lines(scenario, traj))
+        if got != want:
+            line = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                        min(len(got), len(want)))
+            pytest.fail(f"trajectory.csv differs from the reference first at line "
+                        f"{line + 1} ({len(got)} lines, reference {len(want)}):\n"
+                        f"  written:   {got[line] if line < len(got) else '<none>'}\n"
+                        f"  reference: {want[line] if line < len(want) else '<none>'}")
 
     def test_event_based_run(self):
         scenario, traj = event_based_trajectory()

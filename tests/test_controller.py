@@ -1,12 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from resopt.attack import AttackSchedule
-from resopt.controller import (AlgorithmParams, TriggerParams, consensus_errors,
-                               eta_flow, eta_step, firing, trigger_functions,
-                               trigger_threshold)
+from resopt.controller import (RETRY_SLACK, AlgorithmParams, TriggerParams, _add_reduce,
+                               consensus_errors, eta_flow, team_trigger)
 from resopt.cost import CostSpec
 from resopt.errors import ValidationError
 from resopt.graph import GraphProcess, WeightedDigraph, laplacian
@@ -83,78 +83,210 @@ class TestEventBasedErrors:
         assert e_y[0, 0] == pytest.approx(2.0)
 
 
-def fires(params, s_hat, y_hat, s, y, e_s, e_y, eta_g, eta_h):
-    threshold = trigger_threshold(table(column(*e_y), column(*e_s)), params)
-    gh = trigger_functions(table(column(*y_hat), column(*s_hat)),
-                           table(column(*y), column(*s)), threshold)
-    n = gh.shape[1]
-    eta = np.array([eta_g, eta_h], dtype=float)
-    fired = firing(False, 1.0, gh, eta, False, np.full(n, np.inf), params)
-    # a mask with no frozen agent decides the same as ``False``
-    masked = firing(False, 1.0, gh, eta, np.zeros(n, dtype=bool),
-                    np.full(n, np.inf), params)
-    assert fired.tobytes() == masked.tobytes()
-    return fired
+def complete(n):
+    """The Laplacian of n agents that all hear each other with weight 1."""
+    return lap(np.ones((n, n)) - np.eye(n))
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class NumpyTrigger:
+    """The event trigger as numpy expressions over the stacked (2, N, q) and
+    (2, N) tables, with the integrator's bookkeeping around them: the
+    thresholds, trigger functions, firing rule and eta flow that
+    ``team_trigger`` replaced, written out as the oracle of its kernel.  An
+    all-false frozen mask gives the bits that no mask gave."""
+
+    def __init__(self, params, gains, n, q, step):
+        self.params = params
+        self.sigmas = np.array([[params.sigma_g], [params.sigma_h]])
+        self.thetas = np.array([[params.theta_g], [params.theta_h]])
+        self.neg_gains = np.array([[-(gains.alpha * gains.beta)], [-gains.beta]])
+        self.neg_h = -step
+        self.flow = eta_flow(params, step)
+        self.eta = np.array([np.full(n, params.eta_g0), np.full(n, params.eta_h0)])
+        self.hats = np.zeros((2, n, q))
+        self.frozen = np.zeros(n, dtype=bool)
+        self.attacked_at = np.full(n, math.inf)
+        self.threshold = None
+
+    def refresh(self, lap):
+        """The consensus part of theta and z's increment; sets the thresholds."""
+        errs = consensus_errors(lap, self.hats, self.frozen)
+        self.threshold = self.thetas * np.add.reduce(errs * errs, 2)
+        pn = self.neg_gains * errs.reshape(2, -1)
+        return (pn[1] + pn[0]).tolist(), self.neg_h * pn[0]
+
+    def trigger_functions(self, live):
+        drift = self.hats - live
+        return np.add.reduce(drift * drift, 2) - self.threshold
+
+    def step(self, live, t, k, attacked, lap):
+        """(fired mask, eta at this grid point, the refresh after a firing or
+        None); advances eta."""
+        gh = self.trigger_functions(live)
+        if k == 0:
+            fired = np.ones(self.frozen.size, dtype=bool)
+        else:
+            triggered = np.logical_or.reduce(self.sigmas * gh > self.eta, 0)
+            retry = t >= self.attacked_at + self.params.dwell_kappa - RETRY_SLACK
+            fired = np.where(self.frozen, retry, triggered)
+        eta, part = self.eta, None
+        if fired.any():
+            self.frozen[fired] = attacked
+            if attacked:
+                self.attacked_at[fired] = t
+            else:
+                np.copyto(self.hats, live, where=fired[:, None])
+            part = self.refresh(lap)
+            gh = self.trigger_functions(live)
+        decay, gain = self.flow
+        self.eta = np.where(self.frozen, eta, decay * eta - gain * gh)
+        return fired, eta, part
+
+
+class Lockstep:
+    """``team_trigger``'s kernel and ``NumpyTrigger`` driven through the same
+    grid points, and asserted equal bit for bit at each: the fired agents,
+    the eta row written, and every refresh's consensus part and z increment."""
+
+    def __init__(self, params, n=1, q=1, lap=None, step=1e-3, rows=400):
+        gains = AlgorithmParams(2.0, 1.0)
+        self.n, self.q, self.k = n, q, 0
+        self.rows = np.zeros((rows, 2 * n))
+        self.decide, self.refresh = team_trigger(params, gains, n, q, step, self.rows)
+        self.numpy = NumpyTrigger(params, gains, n, q, step)
+        self.lap = np.zeros((n, n)) if lap is None else lap
+        self.table_lap = self.part = None
+
+    def step(self, y, s, t, attacked=False, lap=None):
+        """One grid point at time ``t`` with live outputs ``y`` and rho + z
+        ``s``, each (N, q) or (N,); returns the agents that attempt a
+        broadcast."""
+        lap = self.lap if lap is None else lap
+        live = np.array([y, s], dtype=float).reshape(2, self.n, self.q)
+        if lap is not self.table_lap:
+            self.compare(self.refresh(lap, None), self.numpy.refresh(lap))
+            self.table_lap = lap
+        values = live.ravel().tolist()
+        fired = self.decide(values, t, self.k, attacked)
+        want, eta, part = self.numpy.step(live, t, self.k, attacked, lap)
+        assert self.rows[self.k].tobytes() == eta.tobytes()
+        assert (fired or []) == np.flatnonzero(want).tolist()
+        if fired:
+            self.compare(self.refresh(lap, values), part)
+        self.k += 1
+        return fired or []
+
+    def compare(self, got, want):
+        assert bits(got[0]) == bits(want[0]) and got[1].tobytes() == want[1].tobytes()
+        self.part = got
+
+    def eta(self):
+        """The (2, N) trigger variables the next grid point starts from, read
+        from the kernel's state (its functions' namespace) and checked
+        against numpy's."""
+        got = np.array(self.decide.__globals__["eta"]).reshape(2, self.n)
+        assert got.tobytes() == self.numpy.eta.tobytes()
+        return got
 
 
 class TestTriggerCheck:
     def test_fresh_broadcast_never_fires(self):
-        fired = fires(trigger_params(), s_hat=[5.0], y_hat=[1.0], s=[5.0],
-                      y=[1.0], e_s=[-0.4], e_y=[0.7], eta_g=[1.0], eta_h=[1.0])
-        assert not fired[0]
+        # right after a successful broadcast both drifts are zero and eta is
+        # positive
+        rng = np.random.default_rng(3)
+        for q in (1, 2, 3) * 10:
+            run = Lockstep(trigger_params(), n=3, q=q, lap=complete(3))
+            y, s = rng.standard_normal((2, 3, q))
+            assert run.step(y, s, 0.0) == [0, 1, 2]
+            assert run.step(y, s, 1e-3) == []
 
     def test_static_threshold_limit(self):
-        params = trigger_params(theta_g=0.0, theta_h=0.0)
-        fired = fires(params, s_hat=[0.0], y_hat=[1.0], s=[0.0], y=[0.0],
-                      e_s=[0.0], e_y=[0.0], eta_g=[1e-15], eta_h=[1.0])
-        assert fired[0]
+        params = trigger_params(theta_g=0.0, theta_h=0.0, eta_g0=1e-15)
+        run = Lockstep(params)
+        run.step([0.0], [0.0], 0.0)
+        assert run.step([1e-6], [0.0], 1e-3) == [0]
 
     def test_numeric_example(self):
-        # |e~_y|^2 = 0.5, theta_g |e_y|^2 = 0.1, sigma_g = 2:
-        # sigma_g * g = 0.8, fires only once eta_g drops below 0.8; the two
-        # rows are the same agent with eta_g = 1.0 and eta_g = 0.5
-        params = trigger_params(sigma_g=2.0, theta_g=0.2, sigma_h=2.0,
-                                theta_h=0.0)
-        r = np.sqrt(0.5)
-        fired = fires(params, s_hat=[0.0, 0.0], y_hat=[r, r], s=[0.0, 0.0],
-                      y=[0.0, 0.0], e_s=[0.0, 0.0], e_y=[r, r],
-                      eta_g=[1.0, 0.5], eta_h=[1e6, 1e6])
-        assert list(fired) == [False, True]
+        # |e~_y|^2 = 0.5, theta_g |e_y|^2 = 0.1, sigma_g = 2: sigma_g * g =
+        # 0.8, so an agent fires only once eta_g has dropped below 0.8; the two
+        # runs differ only in eta_g0, 1.0 and 0.5
+        r = math.sqrt(0.5)
+        fired = []
+        for eta_g0 in (1.0, 0.5):
+            params = trigger_params(sigma_g=2.0, theta_g=0.2, theta_h=0.0,
+                                    eta_g0=eta_g0, eta_h0=1e6)
+            run = Lockstep(params, n=2, lap=complete(2))
+            run.step([r, 0.0], [0.0, 0.0], 0.0)  # e_y = (r, -r)
+            fired.append(run.step([0.0, r], [0.0, 0.0], 1e-3))
+        assert fired == [[], [0, 1]]
+
+    def test_tie_does_not_fire(self):
+        # sigma_g g equal to eta_g does not fire, one ulp more drift does
+        # (no edges and delta_g = 0, so eta_g after the first step is
+        # decay * eta_g0 and g the squared drift)
+        params = trigger_params(sigma_g=1.0, delta_g=0.0, k_g=2.0)
+        decay = eta_flow(params, 1e-3)[0][0, 0]
+        eta_g0 = 0.25 / decay
+        for _ in range(8):
+            if decay * eta_g0 != 0.25:
+                eta_g0 = np.nextafter(eta_g0, math.inf if decay * eta_g0 < 0.25 else 0.0)
+        assert decay * eta_g0 == 0.25
+        for drift, fired in ((0.5, []), (float(np.nextafter(0.5, 1.0)), [0])):
+            run = Lockstep(dataclasses.replace(params, eta_g0=float(eta_g0)))
+            run.step([0.0], [0.0], 0.0)
+            assert run.step([drift], [0.0], 1e-3) == fired
 
     def test_everyone_fires_first(self):
-        params = trigger_params()
-        gh = np.full((2, 3), -1.0)
-        fired = firing(True, 0.0, gh, np.ones((2, 3)), False, np.full(3, np.inf),
-                       params)
-        assert fired.all()
+        for attacked in (False, True):
+            run = Lockstep(trigger_params(), n=3, lap=complete(3))
+            assert run.step(np.zeros(3), np.zeros(3), 0.0, attacked) == [0, 1, 2]
 
     def test_rows_use_their_own_sigma(self):
-        # row 0 is g with sigma_g = 2, row 1 is h with sigma_h = 0.5
+        # row 0 is g with sigma_g = 2, row 1 is h with sigma_h = 0.5: a unit
+        # drift of y fires agent 0, a unit drift of rho + z does not fire
+        # agent 1 (no edges, so zero thresholds)
         params = trigger_params(sigma_g=2.0, sigma_h=0.5, k_h=3.0)
-        eta = np.ones((2, 2))
-        gh = np.array([[1.0, 0.0], [0.0, 1.0]])
-        fired = firing(False, 1.0, gh, eta, False, np.full(2, np.inf), params)
-        assert list(fired) == [True, False]
+        run = Lockstep(params, n=2)
+        run.step([0.0, 0.0], [0.0, 0.0], 0.0)
+        assert run.step([1.0, 0.0], [0.0, 1.0], 1e-3) == [0]
 
 
 class TestDwellScheduling:
-    def retries(self, t, attacked_at, params=None):
-        params = params or trigger_params()
-        big = np.full((2, 1), 1e6)  # would fire at once if not governed by the retry
-        return bool(firing(False, t, big, np.ones((2, 1)),
-                           np.array([True]), np.array([attacked_at]), params)[0])
+    """An agent whose attempt at t_a fell under attack is frozen: whatever its
+    drift, it attempts again once t reaches t_a + dwell_kappa (0.1 here)."""
+
+    @staticmethod
+    def frozen_at(t_a):
+        run = Lockstep(trigger_params())
+        run.step([0.0], [0.0], t_a - 1.0)
+        assert run.step([1e3], [0.0], t_a, attacked=True) == [0]
+        return run
 
     def test_simple_shift(self):
-        assert not self.retries(5.1 - 1e-9, 5.0)
-        assert self.retries(5.1, 5.0)
+        run = self.frozen_at(5.0)
+        assert run.step([1e3], [0.0], 5.1 - 1e-9) == []
+        assert run.step([1e3], [0.0], 5.1) == [0]
 
     def test_repeated_retries(self):
-        t = 5.0
+        run = self.frozen_at(5.0)
         for k in range(1, 4):
             t_next = 5.0 + 0.1 * k
-            assert not self.retries(t_next - 1e-9, t)
-            assert self.retries(t_next, t)
-            t = t_next
+            assert run.step([1e3], [0.0], t_next - 1e-9, attacked=True) == []
+            assert run.step([1e3], [0.0], t_next, attacked=True) == [0]
+
+    def test_retry_at_the_boundary(self):
+        # the retry time is (t_a + dwell_kappa) - RETRY_SLACK, to the bit (at
+        # t_a = 0.05, t_a + (dwell_kappa - RETRY_SLACK) is one ulp less), and
+        # a frozen agent with no drift retries too
+        t_a = 0.05
+        boundary = t_a + 0.1 - RETRY_SLACK
+        run = self.frozen_at(t_a)
+        assert run.step([1e3], [0.0], float(np.nextafter(boundary, 0.0))) == []
+        assert run.step([0.0], [0.0], boundary) == [0]
 
 
 def exact_decay_reference(eta, rate, force, step):
@@ -163,56 +295,146 @@ def exact_decay_reference(eta, rate, force, step):
     return eta * decay - force * (1.0 - decay) / rate
 
 
-def step_rows(eta_g, g, frozen, params, step=1e-3):
-    """eta_step on one column per agent; the h row mirrors the g row.  With
-    no agent frozen, ``False`` and the all-false mask give the same bits."""
-    eta = np.array([eta_g, eta_g], dtype=float)
-    gh = np.array([g, g], dtype=float)
-    flow = eta_flow(params, step)
-    mask = np.asarray(frozen, dtype=bool)
-    new = eta_step(eta, gh, mask, flow)
-    if not mask.any():
-        assert eta_step(eta, gh, False, flow).tobytes() == new.tobytes()
-    return new
-
-
 class TestEtaDerivative:
+    """eta takes the exact flow of ``d eta = -k eta - delta gh`` over a step.
+    Right after the first broadcast both drifts are zero, so on two agents
+    that hear each other with outputs +-1, g = -theta_g |e_y|^2 = -4 theta_g
+    and h = 0."""
+
     def test_frozen_under_attack(self):
-        eta = [0.1234567890123, 7.0 / 3.0]
-        new_g, new_h = step_rows(eta, [5.0, -3.0], [True, True], trigger_params())
-        want = np.array(eta).tobytes()
-        assert new_g.tobytes() == want and new_h.tobytes() == want
+        params = trigger_params(eta_g0=0.1234567890123, eta_h0=7.0 / 3.0)
+        run = Lockstep(params, n=2, lap=complete(2))
+        run.step([1.0, -1.0], [0.0, 0.0], 0.0)
+        before = run.eta()
+        assert run.step([5.0, -3.0], [0.0, 0.0], 1e-3, attacked=True) == [0, 1]
+        assert run.eta().tobytes() == before.tobytes()
 
     def test_pure_decay_with_zero_delta(self):
-        params = trigger_params(delta_g=0.0, delta_h=0.0)
-        new_g, _ = step_rows([2.0, 3.0], [7.0, -7.0], [False, False], params)
-        assert new_g[0] == pytest.approx(exact_decay_reference(2.0, 1.0, 0.0, 1e-3))
-        assert new_g[1] == pytest.approx(exact_decay_reference(3.0, 1.0, 0.0, 1e-3))
+        params = trigger_params(delta_g=0.0, delta_h=0.0, eta_g0=2.0, eta_h0=3.0)
+        run = Lockstep(params, n=2, lap=complete(2))
+        run.step([7.0, -7.0], [0.0, 0.0], 0.0)
+        eta_g, eta_h = run.eta()
+        assert eta_g == pytest.approx([exact_decay_reference(2.0, 1.0, 0.0, 1e-3)] * 2)
+        assert eta_h == pytest.approx([exact_decay_reference(3.0, 1.0, 0.0, 1e-3)] * 2)
 
     def test_numeric_example(self):
-        # k = 1, delta = 0.5, eta = 2, g = -1: d eta = -1.5; the second row
-        # is frozen and keeps its value
-        params = trigger_params(k_g=1.0, delta_g=0.5, k_h=1.0, delta_h=0.5)
-        new_g, _ = step_rows([2.0, 2.0], [-1.0, -1.0], [False, True], params)
+        # k = 1, delta = 0.5, eta = 2, g = -1 (theta_g = 0.25): d eta = -1.5.
+        # Then agent 1's attempt falls under attack: it keeps its value, and
+        # agent 0, whose errors the attempt leaves alone, flows on
+        params = trigger_params(k_g=1.0, delta_g=0.5, theta_g=0.25, eta_g0=2.0)
+        run = Lockstep(params, n=2, lap=complete(2))
+        run.step([1.0, -1.0], [0.0, 0.0], 0.0)
+        new_g = run.eta()[0]
         assert new_g[0] == pytest.approx(exact_decay_reference(2.0, 1.0, -0.5, 1e-3))
         assert (new_g[0] - 2.0) / 1e-3 == pytest.approx(-1.5, rel=1e-3)
-        assert new_g[1] == 2.0
+        assert run.step([1.0, 5.0], [0.0, 0.0], 1e-3, attacked=True) == [1]
+        after = run.eta()[0]
+        assert after[0] == pytest.approx(exact_decay_reference(new_g[0], 1.0, -0.5, 1e-3))
+        assert after[1] == new_g[1]
 
     def test_rows_use_their_own_coefficients(self):
-        params = trigger_params(k_g=1.0, delta_g=0.5, k_h=3.0, delta_h=0.25)
-        new = eta_step(np.full((2, 1), 2.0), np.array([[-1.0], [4.0]]), False,
-                       eta_flow(params, 1e-3))
-        assert new[0, 0] == pytest.approx(exact_decay_reference(2.0, 1.0, -0.5, 1e-3))
-        assert new[1, 0] == pytest.approx(exact_decay_reference(2.0, 3.0, 1.0, 1e-3))
+        # a quiet step with g = -1 and h = 4: eta_g flows with k_g and
+        # delta_g, eta_h with k_h and delta_h
+        params = trigger_params(k_g=1.0, delta_g=0.5, k_h=3.0, delta_h=0.25,
+                                theta_g=0.25, theta_h=0.0, sigma_h=0.5, eta_h0=10.0)
+        run = Lockstep(params, n=2, lap=complete(2))
+        run.step([1.0, -1.0], [0.0, 0.0], 0.0)
+        eta_g, eta_h = run.eta()
+        assert run.step([1.0, -1.0], [2.0, 2.0], 1e-3) == []
+        new_g, new_h = run.eta()
+        assert new_g == pytest.approx([exact_decay_reference(e, 1.0, -0.5, 1e-3) for e in eta_g])
+        assert new_h == pytest.approx([exact_decay_reference(e, 3.0, 1.0, 1e-3) for e in eta_h])
 
     def test_exact_at_a_stiff_rate(self):
         # k step = 0.2: RK4's Taylor polynomial is off by 3e-6 relative here,
-        # the exact flow only by rounding
-        params = trigger_params(k_g=200.0, delta_g=0.99, k_h=200.0, delta_h=0.99)
-        new_g, _ = step_rows([1.0, 0.5], [1e-3, -2.0], [False, False], params)
-        for got, eta, g in zip(new_g, (1.0, 0.5), (1e-3, -2.0)):
-            assert got == pytest.approx(
-                exact_decay_reference(eta, 200.0, 0.99 * g, 1e-3), rel=1e-14)
+        # the exact flow only by rounding; g = -2 (theta_g = 0.5), h = 0
+        params = trigger_params(k_g=200.0, delta_g=0.99, k_h=200.0, delta_h=0.99,
+                                theta_g=0.5)
+        run = Lockstep(params, n=2, lap=complete(2))
+        run.step([1.0, -1.0], [0.0, 0.0], 0.0)
+        eta_g, eta_h = run.eta()
+        assert eta_g == pytest.approx(
+            [exact_decay_reference(1.0, 200.0, 0.99 * -2.0, 1e-3)] * 2, rel=1e-14)
+        assert eta_h == pytest.approx(
+            [exact_decay_reference(1.0, 200.0, 0.0, 1e-3)] * 2, rel=1e-14)
+
+
+def random_run(n, q, seed, steps=300):
+    """``Lockstep`` over random grid points: live values that drift at scales
+    from 1e-4 to 1 a step, so that quiet and firing steps mix, two graphs
+    switched every 75 steps, and attacks on 20 of every 100 steps with a
+    dwell of 10 steps.  Returns the counts of quiet steps, firings, attacked
+    attempts and retries."""
+    rng = np.random.default_rng(seed)
+    laps = [lap(rng.uniform(0.5, 2.0, (n, n)) * (1.0 - np.eye(n))) for _ in range(2)]
+    params = trigger_params(delta_g=0.3, delta_h=0.6, k_h=2.0, dwell_kappa=0.01)
+    run = Lockstep(params, n, q, rows=steps)
+    y, s = rng.standard_normal((2, n, q))
+    times = (np.arange(steps) * 1e-3).tolist()
+    counts = dict(quiet=0, firings=0, attacked=0, retries=0)
+    for k in range(steps):
+        scale = 10.0 ** rng.integers(-4, 1)
+        y = y + scale * rng.standard_normal((n, q))
+        s = s + scale * rng.standard_normal((n, q))
+        attacked = 40 <= k % 100 < 60
+        frozen = run.numpy.frozen.copy()
+        fired = run.step(y, s, times[k], attacked, laps[k // 75 % 2])
+        counts["quiet"] += not fired
+        counts["firings"] += len(fired)
+        counts["attacked"] += attacked * len(fired)
+        counts["retries"] += int(frozen[fired].sum())
+    run.eta()
+    return counts
+
+
+class TestTeamTriggerMatchesNumpy:
+    @pytest.mark.parametrize("q", [1, 2, 3, 7, 8, 9, 17])
+    def test_random_run(self, q):
+        counts = random_run(3, q, seed=q)
+        assert all(counts.values()), counts
+
+    def test_random_run_on_sixteen_agents(self):
+        counts = random_run(16, 1, seed=16)
+        assert all(counts.values()), counts
+
+    def test_silenced_rows(self):
+        # agents 0 and 2 are frozen by an attacked attempt while agent 1 is
+        # not: their consensus errors are zeros, so their part of theta is
+        # -0.0 and their z increment +0.0
+        run = Lockstep(trigger_params(), n=3, q=2, lap=complete(3))
+        y = np.array([[1.0, 2.0], [-1.0, 0.5], [3.0, -2.0]])
+        run.step(y, y, 0.0)
+        moved = y + [[10.0, 0.0], [0.0, 0.0], [0.0, -10.0]]
+        assert run.step(moved, y, 1e-3, attacked=True) == [0, 2]
+        const, dz = np.array(run.part[0]).reshape(3, 2), run.part[1].reshape(3, 2)
+        assert bits(const[[0, 2]]) == bits(np.full((2, 2), -0.0))
+        assert bits(dz[[0, 2]]) == bits(np.zeros((2, 2)))
+        assert np.all(const[1] != 0.0)
+
+    def test_non_finite_live_values(self):
+        # every comparison with nan is false, so a nan drift fires nothing,
+        # while an infinite one fires; eta takes numpy's bits either way
+        run = Lockstep(trigger_params(), n=3, lap=complete(3))
+        run.step([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.0)
+        with np.errstate(invalid="ignore"):
+            assert run.step([math.nan, 0.0, 0.0], [0.0, 0.0, 0.0], 1e-3) == []
+            assert run.step([math.nan, math.inf, 0.0], [0.0, 0.0, -math.inf], 2e-3) == [1, 2]
+            run.step([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 3e-3)
+        assert np.isnan(run.eta()).any()
+
+    @pytest.mark.parametrize("length", [*range(1, 20), 31, 32, 33, 127, 128, 129, 136, 300])
+    def test_summation_order(self, length):
+        # ``_add_reduce``'s sum against np.add.reduce along the last axis of a
+        # (2, N, q) table, over squares of many magnitudes, so that any other
+        # order shows in the last bits
+        rng = np.random.default_rng(length)
+        names = [f"x{j}" for j in range(length)]
+        expression = compile(_add_reduce(names), "<sum>", "eval")
+        table = (rng.standard_normal((2, 3, length))
+                 * 10.0 ** rng.integers(-8, 9, (2, 3, length))) ** 2
+        want = np.add.reduce(table, 2).ravel()
+        got = [eval(expression, dict(zip(names, row))) for row in table.reshape(-1, length).tolist()]
+        assert bits(got) == want.tobytes()
 
 
 class TestTriggerParamsValidation:

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -588,6 +590,18 @@ def ring16_scenario():
     return scenario_from(load_workloads().ring_document(1, True))
 
 
+def warmup_scenario(seed):
+    """The ``dos_event_based`` benchmark workload's warm-up document (the
+    case3 preset at the smoke horizon) for one seed."""
+    return scenario_from(load_workloads().dos_event_document(seed, True))
+
+
+def data_scenario(name):
+    """The scenario of a document in ``tests/data``."""
+    path = Path(__file__).resolve().parent / "data" / name
+    return scenario_from(json.loads(path.read_text()))
+
+
 def product_inputs(rng, rows, width):
     """Random rows over many magnitudes, with exact and negative zeros."""
     values = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-6, 7, (rows, width))
@@ -637,34 +651,46 @@ class TestBufferedProductsMatchMatmul:
                 assert out.tobytes() == (ks[0] + ks[1] + ks[2] + ks[3]).tobytes()
 
 
-class TestLeanLoopMatchesReference:
-    def check(self, scenario):
-        traj, err = outcome(run, scenario)
-        ref, ref_err = outcome(reference_run, scenario)
-        assert type(err) is type(ref_err)
-        if err is not None:
-            assert err.time == ref_err.time
-        if ref is not None:
-            assert_same_bytes(traj, ref)
-        return traj, err
+def check_against_reference(scenario):
+    """``run``'s outcome, asserted to be ``reference_run``'s: the same error
+    type and time, and the same trajectory bytes."""
+    traj, err = outcome(run, scenario)
+    ref, ref_err = outcome(reference_run, scenario)
+    assert type(err) is type(ref_err)
+    if err is not None:
+        assert err.time == ref_err.time
+    if ref is not None:
+        assert_same_bytes(traj, ref)
+    return traj, err
 
+
+class TestLeanLoopMatchesReference:
     def test_time_based_with_attack_window(self):
         from resopt.cli import preset
         doc = preset("case2")
         doc["sim"]["horizon"] = 1.0
         doc["attacks"]["periodic"]["phase"] = 0.3
-        traj, _ = self.check(scenario_from(doc))
+        traj, _ = check_against_reference(scenario_from(doc))
         assert traj.attack_on.any() and not traj.attack_on.all()
 
     def test_time_based_bursts_on_sixteen_agents(self):
         # the ring16_bursty_dos ring at its smoke horizon: six bursts, on
         # which every attacked step reuses the silenced consensus part
-        traj, err = self.check(ring16_scenario())
+        traj, err = check_against_reference(ring16_scenario())
         assert err is None
         assert np.count_nonzero(np.diff(traj.attack_on.astype(int)) == 1) == 6
 
+    def test_event_based_on_sixteen_agents(self):
+        # the ring16 team on the event-triggered law with case3's trigger, as
+        # the CI byte gate runs it: bursts every 50 ms, so agents are frozen
+        # and retry throughout
+        traj, err = check_against_reference(data_scenario("ring16_event.json"))
+        assert err is None
+        assert sum(map(len, traj.events)) == 389
+        assert sum(map(len, traj.blocked_attempts)) == 80
+
     def test_event_based_retries_and_switches(self):
-        traj, _ = self.check(scenario_from(case3_early_burst()))
+        traj, _ = check_against_reference(scenario_from(case3_early_burst()))
         assert np.count_nonzero(np.diff(traj.r_state)) >= 1
         assert all(len(b) >= 2 for b in traj.blocked_attempts)
         # most steps are quiet: the trigger values are reused there
@@ -672,7 +698,7 @@ class TestLeanLoopMatchesReference:
 
     @pytest.mark.parametrize("algorithm", ["time_based", "event_based"])
     def test_two_dimensional_outputs(self, algorithm):
-        traj, err = self.check(q2_scenario(algorithm))
+        traj, err = check_against_reference(q2_scenario(algorithm))
         assert err is None and traj.q == 2
         assert np.count_nonzero(np.diff(traj.r_state)) >= 1
 
@@ -682,20 +708,20 @@ class TestLeanLoopMatchesReference:
         # groups, one of them not contiguous, and one gradient is constant
         scenario = q2_scenario(algorithm, ((0.0, -1.0, 0.5, 0.1), (0.3, 0.5, 0.5),
                                            (0.0, 2.0, 0.5, 0.1)))
-        traj, err = self.check(scenario)
+        traj, err = check_against_reference(scenario)
         assert err is None
         agents = scenario.agents + (scenario.agents[0],)
         costs = scenario.costs + (CostSpec("custom_polynomial", (1.0, -0.5), 2),)
         weights = np.ones((4, 4)) - np.eye(4)
         one_graph = GraphProcess(graphs=(WeightedDigraph(weights),), generator=[[0.0]],
                                  initial_distribution=[1.0])
-        _, err = self.check(dataclasses.replace(scenario, agents=agents, costs=costs,
+        _, err = check_against_reference(dataclasses.replace(scenario, agents=agents, costs=costs,
                                                 graph_process=one_graph))
         assert err is None
 
     def test_exp_pair_divergence_truncation(self):
         cost = CostSpec("exp_pair", (-2.0, -0.5, 0.5, 0.3))
-        traj, err = self.check(single_agent_scenario(cost, x0=0.0, horizon=5.0))
+        traj, err = check_against_reference(single_agent_scenario(cost, x0=0.0, horizon=5.0))
         assert isinstance(err, DivergenceError)
         assert traj.times[-1] < err.time
 
@@ -704,7 +730,7 @@ class TestLeanLoopMatchesReference:
         # attempt, then unfrozen by a successful retry well before the end
         doc = case3_early_burst(horizon=0.8)
         doc["attacks"]["periodic"]["active"] = 0.25
-        traj, err = self.check(scenario_from(doc))
+        traj, err = check_against_reference(scenario_from(doc))
         assert err is None
         for events, blocked in zip(traj.events, traj.blocked_attempts):
             retries = events[events > blocked[-1]]
@@ -716,7 +742,7 @@ class TestLeanLoopMatchesReference:
         from resopt.cli import preset
         doc = preset("case1")
         doc["sim"].update(horizon=3.0, step=2e-3, seed=3)
-        traj, err = self.check(scenario_from(doc))
+        traj, err = check_against_reference(scenario_from(doc))
         assert isinstance(err, DivergenceError)
         assert traj.times.size > U_BLOCK and traj.times.size % U_BLOCK
 
@@ -726,7 +752,7 @@ class TestLeanLoopMatchesReference:
         proc = GraphProcess(graphs=(WeightedDigraph(np.zeros((1, 1))),),
                             generator=[[0.0]], initial_distribution=[1.0])
         init = InitialCondition(mode="explicit", states=(([-0.0], [-0.0], [-0.0]),))
-        traj, _ = self.check(Scenario(
+        traj, _ = check_against_reference(Scenario(
             agents=(scalar_agent(),), costs=(CostSpec("quartic", (1.0, 2.0, 2.0)),),
             graph_process=proc, attack_schedule=None, algorithm="time_based",
             params=AlgorithmParams(2.0, 1.0), horizon=0.01, step=1e-3, seed=0,
@@ -742,7 +768,7 @@ class TestLeanLoopMatchesReference:
     def test_divergence_found_in_its_block(self, row, n_steps):
         # the guards are checked a block at a time; the steps after the
         # failure are integrated and discarded
-        traj, err = self.check(diverging_at(row, n_steps))
+        traj, err = check_against_reference(diverging_at(row, n_steps))
         assert isinstance(err, DivergenceError)
         assert err.time == row * 1e-2 and traj.times.size == row
 
@@ -753,10 +779,10 @@ class TestLeanLoopMatchesReference:
         # trigger variable turns negative: the trigger variable is reported
         base = single_agent_scenario(CostSpec("custom_polynomial", (0.0, 0.0, -1e5)),
                                      x0=2.0 ** -20, horizon=0.3)
-        _, diverged = self.check(base)
+        _, diverged = check_against_reference(base)
         trigger = default_trigger(sigma_g=1e-4, sigma_h=1e-4, delta_g=0.99,
                                   delta_h=0.99, k_g=200.0, k_h=200.0)
-        _, err = self.check(dataclasses.replace(base, algorithm="event_based",
+        _, err = check_against_reference(dataclasses.replace(base, algorithm="event_based",
                                                 trigger=trigger))
         assert isinstance(diverged, DivergenceError)
         assert isinstance(err, InvariantViolatedError)
@@ -764,7 +790,7 @@ class TestLeanLoopMatchesReference:
 
     def test_event_based_divergence_truncation(self):
         # seed 1 draws initial states that the exp_pair agent cannot absorb
-        _, err = self.check(scenario_from(case3_early_burst(seed=1)))
+        _, err = check_against_reference(scenario_from(case3_early_burst(seed=1)))
         assert isinstance(err, DivergenceError)
 
     def test_trigger_positivity_lost(self):
@@ -772,5 +798,23 @@ class TestLeanLoopMatchesReference:
         doc["params"]["trigger"].update(sigma_g=1e-4, sigma_h=1e-4,
                                         delta_g=0.99, delta_h=0.99,
                                         k_g=200.0, k_h=200.0)
-        _, err = self.check(scenario_from(doc))
+        _, err = check_against_reference(scenario_from(doc))
         assert isinstance(err, InvariantViolatedError)
+
+
+class TestWarmupOutcomes:
+    """The ``dos_event_based`` benchmark's warm-up documents (its smoke
+    horizon) end as the reference loop ends them: the converging seeds with
+    the same bytes, and the seeds whose random initial states diverge within
+    the first steps with the same error at the same time.  A benchmark run
+    whose warm-up raises prints no result line."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 492])
+    def test_converging_seed(self, seed):
+        _, err = check_against_reference(warmup_scenario(seed))
+        assert err is None
+
+    @pytest.mark.parametrize("seed", [73, 75, 149, 333, 387, 438, 488])
+    def test_diverging_seed(self, seed):
+        _, err = check_against_reference(warmup_scenario(seed))
+        assert isinstance(err, DivergenceError) and 0.001 <= err.time <= 0.004
