@@ -419,12 +419,24 @@ def build_scenario(doc: dict) -> LoadedScenario:
 
 
 def _loads(text: str, where: str):
-    """``json.loads`` that rejects the non-finite tokens NaN and +-Infinity.
+    """``json.loads`` that admits only finite float64 numbers: it rejects the
+    non-finite tokens NaN and +-Infinity, and any number literal, integer or
+    not, that lies outside the float64 range (``1e400``, a 400-digit
+    integer).
 
     Raises JSONDecodeError for text that is not JSON at all.
     """
     constants = []
-    value = json.loads(text, parse_constant=constants.append)
+
+    def finite(literal: str, kind):
+        if math.isfinite(float(literal)):
+            return kind(literal)
+        shown = literal if len(literal) <= 24 else literal[:20] + "..."
+        raise ValidationError(f"{where}: number {shown} is outside the float64 range")
+
+    value = json.loads(text, parse_constant=constants.append,
+                       parse_float=lambda s: finite(s, float),
+                       parse_int=lambda s: finite(s, int))
     if constants:
         raise ValidationError(f"{where}: non-finite number {constants[0]} "
                               "is not allowed")

@@ -1,36 +1,29 @@
-"""The three control laws as the pieces the integrator runs, each over the
-whole team.
+"""The three control laws, as the one function the integrator calls per grid
+point over the whole team.
 
 The per-agent quantities of the law come in stacked (2, N, q) tables, y in
 row 0 and rho + z in row 1: the live values, the broadcast table of each
 agent's last successful broadcast, and the consensus errors ``[e_y; e_s]``.
-Consensus errors come in two flavors: the time-based law reads live states,
-the event-based law only the broadcast table.  The rows of silenced agents
-(the whole team while an attack is active in the time-based law, an agent
-whose governing attempt was attacked in the event-based law) are exact
-zeros, never merely small, so those agents fall back to plain local gradient
-descent.
+The laws share one consensus step, written once (``_consensus_part``): from
+the errors, the consensus part of theta and z's increment, both frozen over
+the step.  The time-based (and attack-free) law reads the errors of the live
+table, the event-based law those of the broadcast table under a dynamic
+trigger.  The rows of silenced agents (the whole team while an attack is
+active in the time-based law, an agent whose governing attempt was attacked
+in the event-based law) are exact zeros, never merely small, so those agents
+fall back to plain local gradient descent.
 
-The dynamic event trigger of the event-based law is one team kernel,
-``team_trigger``, compiled once per run from straight-line float statements
-with the ``_compile`` that ``cost.team_theta`` uses.  It keeps the trigger's
-state as Python floats, so that a quiet grid point costs one call and no
-numpy dispatch.  Its values are those of the numpy expressions over the
-tables, bit for bit, because it performs the same float operations in the
-same order: drift = hat - live; each squared size summed in
-``np.add.reduce``'s order (``_add_reduce``); g = that sum - theta_g |e_y|^2,
-and h likewise; an agent fires iff sigma_g g > eta_g or sigma_h h > eta_h,
-and a frozen one instead retries iff t >= (attack time + dwell_kappa) -
-RETRY_SLACK; eta <- decay eta - gain gh with ``eta_flow``'s coefficients;
-const = (-beta e_s) + (-alpha beta e_y); dz = (-step) (-alpha beta e_y).
-The Laplacian product stays in numpy (``consensus_errors``), as its bits
-come from BLAS.
+``team_law`` compiles a run's law into one function from straight-line
+float statements, with the ``_compile`` that ``cost.team_theta`` uses.  The
+event-based law keeps the trigger's state as Python floats, so that a quiet
+grid point costs no numpy dispatch, and gives the bits of the numpy
+expressions over the tables.  The Laplacian products stay in numpy, as
+their bits come from BLAS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -95,18 +88,17 @@ class TriggerParams:
             raise ValidationError("dwell_kappa must be positive")
 
 
-def consensus_errors(lap: np.ndarray, table: np.ndarray, silenced):
+def consensus_errors(lap: np.ndarray, table: np.ndarray, frozen: np.ndarray):
     """Consensus errors ``lap @ table`` of every agent, as a (2, N, q) table.
 
     ``table`` stacks the outputs y (row 0) over rho + z (row 1) as (N, q)
     tables, live or broadcast, so the result is ``[e_y; e_s]``; ``lap`` is
-    the active graph's Laplacian.  ``silenced`` is a bool for the whole team
-    or an (N,) mask; silenced agents' errors are exactly 0.0.
+    the active graph's Laplacian.  The errors of the agents in the (N,) mask
+    ``frozen`` are exactly 0.0.
     """
     errs = np.matmul(lap, table)
-    # A bool is tested as it is: np.any on a bool costs more than a matmul.
-    if silenced if isinstance(silenced, bool) else silenced.any():
-        errs[:, silenced] = 0.0
+    if frozen.any():
+        errs[:, frozen] = 0.0
     return errs
 
 
@@ -146,59 +138,86 @@ def _names(prefix: str, count: int) -> str:
     return "".join(f"{prefix}{j}, " for j in range(count))
 
 
-def team_trigger(params: TriggerParams, gains: AlgorithmParams, n_agents: int,
-                 q: int, step: float, eta_rows):
-    """The dynamic event trigger of a whole team, as ``(decide, refresh)``:
-    two functions compiled once per run from straight-line float statements,
-    as ``cost.team_theta`` is, which share the trigger's state.
+def _consensus_part(nq: int) -> str:
+    """The expression, over the errors ``e0``, ``e1``, ... of a flat (2, N, q)
+    table, of what is frozen over a step: the consensus part of theta,
+    ``(-beta e_s) + (-alpha beta e_y)``, as a list, and z's increment
+    ``(-step) (-alpha beta e_y)`` as an array."""
+    return ("([" + ", ".join(f"nb * e{nq + j} + nab * e{j}" for j in range(nq)) + "], "
+            "array([" + ", ".join(f"nh * (nab * e{j})" for j in range(nq)) + "]))")
 
-    The state is the broadcast table (each agent's last successful broadcast
+
+def team_law(gains: AlgorithmParams, trigger: TriggerParams | None, n_agents: int,
+             q: int, step: float, live: np.ndarray, eta_rows, fired_rows):
+    """The control law of a whole team, as one function compiled once per
+    run from straight-line float statements, as ``cost.team_theta`` is.
+
+    ``law(k, lap, attacked)`` is called at every grid point k, with the
+    caller's contiguous live (2, N, q) table ``live`` holding that point's
+    values (it is read in place), the active graph's
+    Laplacian ``lap`` and the attack flag, and returns what is frozen over
+    the step: the consensus part of theta, ``(-beta e_s) + (-alpha beta
+    e_y)``, as a list, and z's increment ``(-step) (-alpha beta e_y)`` as an
+    array, from the consensus errors ``[e_y; e_s]``.
+
+    With ``trigger`` None it is the time-based (and attack-free) law: the
+    errors are those of the live table, and under attack they are exact
+    zeros, which give the silenced constant (const all -0.0, dz all +0.0).
+
+    Otherwise it is the event-based law, whose errors are those of the
+    broadcast table (``consensus_errors``), with the rows of frozen agents
+    zeros.  Its state is the table (each agent's last successful broadcast
     of y and rho + z), the thresholds ``theta_g |e_y|^2`` and ``theta_h
-    |e_s|^2`` of its consensus errors, the trigger variables eta_g and eta_h,
-    and the retry time of every frozen agent: an agent is frozen exactly
-    when its last attempt was attacked.  Values are flat lists over the
-    stacked (2, N, q) tables (y or g in row 0, rho + z or h in row 1).
-
-    ``decide(live, t, k, attacked)`` takes the live table as a list at grid
-    point ``k`` (time ``t``) and writes eta into ``eta_rows[k]``.  It forms
+    |e_s|^2``, the trigger variables eta_g and eta_h, and the retry time of
+    every frozen agent: an agent is frozen exactly when its last attempt was
+    attacked.  At t = k step it writes eta into ``eta_rows[k]`` and forms
     the trigger functions ``g = |y_hat - y|^2 - theta_g |e_y|^2`` and the
     same h over rho + z.  Every agent fires at k = 0; after that an agent
     fires when ``sigma_g g > eta_g`` or ``sigma_h h > eta_h``, and a frozen
-    one instead retries once ``t`` reaches its attack time plus
-    ``dwell_kappa`` (less ``RETRY_SLACK``).  On a quiet step it advances eta
-    by the exact flow of ``d eta = -k eta - delta gh`` over the step,
+    one instead retries once t reaches its attack time plus ``dwell_kappa``
+    (less ``RETRY_SLACK``).  The fired agents are marked in
+    ``fired_rows[k]``; an attacked attempt freezes its agent, a successful
+    one enters its live values into the table and unfreezes it.  Then eta
+    takes the exact flow of ``d eta = -k eta - delta gh`` over the step,
     ``decay eta - gain gh`` with ``eta_flow``'s coefficients (Girard,
     "Dynamic triggering mechanisms for event-triggered control", IEEE TAC
-    2015), frozen agents keeping theirs, and returns None.  Otherwise it
-    returns the fired agents' indices, after recording each attempt: an
-    attacked one freezes the agent, a successful one enters its live values
-    into the table and unfreezes it.  With ``k`` None it only advances eta.
-
-    ``refresh(lap, live)`` computes the consensus errors of the table on
-    the Laplacian ``lap`` (``consensus_errors``; frozen agents' rows are
-    zeros) and from them the thresholds, and returns what is frozen over the
-    step: the consensus part of theta, ``(-beta e_s) + (-alpha beta e_y)``,
-    as a list, and z's increment ``(-step) (-alpha beta e_y)`` as an array.
-    After a firing, ``live`` is the step's table and refresh then advances
-    eta as a quiet step does, against the new table and thresholds; at a
-    graph switch it is None.
+    2015), frozen agents keeping theirs.  The errors, thresholds and the
+    returned part are recomputed only after a firing or a graph switch, and
+    after a firing g and h are formed again, against the new table, for the
+    flow.  Values are flat lists over the stacked tables (y or g in row 0,
+    rho + z or h in row 1).
 
     Every value is the one the team's numpy expressions give, bit for bit:
     the same float operations in the same order, with each squared size
     summed in ``np.add.reduce``'s order (``_add_reduce``).
     """
     big_n, nq = n_agents, n_agents * q
-    decay, gain = (column.tolist() for column in eta_flow(params, step))
-    namespace = {
-        "sg": params.sigma_g, "sh": params.sigma_h, "kappa": params.dwell_kappa,
-        "slack": RETRY_SLACK, "tg": params.theta_g, "th": params.theta_h,
+    names = _names("e", 2 * nq)
+    namespace = {"nb": -gains.beta, "nab": -(gains.alpha * gains.beta), "nh": -step,
+                 "array": np.array}
+    if trigger is None:
+        errs = np.empty((2, big_n, q))
+        namespace.update(matmul=np.matmul, live=live, errs=errs,
+                         errs_list=errs.reshape(-1).tolist)
+        zero_errors = {f"e{j}": 0.0 for j in range(2 * nq)}
+        namespace["silenced"] = eval(_consensus_part(nq), {**namespace, **zero_errors})
+        return _compile([
+            "def law(k, lap, attacked):",
+            "if attacked:", "    return silenced",
+            "matmul(lap, live, out=errs)", names + "= errs_list()",
+            f"return {_consensus_part(nq)}"], namespace)
+
+    decay, gain = (column.tolist() for column in eta_flow(trigger, step))
+    namespace.update({
+        "sg": trigger.sigma_g, "sh": trigger.sigma_h, "kappa": trigger.dwell_kappa,
+        "slack": RETRY_SLACK, "tg": trigger.theta_g, "th": trigger.theta_h,
         "dg": decay[0][0], "dh": decay[1][0], "kg": gain[0][0], "kh": gain[1][0],
-        "nb": -gains.beta, "nab": -(gains.alpha * gains.beta), "nh": -step,
-        "array": np.array, "consensus_errors": consensus_errors, "eta_rows": eta_rows,
-        "hat": [0.0] * (2 * nq), "thr": None, "retry": {},
+        "step": step, "live_values": live.reshape(-1).tolist,
+        "consensus_errors": consensus_errors, "eta_rows": eta_rows, "fired_rows": fired_rows,
+        "hat": [0.0] * (2 * nq), "thr": None, "part": None, "last_lap": None, "retry": {},
         "frozen": np.zeros(big_n, dtype=bool),
-        "eta": [params.eta_g0] * big_n + [params.eta_h0] * big_n,
-    }
+        "eta": [trigger.eta_g0] * big_n + [trigger.eta_h0] * big_n,
+    })
     # Row r of a (2, N) table is agent r % N's g (r < N) or h; its q values
     # in a flat (2, N, q) table start at r q.
     rows = range(2 * big_n)
@@ -209,28 +228,40 @@ def team_trigger(params: TriggerParams, gains: AlgorithmParams, n_agents: int,
     def g_or_h(r, g_name, h_name):
         return g_name if r < big_n else h_name
 
-    trigger_values = [f"d{j} = a{j} - v{j}" for j in range(2 * nq)]
-    trigger_values += [f"G{r} = {squared_size('d', r)} - T{r}" for r in rows]
+    thresholds = ", ".join(f"{g_or_h(r, 'tg', 'th')} * {squared_size('e', r)}" for r in rows)
     triggered = ", ".join(f"sg * G{i} > E{i} or sh * G{big_n + i} > E{big_n + i}"
                           for i in range(big_n))
     flowed = ", ".join(f"{g_or_h(r, 'dg', 'dh')} * E{r} - {g_or_h(r, 'kg', 'kh')} * G{r}"
                        for r in rows)
-    decide = [
-        "def decide(v, t, k, attacked):", "global eta",
-        _names("v", 2 * nq) + "= v", _names("a", 2 * nq) + "= hat",
-        _names("E", 2 * big_n) + "= eta", _names("T", 2 * big_n) + "= thr", *trigger_values,
-        "fired = None",
-        "if k:",
+    # Two passes over one set of statements: the first decides against the
+    # table as it stands; after a firing, the second forms g and h against
+    # the new table for the flow.
+    return _compile([
+        "def law(k, lap, attacked):", "global thr, part, last_lap, eta",
+        "v = live_values()", _names("v", 2 * nq) + "= v", _names("E", 2 * big_n) + "= eta",
+        "for deciding in (True, False):",
+        "    if lap is not last_lap:",
+        "        last_lap = lap",
+        f"        {names}= consensus_errors(lap, array(hat).reshape(2, {big_n}, {q}), "
+        "frozen).ravel().tolist()",
+        f"        thr = [{thresholds}]",
+        f"        part = {_consensus_part(nq)}",
+        "    " + _names("a", 2 * nq) + "= hat", "    " + _names("T", 2 * big_n) + "= thr",
+        *(f"    d{j} = a{j} - v{j}" for j in range(2 * nq)),
+        *(f"    G{r} = {squared_size('d', r)} - T{r}" for r in rows),
+        "    if not deciding:", "        break",
         "    eta_rows[k] = eta",
-        f"    fires = [{triggered}]",
-        "    for i, at in retry.items():",
-        "        fires[i] = t >= at",
-        "    if True in fires:",
+        "    t = k * step",
+        "    if k:",
+        f"        fires = [{triggered}]",
+        "        for i, at in retry.items():",
+        "            fires[i] = t >= at",
+        "        if True not in fires:",
+        "            break",
         "        fired = [i for i, f in enumerate(fires) if f]",
-        "elif k == 0:",
-        "    eta_rows[0] = eta",
-        f"    fired = list(range({big_n}))",
-        "if fired:",
+        "    else:",
+        f"        fired = list(range({big_n}))",
+        "    fired_rows[k, fired] = True",
         "    for i in fired:",
         "        frozen[i] = attacked",
         "        if attacked:",
@@ -239,23 +270,9 @@ def team_trigger(params: TriggerParams, gains: AlgorithmParams, n_agents: int,
         "            retry.pop(i, None)",
         f"            for j in (i * {q}, i * {q} + {nq}):",
         f"                hat[j:j + {q}] = v[j:j + {q}]",
-        "    return fired",
+        "    last_lap = None",
         f"flowed = [{flowed}]",
         "for i in retry:",
         f"    flowed[i], flowed[i + {big_n}] = eta[i], eta[i + {big_n}]",
         "eta = flowed",
-        "return None"]
-    decide = _compile(decide, namespace)
-    # refresh reaches decide as its first argument, bound by partial: in the
-    # namespace, decide would form a reference cycle with its own globals.
-    refresh = [
-        "def refresh(decide, lap, v):", "global thr",
-        _names("e", 2 * nq) + f"= consensus_errors(lap, array(hat).reshape(2, {big_n}, {q}), "
-        "frozen).ravel().tolist()",
-        "thr = [" + ", ".join(f"{g_or_h(r, 'tg', 'th')} * {squared_size('e', r)}"
-                              for r in rows) + "]",
-        "if v is not None:",
-        "    decide(v, None, None, None)",
-        "return ([" + ", ".join(f"nb * e{nq + j} + nab * e{j}" for j in range(nq)) + "], "
-        "array([" + ", ".join(f"nh * (nab * e{j})" for j in range(nq)) + "]))"]
-    return decide, partial(_compile(refresh, namespace), decide)
+        "return part"], namespace)

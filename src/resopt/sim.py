@@ -24,28 +24,24 @@ The step loop is lean, as it is almost all numpy dispatch on short vectors.
 It writes into preallocated arrays only: a work row ``[x; rho; z; y; rho +
 z]`` (the history row, then the live table), the RK4 stages and the
 ``np.dot`` products.  x and rho are one RK4 state ``xr``, z is advanced
-exactly, and eta_g, eta_h take the exact flow of their linear ODE.  The
-consensus part of theta and z's increment are computed with the consensus
-errors.  On the time-based law these come from the live (2, N, q) table by
-numpy (``controller.consensus_errors``).  On the event-based law the trigger
-is one compiled team kernel (``controller.team_trigger``) that reads the
-live table as one list per grid point: a quiet step is one call, which
-decides and advances eta, and the errors of the broadcast table, with the
-thresholds, the consensus part and z's increment, are recomputed only when
-someone fires or the graph switches.  On the time-based law an attack
-silences the whole team, whose consensus errors are then exact zeros
-whatever the graph and the state, so that silenced part is computed once per
-run and reused at every attacked grid point.  The RK4 sum k1 + 2 k2 + 2 k3 + k4 is one reduce over
-the stage rows, which adds them one after another.  u feeds nothing in the
-step: it is computed afterwards, a block at a time, from the recorded x, rho
-and stage-1 theta by the same per-row products.  Every element that feeds x,
-rho, z or u sees the same floating-point operations in the same order as in
-the unfused loop; eta alone differs from that loop's RK4 in its last bits.
-Since eta feeds the trigger comparisons, an agent at its threshold could
-fire on another step and move the state from there on.  That is not
-guaranteed against, only measured: on the scenarios of the tests, the three
-presets and seeds 0-120 of the ``dos_event_based`` benchmark workload, x, y,
-rho, z, u and every event are bit-for-bit those of the unfused loop.
+exactly, and eta_g, eta_h take the exact flow of their linear ODE.  At every
+grid point the loop makes one call into the control law, which
+``controller.team_law`` compiles once per run: it reads the live (2, N, q)
+table, keeps whatever state the law has (the event trigger's broadcast
+table, thresholds, eta and retry times, with the eta rows and the broadcast
+attempts written into the history), and returns the consensus part of theta
+and z's increment, frozen over the step.  The RK4 sum k1 + 2 k2 + 2 k3 + k4
+is one reduce over the stage rows, which adds them one after another.  u
+feeds nothing in the step: it is computed afterwards, a block at a time,
+from the recorded x, rho and stage-1 theta by the same per-row products.
+Every element that feeds x, rho, z or u sees the same floating-point
+operations in the same order as in the unfused loop; eta alone differs from
+that loop's RK4 in its last bits.  Since eta feeds the trigger comparisons,
+an agent at its threshold could fire on another step and move the state
+from there on.  That is not guaranteed against, only measured: on the
+scenarios of the tests, the three presets and seeds 0-120 of the
+``dos_event_based`` benchmark workload, x, y, rho, z, u and every event are
+bit-for-bit those of the unfused loop.
 
 Initial states declared "random" are drawn uniformly from a box with the
 scenario's seeded generator (PCG64, ``low + (high-low) * u``), agent by
@@ -69,8 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import AttackSchedule, activity_series
-from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
-                         team_trigger)
+from .controller import AlgorithmParams, TriggerParams, team_law
 from .cost import team_theta
 from .errors import DivergenceError, InvariantViolatedError, ValidationError
 from .graph import GraphProcess, laplacian, sample_switching_path, stationary_weighting
@@ -147,10 +142,12 @@ class Scenario:
         q = agents[0].q
         if any(m.q != q for m in agents) or any(c.dimension != q for c in costs):
             raise ValidationError("all agents and costs must share the output dimension")
-        if not self.step > 0.0:
-            raise ValidationError("step must be positive")
-        if not self.horizon >= self.step:
-            raise ValidationError("horizon must be at least one step")
+        if not 0.0 < self.step < math.inf:
+            raise ValidationError("step must be positive and finite")
+        if not self.step <= self.horizon < math.inf:
+            raise ValidationError("horizon must be finite and at least one step")
+        if not self.horizon / self.step < math.inf:
+            raise ValidationError("horizon / step must be a finite step count")
         n_steps = round(self.horizon / self.step)
         if abs(n_steps * self.step - self.horizon) > 1e-6 * max(1.0, self.horizon):
             raise ValidationError("horizon must be an integer multiple of step")
@@ -218,53 +215,28 @@ class Trajectory:
         return self.y.reshape(n, -1, self.q)
 
 
-class _Stacked:
-    """Precomputed block matrices of the stacked closed loop."""
+def _block_diag(blocks) -> np.ndarray:
+    """The block-diagonal matrix of the (possibly rectangular) ``blocks``."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
-    def __init__(self, scenario: Scenario):
-        agents = scenario.agents
-        q = scenario.q
-        big_n = scenario.n_agents
-        dims = [m.n for m in agents]
-        pdims = [m.p for m in agents]
-        self.nx = sum(dims)
-        self.pu = sum(pdims)
-        self.nq = big_n * q
-        self.state_slices = []
-        self.input_slices = []
-        off = 0
-        for d in dims:
-            self.state_slices.append((off, off + d))
-            off += d
-        off = 0
-        for d in pdims:
-            self.input_slices.append((off, off + d))
-            off += d
 
-        self.m_a = np.zeros((self.nx, self.nx))
-        self.m_bukx = np.zeros((self.nx, self.nq))
-        self.m_bw = np.zeros((self.nx, self.nq))
-        self.c_blk = np.zeros((self.nq, self.nx))
-        self.k_blk = np.zeros((self.pu, self.nx))
-        self.ukx_blk = np.zeros((self.pu, self.nq))
-        self.w_blk = np.zeros((self.pu, self.nq))
-        for i, m in enumerate(agents):
-            r0, r1 = self.state_slices[i]
-            u0, u1 = self.input_slices[i]
-            c0, c1 = i * q, (i + 1) * q
-            ukx = m.U - m.K @ m.X
-            self.m_a[r0:r1, r0:r1] = m.A - m.B @ m.K
-            self.m_bukx[r0:r1, c0:c1] = m.B @ ukx
-            self.m_bw[r0:r1, c0:c1] = m.B @ m.W
-            self.c_blk[c0:c1, r0:r1] = m.C
-            self.k_blk[u0:u1, r0:r1] = m.K
-            self.ukx_blk[u0:u1, c0:c1] = ukx
-            self.w_blk[u0:u1, c0:c1] = m.W
-
-        # theta = -grad f(y) + const_theta, the optimization input of every
-        # agent, written into ``out`` from the stacked outputs y by one
-        # compiled function.  const_theta is a list.
-        self.theta_eval = team_theta(scenario.costs, q)
+def _stacked(scenario: Scenario):
+    """The block matrices of the stacked closed loop, ``(A - B K, B (U - K
+    X), B W, C, K, U - K X, W)`` with one diagonal block per agent, and the
+    team's theta kernel: ``theta(y, const, out)`` writes theta = -grad f(y)
+    + const, the optimization input of every agent, into ``out`` from the
+    stacked outputs y, with ``const`` a list (``cost.team_theta``)."""
+    agents = scenario.agents
+    ukx = [m.U - m.K @ m.X for m in agents]
+    blocks = ([m.A - m.B @ m.K for m in agents], [m.B @ u for m, u in zip(agents, ukx)],
+              [m.B @ m.W for m in agents], [m.C for m in agents],
+              [m.K for m in agents], ukx, [m.W for m in agents])
+    return tuple(map(_block_diag, blocks)), team_theta(scenario.costs, scenario.q)
 
 
 def _draw_initial(scenario: Scenario):
@@ -293,12 +265,10 @@ def run(scenario: Scenario) -> Trajectory:
     leaves the finite range, and InvariantViolatedError when an
     event-triggered run's trigger variable stops being positive.
     """
-    st = _Stacked(scenario)
+    (m_a, m_bukx, m_bw, c_blk, k_blk, ukx_blk, w_blk), theta_eval = _stacked(scenario)
     h = scenario.step
     n_steps = scenario.n_steps
     times = np.arange(n_steps + 1) * h
-    alpha, beta = scenario.params.alpha, scenario.params.beta
-    ab = alpha * beta
     q = scenario.q
     big_n = scenario.n_agents
     event_mode = scenario.algorithm == "event_based"
@@ -315,19 +285,21 @@ def run(scenario: Scenario) -> Trajectory:
     # is advanced exactly.  Each grid point's history row is [x; rho; z; y],
     # and the last two blocks are the live table [y; rho + z] as a
     # (2, N, q) table.
-    nx, nq, pu = st.nx, st.nq, st.pu
+    nx, nq, pu = m_a.shape[0], c_blk.shape[0], k_blk.shape[0]
     m, ns = nx + nq, nx + 2 * nq
     work = np.concatenate((*_draw_initial(scenario), np.empty(2 * nq)))
     state, record = work[:ns], work[:ns + nq]
     x, rho, z, xr = state[:nx], state[nx:m], state[m:], state[:m]
     y, s_live = work[ns:ns + nq], work[ns + nq:]
-    live = work[ns:].reshape(2, big_n, q)
     hist = np.empty((n_steps + 1, ns + nq))
     hist_u = np.empty((n_steps + 1, pu))
     hist_eta = np.zeros((n_steps + 1, 2, big_n))
     # Broadcast attempts per grid point; with attack_on they give the
     # successful and the blocked attempts of every agent.
     hist_fired = np.zeros((n_steps + 1, big_n), dtype=bool)
+    law = team_law(scenario.params, scenario.trigger if event_mode else None, big_n, q, h,
+                   work[ns:].reshape(2, big_n, q), hist_eta.reshape(n_steps + 1, 2 * big_n),
+                   hist_fired)
 
     # The RK4 stage derivatives [dx; theta] (one row each, split into views),
     # the stage state and its outputs, and a product buffer.  u feeds nothing
@@ -341,31 +313,13 @@ def run(scenario: Scenario) -> Trajectory:
     y_stage, prod = np.empty(nq), np.empty(nx)
     theta_block, u_prod = np.empty((U_BLOCK, nq)), np.empty((U_BLOCK, pu, 1))
 
-    if event_mode:
-        decide, refresh = team_trigger(scenario.trigger, scenario.params, big_n, q, h,
-                                       hist_eta.reshape(n_steps + 1, 2 * big_n))
-        live_list = work[ns:].tolist
-        table_lap = None  # the Laplacian the trigger's errors were last computed on
-
-    theta_eval = st.theta_eval
-    m_a, m_bukx, m_bw, c_blk = st.m_a, st.m_bukx, st.m_bw, st.c_blk
-    neg_k, ukx_blk, w_blk = -st.k_blk, st.ukx_blk, st.w_blk
-    half_h, sixth_h, neg_h = 0.5 * h, h / 6.0, -h
-    neg_gains = np.array([[-ab], [-beta]])
-    r_list, on_list, time_at = r_series.tolist(), attack_on.tolist(), times.item
+    neg_k = -k_blk
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    r_list, on_list = r_series.tolist(), attack_on.tolist()
 
     # np.dot multiplies a 1 x 1 matrix as a scalar, which keeps the sign of a
     # zero product that ``@`` drops; only a team with one scalar state has one.
     dot = np.dot if nx > 1 else lambda a, b, out: np.matmul(a, b, out=out)
-
-    def consensus_part(errs):
-        """From the time-based law's errors [e_y; e_s], what is frozen over the
-        step: the consensus part of theta (read by rhs; a list) and z's
-        increment."""
-        # [-ab e_y; -beta e_s]: -beta e_s - ab e_y and h ab e_y, bit for bit
-        pn = neg_gains * errs.reshape(2, nq)
-        const = pn[1] + pn[0]
-        return const.tolist(), neg_h * pn[0]
 
     def rhs(x_s, rho_s, y_s, out):
         """d[x; rho] at (x_s, rho_s), y_s = C x_s, into the views (dx, theta)."""
@@ -424,43 +378,13 @@ def run(scenario: Scenario) -> Trajectory:
             raise DivergenceError(diverged_at, traj)
         return traj
 
-    # While an attack is active the time-based law's consensus errors are
-    # exact zeros whatever the graph and the state, so the part frozen over
-    # an attacked step is one constant of the run: const_theta all -0.0, dz
-    # all +0.0.
-    if not event_mode:
-        silenced = consensus_part(
-            consensus_errors(laplacians[0], np.zeros_like(live), True))
-
     # Divergence is detected by letting inf/nan propagate to the block's
     # guards, so arithmetic warnings along that path are expected noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             dot(c_blk, x, y)
             np.add(rho, z, out=s_live)
-            lap = laplacians[r_list[k]]
-            attacked = on_list[k]
-
-            if event_mode:
-                # Trigger decisions first (against the pre-update broadcast
-                # table), then all broadcasts land simultaneously at this
-                # instant.  The consensus errors of the table, and the
-                # consensus part of theta, z's increment and the trigger
-                # thresholds with them, change only when someone fires or
-                # the graph switches; a quiet step's decision also advances
-                # eta, and a firing step's refresh does.
-                if lap is not table_lap:
-                    const_theta, dz = refresh(lap, None)
-                    table_lap = lap
-                vals = live_list()
-                fired = decide(vals, time_at(k), k, attacked)
-                if fired:
-                    hist_fired[k, fired] = True
-                    const_theta, dz = refresh(lap, vals)
-            elif attacked:
-                const_theta, dz = silenced
-            else:
-                const_theta, dz = consensus_part(consensus_errors(lap, live, False))
+            const_theta, dz = law(k, laplacians[r_list[k]], on_list[k])
 
             rhs(x, rho, y, k_parts[0])
             hist[k] = record

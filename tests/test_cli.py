@@ -890,6 +890,29 @@ class TestAdmission:
         assert main(["check", str(path), "--set", "sim.initial.low=-1e9",
                      "--set", "sim.initial.high=1e9"]) == 0
 
+    @pytest.mark.parametrize("horizon, step, overrides, message", [
+        ("1e400", "0.001", [], "number 1e400 is outside the float64 range"),
+        ("1" * 401, "0.001", [], "is outside the float64 range"),
+        ("15.0", "0.001", ["sim.horizon=-1e400"], "number -1e400 is outside"),
+        ("1e300", "1e-300", [], "horizon / step must be a finite step count"),
+    ])
+    def test_number_beyond_float64_refused(self, tmp_path, capsys, horizon, step,
+                                           overrides, message):
+        # a literal that float64 cannot hold, and a step count that it cannot
+        # hold, are refused like any bad document: exit 2, one error line
+        doc = json.dumps(preset("case1"))
+        assert '"horizon": 15.0, "step": 0.001' in doc
+        path = tmp_path / "wide.json"
+        path.write_text(doc.replace('"horizon": 15.0, "step": 0.001',
+                                    f'"horizon": {horizon}, "step": {step}'))
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        out = tmp_path / "o"
+        for argv in (["check", str(path), *sets], ["run", str(path), "--out", str(out), *sets]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [1.5e9, -1e10])
     @pytest.mark.parametrize("name", ["x", "rho", "z"])
     def test_explicit_initial_state_beyond_state_limit_refused(self, tmp_path, capsys,

@@ -6,7 +6,7 @@ import pytest
 
 from resopt.attack import AttackSchedule
 from resopt.controller import (RETRY_SLACK, AlgorithmParams, TriggerParams, _add_reduce,
-                               consensus_errors, eta_flow, team_trigger)
+                               consensus_errors, eta_flow, team_law)
 from resopt.cost import CostSpec
 from resopt.errors import ValidationError
 from resopt.graph import GraphProcess, WeightedDigraph, laplacian
@@ -39,20 +39,23 @@ class TestTimeBasedErrors:
     def test_attacked_branch_exact_zero(self):
         s = column(4.0, 6.0)
         y = column(5.0, 6.0)
-        errs = consensus_errors(lap([[0.0, 1.0], [1.0, 0.0]]), table(y, s), True)
+        errs = consensus_errors(lap([[0.0, 1.0], [1.0, 0.0]]), table(y, s),
+                                np.ones(2, dtype=bool))
         assert np.array_equal(errs, np.zeros((2, 2, 1)))
 
     def test_consensus_fixed_point(self):
         s = np.full((3, 1), 1.0)
         y = np.full((3, 1), 0.5)
-        errs = consensus_errors(lap(np.ones((3, 3)) - np.eye(3)), table(y, s), False)
+        errs = consensus_errors(lap(np.ones((3, 3)) - np.eye(3)), table(y, s),
+                                np.zeros(3, dtype=bool))
         np.testing.assert_allclose(errs, 0.0)
 
     def test_two_agent_output_error(self):
         s = np.zeros((2, 1))
         y = column(1.0, 0.0)
         # a_12 = 1: agent 1 hears agent 2
-        e_y, _ = consensus_errors(lap([[0.0, 1.0], [0.0, 0.0]]), table(y, s), False)
+        e_y, _ = consensus_errors(lap([[0.0, 1.0], [0.0, 0.0]]), table(y, s),
+                                  np.zeros(2, dtype=bool))
         assert e_y[0, 0] == pytest.approx(1.0)
 
 
@@ -96,7 +99,7 @@ class NumpyTrigger:
     """The event trigger as numpy expressions over the stacked (2, N, q) and
     (2, N) tables, with the integrator's bookkeeping around them: the
     thresholds, trigger functions, firing rule and eta flow that
-    ``team_trigger`` replaced, written out as the oracle of its kernel.  An
+    ``team_law``'s event-based law compiles, written out as its oracle.  An
     all-false frozen mask gives the bits that no mask gave."""
 
     def __init__(self, params, gains, n, q, step):
@@ -147,16 +150,32 @@ class NumpyTrigger:
         return fired, eta, part
 
 
+class GridPoint(int):
+    """Grid point ``k`` whose time ``k * step`` is ``t``: the law computes its
+    time as that product, which lets a test place a grid point at any t."""
+
+    def __new__(cls, k, t):
+        point = super().__new__(cls, k)
+        point.t = t
+        return point
+
+    def __mul__(self, step):
+        return self.t
+
+
 class Lockstep:
-    """``team_trigger``'s kernel and ``NumpyTrigger`` driven through the same
-    grid points, and asserted equal bit for bit at each: the fired agents,
-    the eta row written, and every refresh's consensus part and z increment."""
+    """``team_law``'s event-based law and ``NumpyTrigger`` driven through the
+    same grid points, and asserted equal bit for bit at each: the fired
+    agents, the eta row written, and the consensus part and z increment the
+    law returns."""
 
     def __init__(self, params, n=1, q=1, lap=None, step=1e-3, rows=400):
         gains = AlgorithmParams(2.0, 1.0)
         self.n, self.q, self.k = n, q, 0
         self.rows = np.zeros((rows, 2 * n))
-        self.decide, self.refresh = team_trigger(params, gains, n, q, step, self.rows)
+        self.fired = np.zeros((rows, n), dtype=bool)
+        self.live = np.zeros((2, n, q))
+        self.law = team_law(gains, params, n, q, step, self.live, self.rows, self.fired)
         self.numpy = NumpyTrigger(params, gains, n, q, step)
         self.lap = np.zeros((n, n)) if lap is None else lap
         self.table_lap = self.part = None
@@ -166,29 +185,25 @@ class Lockstep:
         ``s``, each (N, q) or (N,); returns the agents that attempt a
         broadcast."""
         lap = self.lap if lap is None else lap
-        live = np.array([y, s], dtype=float).reshape(2, self.n, self.q)
+        self.live[:] = np.array([y, s], dtype=float).reshape(2, self.n, self.q)
         if lap is not self.table_lap:
-            self.compare(self.refresh(lap, None), self.numpy.refresh(lap))
+            self.part = self.numpy.refresh(lap)
             self.table_lap = lap
-        values = live.ravel().tolist()
-        fired = self.decide(values, t, self.k, attacked)
-        want, eta, part = self.numpy.step(live, t, self.k, attacked, lap)
+        got = self.law(GridPoint(self.k, t), lap, attacked)
+        want, eta, part = self.numpy.step(self.live, t, self.k, attacked, lap)
         assert self.rows[self.k].tobytes() == eta.tobytes()
-        assert (fired or []) == np.flatnonzero(want).tolist()
-        if fired:
-            self.compare(self.refresh(lap, values), part)
-        self.k += 1
-        return fired or []
-
-    def compare(self, got, want):
-        assert bits(got[0]) == bits(want[0]) and got[1].tobytes() == want[1].tobytes()
+        fired = np.flatnonzero(self.fired[self.k]).tolist()
+        assert fired == np.flatnonzero(want).tolist()
+        want_part = self.part if part is None else part
+        assert bits(got[0]) == bits(want_part[0]) and got[1].tobytes() == want_part[1].tobytes()
         self.part = got
+        self.k += 1
+        return fired
 
     def eta(self):
         """The (2, N) trigger variables the next grid point starts from, read
-        from the kernel's state (its functions' namespace) and checked
-        against numpy's."""
-        got = np.array(self.decide.__globals__["eta"]).reshape(2, self.n)
+        from the law's state (its namespace) and checked against numpy's."""
+        got = np.array(self.law.__globals__["eta"]).reshape(2, self.n)
         assert got.tobytes() == self.numpy.eta.tobytes()
         return got
 
@@ -435,6 +450,38 @@ class TestTeamTriggerMatchesNumpy:
         want = np.add.reduce(table, 2).ravel()
         got = [eval(expression, dict(zip(names, row))) for row in table.reshape(-1, length).tolist()]
         assert bits(got) == want.tobytes()
+
+
+class TestTimeBasedLawMatchesNumpy:
+    """``team_law``'s time-based law against the numpy expressions of its
+    consensus step, bit for bit: ``pn = neg_gains * (lap @ live)``, const =
+    ``pn[1] + pn[0]`` and dz = ``-h * pn[0]`` on live tables over many
+    magnitudes with exact and negative zeros, and the silenced constant
+    (const all -0.0, dz all +0.0) under attack."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_random_tables(self, n, q):
+        rng = np.random.default_rng(10 * n + q)
+        gains, step = AlgorithmParams(2.0, 1.5), 1e-3
+        neg_gains = np.array([[-(gains.alpha * gains.beta)], [-gains.beta]])
+        live = np.zeros((2, n, q))
+        law = team_law(gains, None, n, q, step, live, None, None)
+        # a random graph, and at every seventh point one with no edges,
+        # whose errors are exact zeros
+        graphs = lap(rng.uniform(0.5, 2.0, (n, n)) * (1.0 - np.eye(n))), np.zeros((n, n))
+        for k in range(200):
+            live[:] = rng.standard_normal((2, n, q)) * 10.0 ** rng.integers(-6, 7, (2, n, q))
+            live[rng.random((2, n, q)) < 0.2] = 0.0
+            live[rng.random((2, n, q)) < 0.1] = -0.0
+            graph = graphs[1 if k % 7 == 0 else 0]
+            const, dz = law(k, graph, False)
+            pn = neg_gains * np.matmul(graph, live).reshape(2, n * q)
+            assert bits(const) == (pn[1] + pn[0]).tobytes()
+            assert dz.tobytes() == (-step * pn[0]).tobytes()
+            const, dz = law(k, graph, True)
+            assert bits(const) == bits(np.full(n * q, -0.0))
+            assert dz.tobytes() == np.zeros(n * q).tobytes()
 
 
 class TestTriggerParamsValidation:

@@ -18,7 +18,7 @@ from resopt.graph import (GraphProcess, WeightedDigraph, laplacian,
                           sample_switching_path)
 from resopt.plant import AgentModel
 from resopt.sim import (STATE_LIMIT, U_BLOCK, InitialCondition, Scenario,
-                        Trajectory, _draw_initial, _Stacked, convergence_report,
+                        Trajectory, _draw_initial, _stacked, convergence_report,
                         final_spread, run)
 
 
@@ -273,7 +273,8 @@ def reference_consensus_errors(weights, s, y, silenced):
 class TestConsensusErrorsMatchPerAgentDefinition:
     def test_bundled_graphs(self, bundled_process):
         rng = np.random.default_rng(3)
-        masks = (False, True, np.array([False, True, False]))
+        masks = (np.zeros(3, dtype=bool), np.ones(3, dtype=bool),
+                 np.array([False, True, False]))
         for q, silenced, g in itertools.product((1, 2), masks,
                                                 bundled_process.graphs):
             s = rng.standard_normal((3, q))
@@ -282,8 +283,7 @@ class TestConsensusErrorsMatchPerAgentDefinition:
             ref_s, ref_y = reference_consensus_errors(g.weights, s, y, silenced)
             np.testing.assert_allclose(e_s, ref_s, atol=1e-12)
             np.testing.assert_allclose(e_y, ref_y, atol=1e-12)
-            zero_rows = np.broadcast_to(silenced, (3,))
-            assert np.all(e_s[zero_rows] == 0.0) and np.all(e_y[zero_rows] == 0.0)
+            assert np.all(e_s[silenced] == 0.0) and np.all(e_y[silenced] == 0.0)
 
 
 # --- Byte-identity oracle ----------------------------------------------------
@@ -355,7 +355,8 @@ def _reference_rk4_decay(eta, rate, force, step):
 
 
 def reference_run(scenario):
-    st = _Stacked(scenario)
+    (m_a, m_bukx, m_bw, c_blk, k_blk, ukx_blk, w_blk), _ = _stacked(scenario)
+    nx, nq, pu = m_a.shape[0], c_blk.shape[0], k_blk.shape[0]
     h = scenario.step
     n_steps = scenario.n_steps
     times = np.arange(n_steps + 1) * h
@@ -388,8 +389,7 @@ def reference_run(scenario):
 
     x, rho, z = _draw_initial(scenario)
     hist = {name: np.empty((n_steps + 1, width)) for name, width in
-            (("x", st.nx), ("y", st.nq), ("rho", st.nq), ("z", st.nq),
-             ("u", st.pu))}
+            (("x", nx), ("y", nq), ("rho", nq), ("z", nq), ("u", pu))}
     hist_eg = np.zeros((n_steps + 1, big_n))
     hist_eh = np.zeros((n_steps + 1, big_n))
     hist_fired = np.zeros((n_steps + 1, big_n), dtype=bool)
@@ -401,7 +401,6 @@ def reference_run(scenario):
         s_hat = np.zeros((big_n, q))
         attacked_last = np.zeros(big_n, dtype=bool)
         attacked_at = np.full(big_n, math.inf)
-    m_a, m_bukx, m_bw, c_blk = st.m_a, st.m_bukx, st.m_bw, st.c_blk
 
     def finish(last, diverged_at):
         fired, on, t = hist_fired[:last + 1], attack_on[:last + 1], times[:last + 1]
@@ -456,7 +455,7 @@ def reference_run(scenario):
             hist["y"][k] = y
             hist["rho"][k] = rho
             hist["z"][k] = z
-            hist["u"][k] = -st.k_blk @ x - st.ukx_blk @ rho + st.w_blk @ theta0
+            hist["u"][k] = -k_blk @ x - ukx_blk @ rho + w_blk @ theta0
             if k == n_steps:
                 break
 
@@ -622,14 +621,14 @@ class TestBufferedProductsMatchMatmul:
     def test_stacked_matrices(self, name):
         from resopt.cli import preset
         scenario = ring16_scenario() if name == "ring16" else scenario_from(preset(name))
-        st = _Stacked(scenario)
+        (m_a, m_bukx, m_bw, c_blk, k_blk, ukx_blk, w_blk), _ = _stacked(scenario)
         rng = np.random.default_rng(20261019)
-        for mat in (st.m_a, st.m_bukx, st.m_bw, st.c_blk):
+        for mat in (m_a, m_bukx, m_bw, c_blk):
             out = np.empty(mat.shape[0])
             for v in product_inputs(rng, 500, mat.shape[1]):
                 np.dot(mat, v, out)
                 assert out.tobytes() == (mat @ v).tobytes()
-        for mat in (-st.k_blk, st.ukx_blk, st.w_blk):
+        for mat in (-k_blk, ukx_blk, w_blk):
             # a column block of a wider history, as ``run`` reads it
             history = product_inputs(rng, U_BLOCK, mat.shape[1] + 3)
             columns = history[:, 1:1 + mat.shape[1]]
