@@ -6,12 +6,12 @@ communication topology jumps among digraphs (continuous-time Markov chain)
 and denial-of-service attacks periodically sever every channel.
 """
 
-from .attack import (AttackBudget, AttackMetrics, AttackSchedule, attack_active,
-                     attack_metrics, check_duration_condition,
+from .attack import (AttackBudget, AttackMetrics, AttackSchedule,
+                     activity_series, attack_metrics, check_duration_condition,
                      check_frequency_condition)
 from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
                          eta_flow)
-from .cost import CostSpec, centralized_optimum, gradient
+from .cost import CostSpec, centralized_optimum
 from .errors import (AssumptionViolatedError, DivergenceError,
                      InvariantViolatedError, RegulationError, ResoptError,
                      UnboundedObjectiveError, ValidationError)

@@ -101,16 +101,9 @@ class AttackSchedule:
         return np.array([a + tau for a, tau in self.intervals], dtype=float)
 
 
-def attack_active(schedule: AttackSchedule, t: float) -> bool:
-    """True iff ``t`` lies inside some attack interval ``[a_m, a_m + tau_m)``."""
-    if t < 0.0 or t > schedule.horizon:
-        raise ValidationError(f"t={t} is outside [0, {schedule.horizon}]")
-    return bool(activity_series(schedule, t))
-
-
 def activity_series(schedule: AttackSchedule, times: np.ndarray) -> np.ndarray:
-    """Whether each of ``times`` lies inside some attack interval, the one
-    definition behind ``attack_active`` and the integrator's grid.
+    """Whether each of ``times`` lies inside some attack interval
+    ``[a_m, a_m + tau_m)``: the integrator's grid and the CSVs' attack column.
 
     The intervals are sorted and disjoint, so only the last one starting at
     or before a time can hold it.
@@ -193,12 +186,9 @@ class AttackBudget:
 class ConditionReport:
     """Outcome of one budget check over a window."""
 
-    kind: str            # "frequency" or "duration"
     threshold: float     # T*_f or T*_a
     tightest: float      # largest T_f/T_a the schedule satisfies (inf if slack)
     passed: bool
-    window: tuple
-    event_variant: bool
 
 
 def _merged_intervals(schedule: AttackSchedule, inflate: float):
@@ -239,9 +229,8 @@ def check_frequency_condition(schedule: AttackSchedule, budget: AttackBudget,
             rates = excess[over] / (points[i + 1:][over] - points[i])
             best_rate = max(best_rate, float(rates.max()))
     tightest = math.inf if best_rate == 0.0 else 1.0 / best_rate
-    return ConditionReport(kind="frequency", threshold=threshold, tightest=tightest,
-                           passed=tightest > threshold, window=(t1, t2),
-                           event_variant=event_variant)
+    return ConditionReport(threshold=threshold, tightest=tightest,
+                           passed=tightest > threshold)
 
 
 def check_duration_condition(schedule: AttackSchedule, budget: AttackBudget,
@@ -287,6 +276,5 @@ def check_duration_condition(schedule: AttackSchedule, budget: AttackBudget,
         if over.any():
             best_rate = max(best_rate, float((excess[over] / (his[over] - lo)).max()))
     tightest = math.inf if best_rate == 0.0 else 1.0 / best_rate
-    return ConditionReport(kind="duration", threshold=budget.t_a_star,
-                           tightest=tightest, passed=tightest > budget.t_a_star,
-                           window=(t1, t2), event_variant=event_variant)
+    return ConditionReport(threshold=budget.t_a_star, tightest=tightest,
+                           passed=tightest > budget.t_a_star)

@@ -21,8 +21,9 @@ there, so ``check``, ``run`` and every member of a ``sweep`` accept and
 reject the same documents, before anything is run or written.  The graph
 hypothesis is that every graph is weight-balanced (in-weight equals
 out-weight at each vertex, with ``weights[g][i][j]`` the weight of edge
-j -> i) and that the mirror union is connected; an unbalanced family would
-converge to the optimum of a pi-weighted sum of the costs, not of their sum.
+j -> i), and that every closed class of the switching chain that it can
+enter has a connected mirror union; an unbalanced family would converge to
+the optimum of a pi-weighted sum of the costs, not of their sum.
 
 Every output file is written atomically by ``writer``, which formats the
 float cells of trajectory.csv with orjson, byte for byte as ``repr`` writes
@@ -787,40 +788,31 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="resopt",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # The arguments every command that reads a scenario file takes.
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("scenario")
+    scenario.add_argument("--set", dest="overrides", action="append", default=[],
+                          metavar="KEY=VALUE")
 
-    p_run = sub.add_parser("run", help="simulate a scenario file")
-    p_run.add_argument("scenario")
+    p_run = sub.add_parser("run", parents=[scenario], help="simulate a scenario file")
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE")
 
     p_preset = sub.add_parser("preset", help="write a bundled scenario file")
     p_preset.add_argument("name", choices=PRESET_NAMES)
     p_preset.add_argument("--out", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="run a scenario across parameter values")
-    p_sweep.add_argument("scenario")
+    p_sweep = sub.add_parser("sweep", parents=[scenario],
+                             help="run a scenario across parameter values")
     p_sweep.add_argument("--param", required=True)
     p_sweep.add_argument("--values", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--set", dest="overrides", action="append", default=[],
-                         metavar="KEY=VALUE")
 
-    p_check = sub.add_parser("check", help="validate and report conditions only")
-    p_check.add_argument("scenario")
-    p_check.add_argument("--set", dest="overrides", action="append", default=[],
-                         metavar="KEY=VALUE")
+    sub.add_parser("check", parents=[scenario],
+                   help="validate and report conditions only")
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            overrides = [parse_override(o) for o in args.overrides]
-            if args.seed is not None:
-                overrides.append(("sim.seed", args.seed))
-            outputs = run_command(args.scenario, args.out, overrides)
-            print(f"wrote {outputs.trajectory_csv}")
-            return 0
         if args.command == "preset":
             from .writer import write_atomic
 
@@ -828,8 +820,14 @@ def main(argv=None) -> int:
             write_atomic(args.out, [json.dumps(doc, indent=2)])
             print(f"wrote {args.out}")
             return 0
+        overrides = [parse_override(o) for o in args.overrides]
+        if args.command == "run":
+            if args.seed is not None:
+                overrides.append(("sim.seed", args.seed))
+            outputs = run_command(args.scenario, args.out, overrides)
+            print(f"wrote {outputs.trajectory_csv}")
+            return 0
         if args.command == "sweep":
-            overrides = [parse_override(o) for o in args.overrides]
             values = [parse_value(v) for v in args.values.split(",")]
             summary, failures = sweep_command(args.scenario, args.out, args.param,
                                               values, overrides)
@@ -837,16 +835,13 @@ def main(argv=None) -> int:
             for label, exc in failures:
                 print(f"error: {label}: {exc}", file=sys.stderr)
             return max((exc.exit_code for _, exc in failures), default=0)
-        if args.command == "check":
-            overrides = [parse_override(o) for o in args.overrides]
-            return check_command(args.scenario, overrides)
+        return check_command(args.scenario, overrides)
     except ResoptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    return 0
 
 
 if __name__ == "__main__":

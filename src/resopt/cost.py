@@ -12,18 +12,16 @@ Four cost kinds are supported.  ``exp_pair``, ``quartic`` and
 polynomial applied separably to each coordinate, so it works for any q.
 
 Each kind's gradient is written once, as a short statement template over
-``t`` and named parameters (``_GRADIENTS``).  From the templates, functions
-are compiled: ``CostSpec.grad`` for one cost, which ``gradient`` puts behind
-a point check and the optimum oracle bisects on, and ``team_theta`` for a
-whole team, which the integrator (``sim``) calls at every RK4 stage.  Both
-run the same floating-point expressions.
+``t`` and named parameters (``_GRADIENTS``).  From the templates one
+function is compiled per team, ``team_theta``: the integrator (``sim``)
+calls it at every RK4 stage, and the optimum oracle bisects on its summed
+outputs, so both run the same floating-point expressions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -65,22 +63,14 @@ class CostSpec:
             raise ValidationError(f"{self.kind} is a scalar (q = 1) cost")
         object.__setattr__(self, "parameters", params)
 
-    @cached_property
-    def grad(self):
-        """The gradient kernel, compiled once from the kind's statements: a
-        function of a float t (for custom_polynomial also elementwise of a
-        (q,) array, returning a float below degree 2).  t is not checked;
-        exp saturates to +inf."""
-        params, lines = _GRADIENTS[self.kind](self.parameters)
-        return _compile(["def grad(t_):", *lines, "return g_"], {**_KERNEL_NAMES, **params})
-
 
 # Each kind's gradient, written once: statements over ``t_`` that leave the
 # gradient in ``g_``, and the parameters they read, folded from the cost's
 # own.  Every name ends in ``_``, which a team's function replaces by
 # ``_<coordinate index>`` (``team_theta``).  Parameters are bound by name in
 # the compiled function's namespace, never written into its source.  These
-# are the only gradient formulas: the integrator and the oracle both run them.
+# are the only gradient formulas: the integrator and the oracle both run
+# them, through one ``team_theta`` function per team.
 def _exp_pair(p):
     return ({"c1r1_": p[0] * p[1], "r1_": p[1], "c2r2_": p[2] * p[3], "r2_": p[3]},
             ["v1_ = r1_ * t_", "v2_ = r2_ * t_",
@@ -146,38 +136,34 @@ def team_theta(costs, q: int):
     return _compile(["def theta(y, const, out):", *body], namespace)
 
 
-def _check_point(c: CostSpec, y) -> np.ndarray:
+def value(c: CostSpec, y) -> float:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape != (c.dimension,):
         raise ValidationError(f"point has dimension {y.size}, cost expects {c.dimension}")
     if not np.all(np.isfinite(y)):
         raise ValidationError("cost evaluation point must be finite")
-    return y
-
-
-def value(c: CostSpec, y) -> float:
-    y = _check_point(c, y)
-    p = c.parameters
+    p, t = c.parameters, y[0]
     if c.kind == "exp_pair":
-        t = y[0]
         return p[0] * _exp(p[1] * t) + p[2] * _exp(p[3] * t)
     if c.kind == "quartic":
-        t = y[0]
         return p[0] * t ** 4 + p[1] * t ** 2 + p[2]
     if c.kind == "log_quadratic":
-        t = y[0]
         return p[0] * t * t * math.log1p(t * t) + p[1] * t * t
     return float(sum(coef * np.sum(y ** k) for k, coef in enumerate(p)))
 
 
-def gradient(c: CostSpec, y) -> np.ndarray:
-    """Analytic gradient at ``y`` (shape ``(q,)``)."""
-    y = _check_point(c, y)
-    return np.full(y.shape, c.grad(y if c.dimension > 1 else float(y[0])))
+def _sum_gradient(costs):
+    """The summed gradient as a function of one float t: the team's
+    ``team_theta`` at t in every coordinate with ``const`` all 0.0, its
+    outputs negated and added in cost order."""
+    theta, n = team_theta(costs, 1), len(costs)
+    zeros, out = [0.0] * n, np.empty(n)
 
+    def total(t: float) -> float:
+        theta(np.full(n, t), zeros, out)
+        return sum(-g for g in out.tolist())
 
-def _sum_gradient(costs, t: float) -> float:
-    return float(sum(c.grad(t) for c in costs))
+    return total
 
 
 def centralized_optimum(costs, tolerance: float = 1e-12):
@@ -195,26 +181,26 @@ def centralized_optimum(costs, tolerance: float = 1e-12):
     q = costs[0].dimension
     if any(c.dimension != q for c in costs):
         raise ValidationError("all costs must share the decision dimension")
-    root = _bisect_optimum(costs, tolerance)
+    root = _bisect_optimum(_sum_gradient(costs), tolerance)
     return root if q == 1 else np.full(q, root)
 
 
-def _bisect_optimum(costs, tolerance: float) -> float:
+def _bisect_optimum(sum_gradient, tolerance: float) -> float:
     lo, hi = -1.0, 1.0
-    g_lo, g_hi = _sum_gradient(costs, lo), _sum_gradient(costs, hi)
+    g_lo, g_hi = sum_gradient(lo), sum_gradient(hi)
     while g_lo * g_hi > 0.0:
         if abs(lo) >= _BRACKET_LIMIT or abs(hi) >= _BRACKET_LIMIT:
             raise UnboundedObjectiveError(
                 "no sign change of the summed gradient in [-1e10, 1e10]")
         lo, hi = lo * 4.0, hi * 4.0
-        g_lo, g_hi = _sum_gradient(costs, lo), _sum_gradient(costs, hi)
+        g_lo, g_hi = sum_gradient(lo), sum_gradient(hi)
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:
         return hi
     mid = 0.5 * (lo + hi)
     for _ in range(400):
-        g_mid = _sum_gradient(costs, mid)
+        g_mid = sum_gradient(mid)
         if abs(g_mid) < tolerance:
             return mid
         if g_lo * g_mid < 0.0:
@@ -222,7 +208,7 @@ def _bisect_optimum(costs, tolerance: float) -> float:
         else:
             lo, g_lo = mid, g_mid
         mid = 0.5 * (lo + hi)
-    g_mid = _sum_gradient(costs, mid)
+    g_mid = sum_gradient(mid)
     if abs(g_mid) < tolerance:
         return mid
     raise UnboundedObjectiveError(

@@ -20,8 +20,8 @@ class ValidationError(ResoptError):
 
 class AssumptionViolatedError(ValidationError):
     """The graph hypothesis fails: a graph of the family is not
-    weight-balanced, or the union mirror graph has a non-positive minimum
-    cut."""
+    weight-balanced, or a closed class of the switching chain that it can
+    enter has a mirror union of non-positive minimum cut."""
 
 
 class RegulationError(ValidationError):

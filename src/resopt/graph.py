@@ -164,9 +164,35 @@ def mirror_union_laplacian(process: GraphProcess) -> np.ndarray:
     mirror replaces each directed weight pair by its average, giving a
     symmetric positive-semidefinite Laplacian with zero row sums.
     """
-    a_union = union_graph(process.graphs).weights
+    return _mirror_laplacian(process.graphs)
+
+
+def _mirror_laplacian(graphs) -> np.ndarray:
+    a_union = union_graph(graphs).weights
     a_mirror = 0.5 * (a_union + a_union.T)
     return np.diag(a_mirror.sum(axis=1)) - a_mirror
+
+
+def _closed_classes(process: GraphProcess) -> list:
+    """The closed classes of the switching chain (no positive rate leads out
+    of them) that it can enter from its initial support, as state lists."""
+    reach = (process.generator > 0.0) | np.eye(process.n_states, dtype=bool)
+    for k in range(process.n_states):  # Warshall's transitive closure
+        reach |= np.outer(reach[:, k], reach[k])
+    entered = reach[process.initial_distribution > 0.0].any(axis=0)
+    # p heads a closed class when every state it reaches reaches it back
+    return [np.flatnonzero(reach[p]).tolist() for p in np.flatnonzero(entered)
+            if np.argmax(reach[p]) == p and np.all(reach[:, p][reach[p]])]
+
+
+def _cut_off_vertex(l_s: np.ndarray) -> int:
+    """The first vertex that no path in the symmetric graph of ``l_s``
+    joins to vertex 0 (its minimum cut is 0, so there is one)."""
+    reached = np.arange(l_s.shape[0]) == 0
+    grown = reached | (l_s[reached] < 0.0).any(axis=0)
+    while not np.array_equal(grown, reached):
+        reached, grown = grown, grown | (l_s[grown] < 0.0).any(axis=0)
+    return int(np.argmin(reached))
 
 
 def minimum_cut(l_s: np.ndarray) -> float:
@@ -222,12 +248,14 @@ def stationary_weighting(process: GraphProcess) -> np.ndarray:
     Every graph must be weight-balanced: at each vertex the in-weight (row
     sum of ``weights``) equals the out-weight (column sum), up to
     ``STATIONARY_TOL`` times the graph's largest Laplacian entry, as the two
-    sums round differently at about eps max|L_g|.  The mirror union must be
-    connected.  Balance gives 1^T L_g = 0 for every graph, and a balanced
-    union whose mirror is connected is strongly connected, so the uniform
-    vector is the only common left-null vector that sums to 1: it is
-    returned.  Balance is what makes the team reach argmin sum_i f_i.  On a
-    family whose common left-null vector pi is not uniform, the dynamics
+    sums round differently at about eps max|L_g|.  Every closed class the
+    chain can enter must have a connected mirror union, as a chain inside a
+    class switches among its graphs alone for good; the family's union is
+    then connected too.  Balance gives 1^T L_g = 0 for every graph, and a
+    balanced union whose mirror is connected is strongly connected, so the
+    uniform vector is the only common left-null vector that sums to 1: it
+    is returned.  Balance is what makes the team reach argmin sum_i f_i.
+    On a family whose common left-null vector pi is not uniform, the dynamics
     reach argmin sum_i pi_i f_i instead (Gharesifard & Cortes, IEEE TAC
     2014), so such a family is refused.
     """
@@ -243,10 +271,15 @@ def stationary_weighting(process: GraphProcess) -> np.ndarray:
                 f"{float(w_in[v])!r}, out-weight {float(w_out[v])!r} "
                 "(weights[g][i][j] is the weight of edge j -> i); an unbalanced "
                 "family converges to a weighted optimum, not to argmin sum f_i")
-    cut = minimum_cut(mirror_union_laplacian(process))
-    if not cut > 0.0:
-        raise AssumptionViolatedError(
-            f"union mirror graph has minimum cut {cut}; joint connectivity fails")
+    for states in _closed_classes(process):
+        l_s = _mirror_laplacian(process.graphs[p] for p in states)
+        cut = minimum_cut(l_s)
+        if not cut > 0.0:
+            raise AssumptionViolatedError(
+                f"the switching chain can enter the closed class of graphs {states} "
+                f"and never leave it, and their mirror union has minimum cut {cut}: "
+                f"agent {_cut_off_vertex(l_s)} is cut off from agent 0 there, so "
+                "joint connectivity fails")
     return np.full(process.n_vertices, 1.0 / process.n_vertices)
 
 

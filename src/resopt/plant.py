@@ -67,6 +67,13 @@ def is_controllable(a, b) -> bool:
     return numerical_rank(np.hstack(blocks)) == n
 
 
+def _regulation_residual(a, b, c, u, w, x) -> float:
+    """Largest norm among ``B U - A X``, ``B W - X`` and ``C X - I``."""
+    return max(np.linalg.norm(b @ u - a @ x),
+               np.linalg.norm(b @ w - x),
+               np.linalg.norm(c @ x - np.eye(c.shape[0])))
+
+
 def solve_regulation(a, b, c):
     """Minimum-norm solution (U, W, X) of the regulator equations.
 
@@ -94,9 +101,7 @@ def solve_regulation(a, b, c):
     u = solution[: p * q].reshape((p, q), order="F")
     w = solution[p * q: 2 * p * q].reshape((p, q), order="F")
     x = solution[2 * p * q:].reshape((n, q), order="F")
-    residual = max(np.linalg.norm(b @ u - a @ x),
-                   np.linalg.norm(b @ w - x),
-                   np.linalg.norm(c @ x - iq))
+    residual = _regulation_residual(a, b, c, u, w, x)
     if residual >= REGULATION_TOL:
         raise RegulationError(
             f"regulator equations are inconsistent (residual {residual:.3e}); "
@@ -133,9 +138,7 @@ class AgentModel:
         if not hurwitz:
             raise ValidationError(
                 f"A - B K is not Hurwitz (spectral abscissa {abscissa:.3e})")
-        residual = max(np.linalg.norm(b @ u - a @ x),
-                       np.linalg.norm(b @ w - x),
-                       np.linalg.norm(c @ x - np.eye(q)))
+        residual = _regulation_residual(a, b, c, u, w, x)
         if residual >= REGULATION_TOL:
             raise ValidationError(
                 f"regulator triple (U, W, X) has residual {residual:.3e} >= 1e-9")

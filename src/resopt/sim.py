@@ -104,9 +104,9 @@ class Scenario:
     inconsistent one, and AssumptionViolatedError when the graph process
     fails the graph hypothesis: every graph weight-balanced (in-weight equals
     out-weight at each vertex, with ``weights[g][i][j]`` the weight of edge
-    j -> i) and a connected mirror union.  An unbalanced family would
-    converge to the optimum of a pi-weighted sum of the costs, not of their
-    sum.  A constructed scenario is one ``run`` accepts, and its initial
+    j -> i), and a connected mirror union of the graphs of every closed
+    class of the switching chain that it can enter.  An unbalanced family
+    converges to the optimum of a pi-weighted sum of the costs.  A constructed scenario is one ``run`` accepts, and its initial
     states, drawn or explicit, start inside the [-STATE_LIMIT, STATE_LIMIT]
     that ``run`` guards.  An ``attack_schedule`` of None is stored as the
     empty schedule.

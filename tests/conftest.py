@@ -58,6 +58,43 @@ def bundled_process():
     return preset_scenario("case1").scenario.graph_process
 
 
+def reference_gradient(cost):
+    """``f'(t)`` of one cost at a float t, for a q > 1 cost of one of its
+    coordinates: an independent closure per kind, which runs each gradient
+    template's float operations in the same order and so must agree with
+    ``team_theta`` bit for bit."""
+    p = cost.parameters
+
+    def safe_exp(v):
+        return math.exp(v) if v < 700.0 else math.inf
+
+    if cost.kind == "exp_pair":
+        c1, r1, c2, r2 = p
+        return lambda t: c1 * r1 * safe_exp(r1 * t) + c2 * r2 * safe_exp(r2 * t)
+    if cost.kind == "quartic":
+        a, b = p[0], p[1]
+        return lambda t: 4.0 * a * t * t * t + 2.0 * b * t
+    if cost.kind == "log_quadratic":
+        a, b = p[0], p[1]
+
+        def grad_lq(t):
+            t2 = t * t
+            return (2.0 * a * t * math.log1p(t2)
+                    + 2.0 * a * t * t2 / (1.0 + t2) + 2.0 * b * t)
+
+        return grad_lq
+
+    def grad_poly(t):
+        acc = 0.0
+        power = 1.0
+        for k in range(1, len(p)):
+            acc += k * p[k] * power
+            power *= t
+        return acc
+
+    return grad_poly
+
+
 def single_edge(n, j, i, weight=1.0):
     """Digraph on n vertices with the single edge j -> i."""
     a = np.zeros((n, n))

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resopt.attack import (MAX_PERIODIC_BURSTS, AttackBudget, AttackSchedule,
-                           _merged_intervals, activity_series, attack_active,
-                           attack_metrics, check_duration_condition,
+                           _merged_intervals, activity_series, attack_metrics, check_duration_condition,
                            check_frequency_condition)
 from resopt.errors import ValidationError
 
@@ -62,30 +61,26 @@ class TestScheduleInvariants:
 class TestAttackActive:
     def test_empty_schedule(self):
         sched = AttackSchedule.empty(10.0)
-        assert not attack_active(sched, 5.0)
+        assert not activity_series(sched, [0.0, 5.0, 10.0]).any()
 
     def test_half_open_interval(self):
         sched = AttackSchedule(intervals=((2.0, 1.0),), horizon=10.0)
-        assert attack_active(sched, 2.5)
-        assert attack_active(sched, 2.0)
-        assert not attack_active(sched, 3.0)
+        assert activity_series(sched, [2.5, 2.0, 3.0]).tolist() == [True, True, False]
 
     def test_out_of_range(self):
-        sched = AttackSchedule.empty(10.0)
-        with pytest.raises(ValidationError):
-            attack_active(sched, 11.0)
-        with pytest.raises(ValidationError):
-            attack_active(sched, -0.1)
+        # bursts at both ends of [0, 10]: a time before the first start or
+        # at or past the last end is not attacked
+        sched = AttackSchedule(intervals=((0.0, 1.0), (9.0, 1.0)), horizon=10.0)
+        assert activity_series(sched, [-0.1, 0.0, 9.5, 10.0, 11.0]).tolist() == \
+            [False, True, True, False, False]
 
     def test_bundled_case2_pattern(self):
         from resopt.cli import preset_scenario
         scen = preset_scenario("case2").scenario
         sched = scen.attack_schedule
         for a, tau in sched.intervals:
-            assert attack_active(sched, a)
-            assert attack_active(sched, a + 0.5 * tau)
-            assert not attack_active(sched, a + tau)
-            assert not attack_active(sched, a - 0.25)
+            assert activity_series(sched, [a, a + 0.5 * tau, a + tau, a - 0.25]).tolist() \
+                == [True, True, False, False]
 
 
 def reference_activity_series(schedule, times):

@@ -79,6 +79,7 @@ def path_doc():
 
 CUT_PATH = "[[0,200,0],[200,0,0],[0,0,0]]"
 UNBALANCED_RING = os.path.join(os.path.dirname(__file__), "data", "unbalanced_ring.json")
+ABSORBING_CHAIN = os.path.join(os.path.dirname(__file__), "data", "absorbing_chain.json")
 
 
 def short_case3_doc(horizon=0.6):
@@ -968,6 +969,35 @@ class TestAdmission:
             assert main(argv + overrides) == 2
             assert f"graph 0 is not weight-balanced at {message}" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_absorbing_chain_refused(self, tmp_path, capsys):
+        # three pair graphs whose union is connected, but the chain starts in
+        # state 0 and never leaves it: agent 2 would descend its own cost
+        # alone, and the run would end with exit 0 away from theta*
+        with open(ABSORBING_CHAIN) as fh:
+            doc = json.load(fh)
+        expected = preset("case1")
+        expected["graph_process"] = {
+            "weights": [[[0.0, 200.0, 0.0], [200.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                        [[0.0, 0.0, 0.0], [0.0, 0.0, 200.0], [0.0, 200.0, 0.0]],
+                        [[0.0, 0.0, 200.0], [0.0, 0.0, 0.0], [200.0, 0.0, 0.0]]],
+            "generator": [[0.0, 0.0, 0.0], [0.3, -0.5, 0.2], [0.1, 0.1, -0.2]],
+            "initial_distribution": [1.0, 0.0, 0.0]}
+        expected["sim"]["horizon"] = 30.0
+        assert doc == expected
+        out = tmp_path / "o"
+        for argv in (["check", ABSORBING_CHAIN],
+                     ["run", ABSORBING_CHAIN, "--out", str(out)],
+                     ["sweep", ABSORBING_CHAIN, "--param", "beta", "--values", "1,1.5",
+                      "--out", str(out)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "closed class of graphs [0]" in err and "agent 2 is cut off" in err
+            assert not out.exists()
+        # the same graphs under case1's irreducible generator are admitted
+        generator = json.dumps(preset("case1")["graph_process"]["generator"])
+        assert main(["check", ABSORBING_CHAIN, "--set",
+                     f"graph_process.generator={generator}"]) == 0
 
     def test_explicit_initial_state_shape_checked_by_check(self, tmp_path, capsys):
         doc = fast_doc()

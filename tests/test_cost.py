@@ -1,13 +1,27 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from conftest import THETA_STAR
-from resopt.cost import (KINDS, CostSpec, centralized_optimum, gradient, team_theta,
-                         value)
+from conftest import THETA_STAR, load_workloads, reference_gradient
+from resopt.cost import KINDS, CostSpec, centralized_optimum, team_theta, value
 from resopt.errors import ResoptError, UnboundedObjectiveError, ValidationError
+
+
+def gradient_of(cost):
+    """One cost's gradient at a point of its dimension, as its team
+    function computes it: ``-theta(y, 0.0)``."""
+    q = cost.dimension
+    theta, zeros, out = team_theta([cost], q), [0.0] * q, np.empty(q)
+
+    def grad(y):
+        theta(np.asarray(y, dtype=float).reshape(q), zeros, out)
+        return -out
+
+    return grad
 
 
 def fd_gradient(cost, t, h=1e-6):
@@ -16,27 +30,28 @@ def fd_gradient(cost, t, h=1e-6):
 
 class TestGradient:
     def test_quartic_at_origin(self, demo_costs):
-        assert gradient(demo_costs[1], [0.0])[0] == 0.0
+        assert gradient_of(demo_costs[1])([0.0])[0] == 0.0
 
     def test_log_quadratic_at_origin(self, demo_costs):
-        assert gradient(demo_costs[2], [0.0])[0] == 0.0
+        assert gradient_of(demo_costs[2])([0.0])[0] == 0.0
 
     def test_exp_pair_at_origin(self, demo_costs):
-        g = gradient(demo_costs[0], [0.0])[0]
+        g = gradient_of(demo_costs[0])([0.0])[0]
         assert g == pytest.approx(1.15, abs=1e-12)
         assert g == pytest.approx(fd_gradient(demo_costs[0], 0.0), rel=1e-6)
 
     def test_non_finite_input_rejected(self, demo_costs):
         with pytest.raises(ValidationError):
-            gradient(demo_costs[0], [math.inf])
+            value(demo_costs[0], [math.inf])
 
     def test_finite_difference_suite(self, demo_costs):
         # analytic gradients vs central differences on 1000 random points
         rng = np.random.default_rng(99)
         for cost in demo_costs:
+            grad = gradient_of(cost)
             points = rng.uniform(-8.0, 8.0, size=1000)
             for t in points:
-                analytic = gradient(cost, [t])[0]
+                analytic = grad([t])[0]
                 numeric = fd_gradient(cost, t)
                 scale = max(1.0, abs(analytic))
                 assert abs(analytic - numeric) / scale < 1e-6
@@ -44,7 +59,7 @@ class TestGradient:
     def test_custom_polynomial_general_dimension(self):
         c = CostSpec("custom_polynomial", (0.0, 0.0, 0.5), dimension=3)
         point = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(gradient(c, point), point)
+        np.testing.assert_allclose(gradient_of(c)(point), point)
         assert value(c, point) == pytest.approx(0.5 * np.sum(point ** 2))
 
     @pytest.mark.parametrize("kind", ["exp_pair", "quartic", "log_quadratic",
@@ -65,16 +80,15 @@ class TestGradient:
                                         + 2.0 * p[1] * t),
             "custom_polynomial": lambda t: p[1] + 2.0 * p[2] * t + 3.0 * p[3] * t ** 2,
         }[kind]
+        grad = gradient_of(cost)
         for t in (-2.5, -0.3, 0.0, 0.7, 4.0):
-            assert gradient(cost, [t])[0] == pytest.approx(closed_form(t),
-                                                           rel=1e-12, abs=0.0)
-            assert cost.grad(t) == gradient(cost, [t])[0]
+            assert grad([t])[0] == pytest.approx(closed_form(t), rel=1e-12, abs=0.0)
 
     def test_exp_pair_past_overflow_guard_is_inf(self):
         cost = CostSpec("exp_pair", (1.0, 2.0, 0.5, 0.3))
         with pytest.raises(OverflowError):
             math.exp(2.0 * 400.0)
-        assert gradient(cost, [400.0])[0] == math.inf
+        assert gradient_of(cost)([400.0])[0] == math.inf
 
     @given(hs.lists(hs.floats(-5.0, 5.0), min_size=1, max_size=7),
            hs.lists(hs.floats(-30.0, 30.0), min_size=2, max_size=4))
@@ -82,12 +96,10 @@ class TestGradient:
     def test_polynomial_rows_match_scalar_gradient(self, coefs, point):
         # one kernel serves every q: a q > 1 gradient is the q = 1 gradient
         # of each coordinate, bit for bit
-        wide = CostSpec("custom_polynomial", tuple(coefs), dimension=len(point))
-        scalar = CostSpec("custom_polynomial", tuple(coefs))
-        rows = gradient(wide, point)
+        rows = gradient_of(CostSpec("custom_polynomial", tuple(coefs), len(point)))(point)
+        scalar = gradient_of(CostSpec("custom_polynomial", tuple(coefs)))
         assert rows.shape == (len(point),)
-        want = np.array([gradient(scalar, [t])[0] for t in point])
-        assert rows.tobytes() == want.tobytes()
+        assert rows.tobytes() == np.array([scalar([t])[0] for t in point]).tobytes()
 
 
 # Parameters at the edges of the float range, and points a step can hand the
@@ -112,18 +124,26 @@ def bits(values) -> bytes:
 
 
 class TestTeamTheta:
-    """A team's compiled function gives each agent -grad + const bit for bit
-    as that agent's ``CostSpec.grad`` does: the integrator and the oracle
-    run the same statements."""
+    """A team's compiled function gives each scalar coordinate -grad + const
+    bit for bit as ``reference_gradient`` does: the one kernel that the
+    integrator and the optimum oracle both run."""
+
+    @staticmethod
+    def assert_matches_reference(q, agents):
+        # each scalar coordinate of y, agent i's coordinate d at i q + d, runs
+        # its agent's statements
+        costs = [c for c, _, _ in agents]
+        out = np.empty(len(costs) * q)
+        team_theta(costs, q)(np.array([t for _, ts, _ in agents for t in ts]),
+                             [k for _, _, ks in agents for k in ks], out)
+        want = [-reference_gradient(c)(t) + k
+                for c, ts, ks in agents for t, k in zip(ts, ks)]
+        assert bits(out) == bits(want)
 
     @given(hs.lists(hs.tuples(cost_specs(), points, parameters), min_size=1, max_size=8))
     @settings(max_examples=400, deadline=None)
     def test_scalar_team_matches_each_kernel(self, agents):
-        costs = [c for c, _, _ in agents]
-        out = np.empty(len(costs))
-        team_theta(costs, 1)(np.array([t for _, t, _ in agents]),
-                             [k for _, _, k in agents], out)
-        assert bits(out) == bits([-c.grad(t) + k for c, t, k in agents])
+        self.assert_matches_reference(1, [(c, [t], [k]) for c, t, k in agents])
 
     @given(hs.integers(2, 3).flatmap(lambda q: hs.tuples(
         hs.just(q), hs.lists(hs.tuples(cost_specs(q), hs.lists(points, min_size=q, max_size=q),
@@ -131,31 +151,19 @@ class TestTeamTheta:
                              min_size=1, max_size=6))))
     @settings(max_examples=300, deadline=None)
     def test_polynomial_coordinates_match_each_kernel(self, drawn):
-        # each scalar coordinate of y runs its agent's statements
-        q, agents = drawn
-        costs = [c for c, _, _ in agents]
-        y = np.array([t for _, ts, _ in agents for t in ts])
-        const = np.array([k for _, _, ks in agents for k in ks])
-        out = np.empty(len(costs) * q)
-        with np.errstate(all="ignore"):
-            team_theta(costs, q)(y, const, out)
-            want = [-np.full(q, c.grad(np.array(ts))) + ks for c, ts, ks in agents]
-        assert bits(out) == bits(np.concatenate(want))
+        self.assert_matches_reference(*drawn)
+
+    def test_bundled_team_on_random_points(self, demo_costs):
+        rng = np.random.default_rng(16)
+        for y in rng.uniform(-30.0, 30.0, (2000, len(demo_costs))):
+            const = rng.standard_normal(len(demo_costs))
+            self.assert_matches_reference(
+                1, [(c, [t], [k]) for c, t, k in zip(demo_costs, y.tolist(), const.tolist())])
 
     def test_one_agent_and_signed_zero(self):
         out = np.empty(1)
         team_theta([CostSpec("quartic", (1.0, 2.0, 3.0))], 1)(np.array([0.0]), [-0.0], out)
         assert out[0] == 0.0 and np.signbit(out[0])
-
-    def test_bundled_team_on_random_points(self, demo_costs):
-        rng = np.random.default_rng(16)
-        theta = team_theta(demo_costs, 1)
-        out = np.empty(len(demo_costs))
-        for y in rng.uniform(-30.0, 30.0, (2000, len(demo_costs))):
-            const = rng.standard_normal(len(demo_costs)).tolist()
-            theta(y, const, out)
-            assert bits(out) == bits([-c.grad(t) + k
-                                      for c, t, k in zip(demo_costs, y.tolist(), const)])
 
     def test_saturated_exponential_is_inf(self):
         out = np.empty(1)
@@ -177,17 +185,34 @@ class TestCentralizedOptimum:
         theta = centralized_optimum(list(demo_costs), 1e-12)
         assert -1.0 < theta < 0.0
         assert theta == pytest.approx(THETA_STAR, abs=1e-10)
-        total = sum(gradient(c, [theta])[0] for c in demo_costs)
+        grads = [reference_gradient(c) for c in demo_costs]
+        total = sum(g(theta) for g in grads)
         assert abs(total) < 1e-12
         # independent bisection oracle on [-1, 0]
         lo, hi = -1.0, 0.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if sum(gradient(c, [mid])[0] for c in demo_costs) < 0.0:
+            if sum(g(mid) for g in grads) < 0.0:
                 lo = mid
             else:
                 hi = mid
         assert theta == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+
+    def test_pinned_reprs(self, demo_costs):
+        # the oracle's bits on the preset costs, the ring16_bursty_dos
+        # benchmark team and a q = 2 team
+        data = Path(__file__).resolve().parent / "data"
+        q2 = json.loads((data / "q2_event_based.json").read_text())["costs"]
+        ring = load_workloads().ring_document(1, False)["costs"]
+
+        def optimum(docs):
+            return centralized_optimum(
+                [CostSpec(d["kind"], tuple(d["parameters"]), d.get("dimension", 1))
+                 for d in docs], 1e-12)
+
+        assert repr(centralized_optimum(demo_costs, 1e-12)) == "-0.199822379305715"
+        assert repr(optimum(ring)) == "-0.23979396496702066"
+        assert repr(optimum(q2).tolist()) == "[-0.4570072679680379, -0.4570072679680379]"
 
     def test_perturbation_confirms_minimum(self, demo_costs):
         tol = 1e-12

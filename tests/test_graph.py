@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 from hypothesis import given, settings, strategies as st
 
 from conftest import (GENERATOR, RAW_DIST, brute_force_cut, disagreement_sides,
@@ -243,6 +246,76 @@ class TestStationaryWeighting:
                      graph_process=self.two_block_process(), attack_schedule=None,
                      algorithm="time_based", params=AlgorithmParams(2.0, 1.0),
                      horizon=1.0, step=1e-3, seed=0)
+
+
+# Three-state chains: state 0 absorbing; state 0 transient into the closed
+# class {1, 2}; the closed classes {0} and {1, 2}, each entered only from
+# itself; state 0 transient into two absorbing states; irreducible.
+CHAINS = {
+    "absorbing": [[0.0, 0.0, 0.0], [0.3, -0.5, 0.2], [0.1, 0.1, -0.2]],
+    "transient": [[-1.0, 1.0, 0.0], [0.0, -0.5, 0.5], [0.0, 0.5, -0.5]],
+    "split": [[0.0, 0.0, 0.0], [0.0, -0.5, 0.5], [0.0, 0.5, -0.5]],
+    "two_absorbing": [[-1.0, 0.5, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    "irreducible": GENERATOR,
+}
+
+
+def pair_graph(n, i, j):
+    a = np.zeros((n, n))
+    a[i, j] = a[j, i] = 200.0
+    return a
+
+
+class TestClosedClasses:
+    """Admission asks every closed class of the switching chain that the
+    chain can enter for a connected mirror union, because a chain inside the
+    class switches among its graphs alone for good."""
+
+    @staticmethod
+    def oracle_refuses(generator, dist, family):
+        rates = (np.array(generator) > 0.0) & ~np.eye(3, dtype=bool)
+        count, label = scipy.sparse.csgraph.connected_components(
+            rates, directed=True, connection="strong")
+        entered = set()
+        for p in np.flatnonzero(dist):
+            entered |= set(scipy.sparse.csgraph.breadth_first_order(
+                rates, p, directed=True, return_predecessors=False).tolist())
+        for c in range(count):
+            members = np.flatnonzero(label == c)
+            closed = not rates[members][:, label != c].any()
+            if closed and entered & set(members.tolist()):
+                total = sum(family[p] for p in members)
+                mirror = 0.5 * (total + total.T)
+                if brute_force_cut(np.diag(mirror.sum(axis=1)) - mirror) == 0.0:
+                    return True
+        return False
+
+    @pytest.mark.parametrize("dist", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                      [0.5, 0.25, 0.25]])
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_refused_exactly_when_oracle_refuses(self, n, chain, dist):
+        # every family of three graphs that each join one pair of agents
+        pairs = list(itertools.combinations(range(n), 2))
+        verdicts = set()
+        for chosen in itertools.product(pairs, repeat=3):
+            family = [pair_graph(n, i, j) for i, j in chosen]
+            process = GraphProcess(graphs=tuple(WeightedDigraph(a) for a in family),
+                                   generator=CHAINS[chain], initial_distribution=dist)
+            try:
+                stationary_weighting(process)
+            except AssumptionViolatedError:
+                refused = True
+            else:
+                refused = False
+            assert refused == self.oracle_refuses(CHAINS[chain], dist, family), chosen
+            verdicts.add(refused)
+        # n agents need n - 1 distinct pairs in a class: the closed class
+        # {1, 2} holds two graphs, the irreducible chain's all three, and
+        # the split chain enters {0} whenever it may start there
+        assert True in verdicts
+        assert (False in verdicts) == (chain == "irreducible" or n == 3 and (
+            chain == "transient" or chain == "split" and dist[0] == 0.0))
 
 
 class TestDisagreementBound:

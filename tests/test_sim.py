@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import THETA_STAR, load_workloads
+from conftest import THETA_STAR, load_workloads, reference_gradient
 from resopt.attack import AttackSchedule, activity_series
 from resopt.controller import (RETRY_SLACK, AlgorithmParams, TriggerParams,
                                consensus_errors)
-from resopt.cost import CostSpec, gradient
+from resopt.cost import CostSpec
 from resopt.errors import (DivergenceError, InvariantViolatedError,
                            ValidationError)
 from resopt.graph import (GraphProcess, WeightedDigraph, laplacian,
@@ -291,43 +291,11 @@ class TestConsensusErrorsMatchPerAgentDefinition:
 # ``reference_run`` is the step loop ``run`` had before its state was fused:
 # separate x and rho RK4 stages, a separate RK4 for each trigger variable,
 # separate g/h and y/s tables, the trigger functions evaluated twice on
-# every step, per-agent gradient closures without folded constants, and
-# per-array finiteness guards.  It is kept here as the oracle of the lean
-# loop, which must reproduce every Trajectory array bit for bit except the
-# trigger variables, which must agree to ``ETA_BOUND``.
-
-def _reference_scalar_gradient(cost):
-    p = cost.parameters
-
-    def safe_exp(v):
-        return math.exp(v) if v < 700.0 else math.inf
-
-    if cost.kind == "exp_pair":
-        c1, r1, c2, r2 = p
-        return lambda t: c1 * r1 * safe_exp(r1 * t) + c2 * r2 * safe_exp(r2 * t)
-    if cost.kind == "quartic":
-        a, b = p[0], p[1]
-        return lambda t: 4.0 * a * t * t * t + 2.0 * b * t
-    if cost.kind == "log_quadratic":
-        a, b = p[0], p[1]
-
-        def grad_lq(t):
-            t2 = t * t
-            return (2.0 * a * t * math.log1p(t2)
-                    + 2.0 * a * t * t2 / (1.0 + t2) + 2.0 * b * t)
-
-        return grad_lq
-
-    def grad_poly(t):
-        acc = 0.0
-        power = 1.0
-        for k in range(1, len(p)):
-            acc += k * p[k] * power
-            power *= t
-        return acc
-
-    return grad_poly
-
+# every step, per-agent gradient closures without folded constants
+# (``reference_gradient``), and per-array finiteness guards.  It is kept
+# here as the oracle of the lean loop, which must reproduce every
+# Trajectory array bit for bit except the trigger variables, which must
+# agree to ``ETA_BOUND``.
 
 def _reference_consensus_errors(lap, s, y, silenced):
     e_s = lap @ s
@@ -375,17 +343,11 @@ def reference_run(scenario):
     attack_on = activity_series(schedule, times)
     laplacians = [laplacian(g) for g in scenario.graph_process.graphs]
 
-    if q == 1:
-        fns = [_reference_scalar_gradient(c) for c in scenario.costs]
+    # every cost applies its scalar gradient to each of its q coordinates
+    fns = [reference_gradient(c) for c in scenario.costs for _ in range(q)]
 
-        def grad_eval(y):
-            return np.array([fn(t) for fn, t in zip(fns, y)])
-    else:
-        def grad_eval(y):
-            if not np.all(np.isfinite(y)):
-                return np.full_like(y, np.nan)
-            return np.concatenate([gradient(c, y[i * q:(i + 1) * q])
-                                   for i, c in enumerate(scenario.costs)])
+    def grad_eval(y):
+        return np.array([fn(t) for fn, t in zip(fns, y.tolist())])
 
     x, rho, z = _draw_initial(scenario)
     hist = {name: np.empty((n_steps + 1, width)) for name, width in
