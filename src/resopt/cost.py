@@ -15,12 +15,14 @@ Each kind's gradient is written once, as a short statement template over
 ``t`` and named parameters (``_GRADIENTS``).  From the templates one
 function is compiled per team, ``team_theta``: the integrator (``sim``)
 calls it at every RK4 stage, and the optimum oracle bisects on its summed
-outputs, so both run the same floating-point expressions.
+outputs, so both run the same floating-point expressions.  It packs the
+outputs into ``out``'s buffer by one precompiled ``struct`` call.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,19 +122,22 @@ def team_theta(costs, q: int):
     """``theta(y, const, out)``: ``out = -grad f(y) + const`` for a whole
     team, compiled into one function.
 
-    y, the list const and out run over the team's scalar coordinates, agent
-    i's coordinate d at index i q + d.  Every cost applies its statements to
-    each coordinate (a q > 1 cost is a custom_polynomial), so the function
-    unpacks ``y.tolist()`` and ``const`` and runs every coordinate's
-    statements in line, in float arithmetic."""
-    namespace = dict(_KERNEL_NAMES)
+    y, the list const and out run over the team's n scalar coordinates,
+    agent i's coordinate d at index i q + d.  Every cost applies its
+    statements to each coordinate (a q > 1 cost is a custom_polynomial), so
+    the function unpacks ``y.tolist()`` and ``const``, runs every
+    coordinate's statements in line, in float arithmetic, and packs the n
+    doubles into ``out``'s buffer by one precompiled ``struct`` call: ``out``
+    must be a C-contiguous float64 array of n values (an int64 one would be
+    silently reinterpreted; this is stated, not checked on every call)."""
     coords = [c for c in costs for _ in range(q)]
     n = len(coords)
+    namespace = dict(_KERNEL_NAMES, pack=struct.Struct(f"{n}d").pack_into)
     body = ["".join(f"t_{i}, " for i in range(n)) + "= y.tolist()",
             "".join(f"c_{i}, " for i in range(n)) + "= const"]
     for i, c in enumerate(coords):
         body += _suffixed(*_GRADIENTS[c.kind](c.parameters), f"_{i}", namespace)
-    body.append("out[:] = [" + ", ".join(f"-g_{i} + c_{i}" for i in range(n)) + "]")
+    body.append("pack(out, 0, " + ", ".join(f"-g_{i} + c_{i}" for i in range(n)) + ")")
     return _compile(["def theta(y, const, out):", *body], namespace)
 
 

@@ -20,28 +20,28 @@ Donkers & Teel, IEEE TAC 2013), with the step h as its sampling period: an
 inter-event gap, and so the reported ``min_gap``, is at least h by
 construction.
 
-The step loop is lean, as it is almost all numpy dispatch on short vectors.
-It writes into preallocated arrays only: a work row ``[x; rho; z; y; rho +
-z]`` (the history row, then the live table), the RK4 stages and the
-``np.dot`` products.  x and rho are one RK4 state ``xr``, z is advanced
-exactly, and eta_g, eta_h take the exact flow of their linear ODE.  At every
-grid point the loop makes one call into the control law, which
-``controller.team_law`` compiles once per run: it reads the live (2, N, q)
-table, keeps whatever state the law has (the event trigger's broadcast
-table, thresholds, eta and retry times, with the eta rows and the broadcast
-attempts written into the history), and returns the consensus part of theta
-and z's increment, frozen over the step.  The RK4 sum k1 + 2 k2 + 2 k3 + k4
-is one reduce over the stage rows, which adds them one after another.  u
-feeds nothing in the step: it is computed afterwards, a block at a time,
-from the recorded x, rho and stage-1 theta by the same per-row products.
-Every element that feeds x, rho, z or u sees the same floating-point
-operations in the same order as in the unfused loop; eta alone differs from
-that loop's RK4 in its last bits.  Since eta feeds the trigger comparisons,
-an agent at its threshold could fire on another step and move the state
-from there on.  That is not guaranteed against, only measured: on the
-scenarios of the tests, the three presets and seeds 0-120 of the
-``dos_event_based`` benchmark workload, x, y, rho, z, u and every event are
-bit-for-bit those of the unfused loop.
+The step loop, almost all numpy dispatch on short vectors, writes into
+preallocated arrays only: a work row ``[x; rho; z; y; rho + z]`` (the
+history row, then the live table), the RK4 stages and the ``np.dot``
+products.  Its table of stages 2-4 and its ufuncs are set up once per run.
+x and rho are one RK4 state ``xr``, z is advanced exactly, and eta_g, eta_h
+take the exact flow of their linear ODE.  At every grid point the loop makes
+one call into the control law, which ``controller.team_law`` compiles once
+per run: it reads the live (2, N, q) table, keeps whatever state the law has
+(the event trigger's broadcast table, thresholds, eta and retry times, with
+the eta rows and the broadcast attempts written into the history), and
+returns the consensus part of theta and z's increment, frozen over the step.
+The RK4 sum k1 + 2 k2 + 2 k3 + k4 is one reduce over the stage rows, which
+adds them one after another.  u feeds nothing in the step: it is computed
+afterwards, a block at a time, from the recorded x, rho and stage-1 theta by
+the same per-row products.  Every element that feeds x, rho, z or u sees the
+same floating-point operations in the same order as in the unfused loop; eta
+alone differs from that loop's RK4 in its last bits.  Since eta feeds the
+trigger comparisons, an agent at its threshold could fire on another step
+and move the state from there on.  That is not guaranteed against, only
+measured: on the scenarios of the tests, the three presets and seeds 0-120
+of the ``dos_event_based`` benchmark workload, x, y, rho, z, u and every
+event are bit-for-bit those of the unfused loop.
 
 Initial states declared "random" are drawn uniformly from a box with the
 scenario's seeded generator (PCG64, ``low + (high-low) * u``), agent by
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,15 +102,16 @@ class Scenario:
     """Everything a run depends on; equal scenarios produce identical output.
 
     Construction admits the scenario: it raises ValidationError for an
-    inconsistent one, and AssumptionViolatedError when the graph process
-    fails the graph hypothesis: every graph weight-balanced (in-weight equals
-    out-weight at each vertex, with ``weights[g][i][j]`` the weight of edge
-    j -> i), and a connected mirror union of the graphs of every closed
-    class of the switching chain that it can enter.  An unbalanced family
-    converges to the optimum of a pi-weighted sum of the costs.  A constructed scenario is one ``run`` accepts, and its initial
-    states, drawn or explicit, start inside the [-STATE_LIMIT, STATE_LIMIT]
-    that ``run`` guards.  An ``attack_schedule`` of None is stored as the
-    empty schedule.
+    inconsistent one or one whose history cannot fit in physical memory, and
+    AssumptionViolatedError when the graph process fails the graph hypothesis:
+    every graph weight-balanced (in-weight equals out-weight at each vertex,
+    with ``weights[g][i][j]`` the weight of edge j -> i), and a connected
+    mirror union of the graphs of every closed class of the switching chain
+    that it can enter.  An unbalanced family converges to the optimum of a
+    pi-weighted sum of the costs.  A constructed scenario is one ``run``
+    accepts, and its initial states, drawn or explicit, start inside the
+    [-STATE_LIMIT, STATE_LIMIT] that ``run`` guards.  An ``attack_schedule``
+    of None is stored as the empty schedule.
     """
 
     agents: tuple
@@ -151,6 +153,11 @@ class Scenario:
         n_steps = round(self.horizon / self.step)
         if abs(n_steps * self.step - self.horizon) > 1e-6 * max(1.0, self.horizon):
             raise ValidationError("horizon must be an integer multiple of step")
+        if {"SC_PHYS_PAGES", "SC_PAGE_SIZE"} <= set(getattr(os, "sysconf_names", ())):
+            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+            if 0 < memory < (need := _run_bytes(agents, n_steps)):
+                raise ValidationError(f"a run of {n_steps} steps needs {need / 2**30:.1f} GiB"
+                                      f" of history, over the {memory / 2**30:.1f} GiB of RAM")
         if self.attack_schedule is None:
             object.__setattr__(self, "attack_schedule", AttackSchedule.empty(self.horizon))
         if self.algorithm == "event_based" and self.trigger is None:
@@ -213,6 +220,13 @@ class Trajectory:
         """Outputs reshaped to (n+1, N, q)."""
         n = self.y.shape[0]
         return self.y.reshape(n, -1, self.q)
+
+
+def _run_bytes(agents, n_steps: int) -> int:
+    """The bytes ``run`` allocates before its loop: per grid point, the time,
+    history row, u, eta, attempts, graph and attack series and their lists."""
+    n, nx, pu = len(agents), sum(m.n for m in agents), sum(m.p for m in agents)
+    return (n_steps + 1) * (8 * (1 + nx + 3 * n * agents[0].q + pu + 2 * n) + n + 25)
 
 
 def _block_diag(blocks) -> np.ndarray:
@@ -316,6 +330,11 @@ def run(scenario: Scenario) -> Trajectory:
     neg_k = -k_blk
     half_h, sixth_h = 0.5 * h, h / 6.0
     r_list, on_list = r_series.tolist(), attack_on.tolist()
+    # The stage loop's table (stage 2-4 coefficients, the stage before each,
+    # its output views) and its ufuncs, looked up once per run.
+    stages = tuple(zip((half_h, half_h, h), ks, k_parts[1:]))
+    k_first, k_mid = k_parts[0], ks[1:3]
+    multiply, add, add_reduce = np.multiply, np.add, np.add.reduce
 
     # np.dot multiplies a 1 x 1 matrix as a scalar, which keeps the sign of a
     # zero product that ``@`` drops; only a team with one scalar state has one.
@@ -383,12 +402,12 @@ def run(scenario: Scenario) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
             dot(c_blk, x, y)
-            np.add(rho, z, out=s_live)
+            add(rho, z, out=s_live)
             const_theta, dz = law(k, laplacians[r_list[k]], on_list[k])
 
-            rhs(x, rho, y, k_parts[0])
+            rhs(x, rho, y, k_first)
             hist[k] = record
-            theta_block[k % U_BLOCK] = k_parts[0][1]
+            theta_block[k % U_BLOCK] = k_first[1]
             if k % U_BLOCK == U_BLOCK - 1:
                 check(k + 1 - U_BLOCK, k + 1)
                 fill_u(k + 1 - U_BLOCK, k + 1)
@@ -396,16 +415,16 @@ def run(scenario: Scenario) -> Trajectory:
             if k == n_steps:
                 break
 
-            for c, k_prev, out in zip((half_h, half_h, h), ks, k_parts[1:]):
-                np.multiply(c, k_prev, out=stage)
-                np.add(xr, stage, out=stage)
+            for c, k_prev, out in stages:
+                multiply(c, k_prev, out=stage)
+                add(xr, stage, out=stage)
                 dot(c_blk, stage_x, y_stage)
                 rhs(stage_x, stage_rho, y_stage, out)
             # k1 + 2 k2 + 2 k3 + k4 by one reduce, which adds the rows one
             # after another onto -0.0; without that start, a column of -0.0s
             # would sum to +0.0.
-            ks[1:3] *= 2.0
-            np.add.reduce(ks, 0, out=stage, initial=-0.0)
+            k_mid *= 2.0
+            add_reduce(ks, 0, out=stage, initial=-0.0)
             stage *= sixth_h
             xr += stage
             z += dz

@@ -18,7 +18,7 @@ from resopt.cli import (SCENARIO_SCHEMA, _apply_override, _conditions_lines,
                         load_scenario_file, main, parse_override, preset,
                         preset_scenario, run_command, validate_document)
 from resopt.errors import DivergenceError, ValidationError
-from resopt.sim import run
+from resopt.sim import _run_bytes, run
 from resopt.writer import CSV_CHUNK_ROWS, trajectory_columns, trajectory_lines
 
 CASE1_HEADER = (
@@ -998,6 +998,31 @@ class TestAdmission:
         generator = json.dumps(preset("case1")["graph_process"]["generator"])
         assert main(["check", ABSORBING_CHAIN, "--set",
                      f"graph_process.generator={generator}"]) == 0
+
+    def test_history_that_cannot_fit_refused(self, tmp_path, capsys, monkeypatch):
+        # 1e12 steps of case1 need about 236 TiB of history: refused before
+        # anything is allocated or written, not a MemoryError traceback
+        path, out = tmp_path / "case1.json", tmp_path / "o"
+        path.write_text(json.dumps(preset("case1")))
+        for argv in (["check", str(path)], ["run", str(path), "--out", str(out)]):
+            assert main([*argv, "--set", "sim.horizon=1e9"]) == 2
+            err = capsys.readouterr().err
+            assert "a run of 1000000000000 steps needs 242143.9 GiB of history" in err
+            assert "GiB of RAM" in err and "Traceback" not in err
+            assert not out.exists()
+        # where sysconf cannot tell the physical memory, nothing is checked
+        monkeypatch.setattr(os, "sysconf_names", {})
+        assert main(["check", str(path), "--set", "sim.horizon=1e9"]) == 0
+
+    def test_history_estimate_hand_count(self):
+        # case1 per grid point, in bytes: the time 8; the history row of
+        # 7 x, 3 rho, 3 z and 3 y, 8 * 16; u 8 * 6; eta_g and eta_h 8 * 6;
+        # the attempts 3; the graph index 8 and the attack flag 1, and their
+        # list entries 8 + 8
+        scenario = preset_scenario("case1").scenario
+        per_point = 8 + 128 + 48 + 48 + 3 + 8 + 1 + 16
+        assert per_point == 260 and scenario.n_steps == 15000
+        assert _run_bytes(scenario.agents, scenario.n_steps) == 15001 * per_point
 
     def test_explicit_initial_state_shape_checked_by_check(self, tmp_path, capsys):
         doc = fast_doc()

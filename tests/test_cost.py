@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,30 @@ class TestTeamTheta:
         out = np.empty(1)
         team_theta([CostSpec("quartic", (1.0, 2.0, 3.0))], 1)(np.array([0.0]), [-0.0], out)
         assert out[0] == 0.0 and np.signbit(out[0])
+
+    def test_non_finite_and_signed_zero_bits(self, demo_costs):
+        # every kind at nan, +-inf and +-0.0, with const +-0.0: the packed
+        # outputs keep each double's bits, the sign of a zero and nan's too
+        costs = [*demo_costs, CostSpec("custom_polynomial", (1.0, -2.0, 0.5, 3.0))]
+        points = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+        team = [(c, t, k) for c in costs for t in points for k in (0.0, -0.0)]
+        out = np.empty(len(team))
+        team_theta([c for c, _, _ in team], 1)(np.array([t for _, t, _ in team]),
+                                                [k for _, _, k in team], out)
+        want = np.array([-reference_gradient(c)(t) + k for c, t, k in team])
+        assert out.tobytes() == want.tobytes()
+        assert np.isnan(out).any() and np.isinf(out).any() and np.signbit(out[out == 0]).any()
+
+    def test_out_must_be_contiguous_float64_of_n(self, demo_costs):
+        # the outputs are packed into out's buffer: a strided or short out is
+        # refused before a byte is written
+        theta = team_theta(demo_costs, 1)
+        for out, error in ((np.empty(2 * len(demo_costs))[::2], TypeError),
+                           (np.empty(len(demo_costs) - 1), struct.error)):
+            out[:] = 7.0
+            with pytest.raises(error):
+                theta(np.array([0.5, -1.0, 2.0]), [0.0, 0.0, 0.0], out)
+            assert out.tobytes() == np.full(out.size, 7.0).tobytes()
 
     def test_saturated_exponential_is_inf(self):
         out = np.empty(1)
