@@ -9,8 +9,7 @@ and denial-of-service attacks periodically sever every channel.
 from .attack import (AttackBudget, AttackMetrics, AttackSchedule,
                      activity_series, attack_metrics, check_duration_condition,
                      check_frequency_condition)
-from .controller import (AlgorithmParams, TriggerParams, consensus_errors,
-                         eta_flow)
+from .controller import AlgorithmParams, TriggerParams, eta_flow
 from .cost import CostSpec, centralized_optimum
 from .errors import (AssumptionViolatedError, DivergenceError,
                      InvariantViolatedError, RegulationError, ResoptError,

@@ -16,14 +16,14 @@ threshold to 102.2 s, above the 101 s its two bursts admit, so its
 check passes).
 
 A scenario is admitted once, when it is built (``build_scenario``): the
-schema, the numeric invariants and the graph hypothesis are all checked
-there, so ``check``, ``run`` and every member of a ``sweep`` accept and
-reject the same documents, before anything is run or written.  The graph
-hypothesis is that every graph is weight-balanced (in-weight equals
-out-weight at each vertex, with ``weights[g][i][j]`` the weight of edge
-j -> i), and that every closed class of the switching chain that it can
-enter has a connected mirror union; an unbalanced family would converge to
-the optimum of a pi-weighted sum of the costs, not of their sum.
+schema, the output names ``write_outputs`` uses, the numeric invariants and
+the graph hypothesis are all checked there, so ``check``, ``run`` and every
+member of a ``sweep`` accept and reject the same documents, before anything
+is run or written.  The graph hypothesis is that every graph is
+weight-balanced (``weights[g][i][j]`` the weight of edge j -> i), and that
+every closed class of the switching chain that it can enter has a mirror
+union in which a walk from agent 0 reaches every agent; an unbalanced
+family would converge to the optimum of a pi-weighted sum of the costs.
 
 Every output file is written atomically by ``writer``, which formats the
 float cells of trajectory.csv with orjson, byte for byte as ``repr`` writes
@@ -178,7 +178,7 @@ SCENARIO_SCHEMA = {
 class LoadedScenario:
     scenario: Scenario
     budget: AttackBudget | None
-    raw: dict
+    output_names: dict
 
 
 @dataclass
@@ -377,7 +377,7 @@ def build_scenario(doc: dict) -> LoadedScenario:
     ``MAX_BUDGET_BURSTS`` bursts.  Raises a ResoptError before anything is
     run or written."""
     validate_document(doc)
-    _output_names(doc)
+    output_names = _output_names(doc)
     agents = tuple(
         AgentModel.build(spec["A"], spec["B"], spec["C"], spec["K"],
                          spec.get("U"), spec.get("W"), spec.get("X"))
@@ -416,7 +416,7 @@ def build_scenario(doc: dict) -> LoadedScenario:
         horizon=horizon, step=float(simdoc["step"]),
         seed=int(simdoc["seed"]), initial=InitialCondition(**initial),
         trigger=trigger)
-    return LoadedScenario(scenario=scenario, budget=budget, raw=doc)
+    return LoadedScenario(scenario=scenario, budget=budget, output_names=output_names)
 
 
 def _loads(text: str, where: str):
@@ -681,7 +681,7 @@ def write_outputs(loaded: LoadedScenario, out_dir: str, traj, report,
     from .writer import trajectory_lines, write_atomic
 
     os.makedirs(out_dir, exist_ok=True)
-    names = _output_names(loaded.raw)
+    names = loaded.output_names
     scenario = loaded.scenario
     traj_path = os.path.join(out_dir, names["trajectory"])
     report_path = os.path.join(out_dir, names["report"])

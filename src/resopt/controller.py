@@ -88,20 +88,6 @@ class TriggerParams:
             raise ValidationError("dwell_kappa must be positive")
 
 
-def consensus_errors(lap: np.ndarray, table: np.ndarray, frozen: np.ndarray):
-    """Consensus errors ``lap @ table`` of every agent, as a (2, N, q) table.
-
-    ``table`` stacks the outputs y (row 0) over rho + z (row 1) as (N, q)
-    tables, live or broadcast, so the result is ``[e_y; e_s]``; ``lap`` is
-    the active graph's Laplacian.  The errors of the agents in the (N,) mask
-    ``frozen`` are exactly 0.0.
-    """
-    errs = np.matmul(lap, table)
-    if frozen.any():
-        errs[:, frozen] = 0.0
-    return errs
-
-
 def eta_flow(params: TriggerParams, step: float):
     """``(decay, gain)``, the (2, 1) columns over the g and h rows of the
     exact eta update over ``step``: ``decay = exp(-k step)`` and
@@ -164,13 +150,13 @@ def team_law(gains: AlgorithmParams, trigger: TriggerParams | None, n_agents: in
     errors are those of the live table, and under attack they are exact
     zeros, which give the silenced constant (const all -0.0, dz all +0.0).
 
-    Otherwise it is the event-based law, whose errors are those of the
-    broadcast table (``consensus_errors``), with the rows of frozen agents
-    zeros.  Its state is the table (each agent's last successful broadcast
-    of y and rho + z), the thresholds ``theta_g |e_y|^2`` and ``theta_h
-    |e_s|^2``, the trigger variables eta_g and eta_h, and the retry time of
-    every frozen agent: an agent is frozen exactly when its last attempt was
-    attacked.  At t = k step it writes eta into ``eta_rows[k]`` and forms
+    Otherwise it is the event-based law, whose errors are ``lap @ table``
+    of the broadcast table, then +0.0 over every frozen agent's entries.
+    Its state is the table (each agent's last successful broadcast of y and
+    rho + z), the thresholds ``theta_g |e_y|^2`` and ``theta_h |e_s|^2``,
+    the trigger variables eta_g and eta_h, and ``retry``, whose keys are the
+    frozen agents (those whose last attempt was attacked) and whose values
+    their retry times.  At t = k step it writes eta into ``eta_rows[k]`` and forms
     the trigger functions ``g = |y_hat - y|^2 - theta_g |e_y|^2`` and the
     same h over rho + z.  Every agent fires at k = 0; after that an agent
     fires when ``sigma_g g > eta_g`` or ``sigma_h h > eta_h``, and a frozen
@@ -194,10 +180,10 @@ def team_law(gains: AlgorithmParams, trigger: TriggerParams | None, n_agents: in
     big_n, nq = n_agents, n_agents * q
     names = _names("e", 2 * nq)
     namespace = {"nb": -gains.beta, "nab": -(gains.alpha * gains.beta), "nh": -step,
-                 "array": np.array}
+                 "array": np.array, "matmul": np.matmul}
     if trigger is None:
         errs = np.empty((2, big_n, q))
-        namespace.update(matmul=np.matmul, live=live, errs=errs,
+        namespace.update(live=live, errs=errs,
                          errs_list=errs.reshape(-1).tolist)
         zero_errors = {f"e{j}": 0.0 for j in range(2 * nq)}
         namespace["silenced"] = eval(_consensus_part(nq), {**namespace, **zero_errors})
@@ -213,9 +199,8 @@ def team_law(gains: AlgorithmParams, trigger: TriggerParams | None, n_agents: in
         "slack": RETRY_SLACK, "tg": trigger.theta_g, "th": trigger.theta_h,
         "dg": decay[0][0], "dh": decay[1][0], "kg": gain[0][0], "kh": gain[1][0],
         "step": step, "live_values": live.reshape(-1).tolist,
-        "consensus_errors": consensus_errors, "eta_rows": eta_rows, "fired_rows": fired_rows,
+        "eta_rows": eta_rows, "fired_rows": fired_rows, "zeros": [0.0] * q,
         "hat": [0.0] * (2 * nq), "thr": None, "part": None, "last_lap": None, "retry": {},
-        "frozen": np.zeros(big_n, dtype=bool),
         "eta": [trigger.eta_g0] * big_n + [trigger.eta_h0] * big_n,
     })
     # Row r of a (2, N) table is agent r % N's g (r < N) or h; its q values
@@ -242,8 +227,10 @@ def team_law(gains: AlgorithmParams, trigger: TriggerParams | None, n_agents: in
         "for deciding in (True, False):",
         "    if lap is not last_lap:",
         "        last_lap = lap",
-        f"        {names}= consensus_errors(lap, array(hat).reshape(2, {big_n}, {q}), "
-        "frozen).ravel().tolist()",
+        f"        e = matmul(lap, array(hat).reshape(2, {big_n}, {q})).ravel().tolist()",
+        "        for i in retry:",
+        f"            e[i * {q}:i * {q} + {q}] = e[i * {q} + {nq}:i * {q} + {nq + q}] = zeros",
+        f"        {names}= e",
         f"        thr = [{thresholds}]",
         f"        part = {_consensus_part(nq)}",
         "    " + _names("a", 2 * nq) + "= hat", "    " + _names("T", 2 * big_n) + "= thr",
@@ -263,7 +250,6 @@ def team_law(gains: AlgorithmParams, trigger: TriggerParams | None, n_agents: in
         f"        fired = list(range({big_n}))",
         "    fired_rows[k, fired] = True",
         "    for i in fired:",
-        "        frozen[i] = attacked",
         "        if attacked:",
         "            retry[i] = t + kappa - slack",
         "        else:",

@@ -21,7 +21,7 @@ class ValidationError(ResoptError):
 class AssumptionViolatedError(ValidationError):
     """The graph hypothesis fails: a graph of the family is not
     weight-balanced, or a closed class of the switching chain that it can
-    enter has a mirror union of non-positive minimum cut."""
+    enter has a mirror union that cuts an agent off from agent 0."""
 
 
 class RegulationError(ValidationError):

@@ -173,26 +173,24 @@ def _mirror_laplacian(graphs) -> np.ndarray:
     return np.diag(a_mirror.sum(axis=1)) - a_mirror
 
 
+def _reached(adjacent: np.ndarray, start: int) -> np.ndarray:
+    """The mask of the vertices that the edges u -> v where ``adjacent[u, v]``
+    lead to from ``start``, grown from the last round's additions only."""
+    reached = frontier = np.arange(adjacent.shape[0]) == start
+    while frontier.any():
+        frontier = adjacent[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    return reached
+
+
 def _closed_classes(process: GraphProcess) -> list:
     """The closed classes of the switching chain (no positive rate leads out
     of them) that it can enter from its initial support, as state lists."""
-    reach = (process.generator > 0.0) | np.eye(process.n_states, dtype=bool)
-    for k in range(process.n_states):  # Warshall's transitive closure
-        reach |= np.outer(reach[:, k], reach[k])
+    reach = np.array([_reached(process.generator > 0.0, p) for p in range(process.n_states)])
     entered = reach[process.initial_distribution > 0.0].any(axis=0)
     # p heads a closed class when every state it reaches reaches it back
     return [np.flatnonzero(reach[p]).tolist() for p in np.flatnonzero(entered)
             if np.argmax(reach[p]) == p and np.all(reach[:, p][reach[p]])]
-
-
-def _cut_off_vertex(l_s: np.ndarray) -> int:
-    """The first vertex that no path in the symmetric graph of ``l_s``
-    joins to vertex 0 (its minimum cut is 0, so there is one)."""
-    reached = np.arange(l_s.shape[0]) == 0
-    grown = reached | (l_s[reached] < 0.0).any(axis=0)
-    while not np.array_equal(grown, reached):
-        reached, grown = grown, grown | (l_s[grown] < 0.0).any(axis=0)
-    return int(np.argmin(reached))
 
 
 def minimum_cut(l_s: np.ndarray) -> float:
@@ -250,14 +248,16 @@ def stationary_weighting(process: GraphProcess) -> np.ndarray:
     ``STATIONARY_TOL`` times the graph's largest Laplacian entry, as the two
     sums round differently at about eps max|L_g|.  Every closed class the
     chain can enter must have a connected mirror union, as a chain inside a
-    class switches among its graphs alone for good; the family's union is
-    then connected too.  Balance gives 1^T L_g = 0 for every graph, and a
-    balanced union whose mirror is connected is strongly connected, so the
-    uniform vector is the only common left-null vector that sums to 1: it
-    is returned.  Balance is what makes the team reach argmin sum_i f_i.
-    On a family whose common left-null vector pi is not uniform, the dynamics
-    reach argmin sum_i pi_i f_i instead (Gharesifard & Cortes, IEEE TAC
-    2014), so such a family is refused.
+    class switches among its graphs alone for good.  A walk over the chain's
+    positive rates from each state finds the classes, and one from agent 0
+    over each union's edges names the first agent it cannot reach (the
+    union's minimum cut is then exactly 0.0).  Balance gives 1^T L_g = 0 for
+    every graph, and a balanced union whose mirror is connected is strongly
+    connected, so the uniform vector is the only common left-null vector
+    that sums to 1: it is returned.  Balance is what makes the team reach
+    argmin sum_i f_i.  On a family whose common left-null vector pi is not
+    uniform, the dynamics reach argmin sum_i pi_i f_i instead (Gharesifard &
+    Cortes, IEEE TAC 2014), so such a family is refused.
     """
     for index, g in enumerate(process.graphs):
         w_in, w_out = g.weights.sum(axis=1), g.weights.sum(axis=0)
@@ -272,13 +272,12 @@ def stationary_weighting(process: GraphProcess) -> np.ndarray:
                 "(weights[g][i][j] is the weight of edge j -> i); an unbalanced "
                 "family converges to a weighted optimum, not to argmin sum f_i")
     for states in _closed_classes(process):
-        l_s = _mirror_laplacian(process.graphs[p] for p in states)
-        cut = minimum_cut(l_s)
-        if not cut > 0.0:
+        reached = _reached(_mirror_laplacian(process.graphs[p] for p in states) < 0.0, 0)
+        if not reached.all():
             raise AssumptionViolatedError(
                 f"the switching chain can enter the closed class of graphs {states} "
-                f"and never leave it, and their mirror union has minimum cut {cut}: "
-                f"agent {_cut_off_vertex(l_s)} is cut off from agent 0 there, so "
+                "and never leave it, and their mirror union has minimum cut 0.0: "
+                f"agent {int(np.argmin(reached))} is cut off from agent 0 there, so "
                 "joint connectivity fails")
     return np.full(process.n_vertices, 1.0 / process.n_vertices)
 

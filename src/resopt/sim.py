@@ -65,6 +65,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:
+    from resource import RLIM_INFINITY, RLIMIT_AS, getrlimit
+except ImportError:  # no address-space limit to read on this platform
+    RLIMIT_AS = None
+
 from .attack import AttackSchedule, activity_series
 from .controller import AlgorithmParams, TriggerParams, team_law
 from .cost import team_theta
@@ -102,12 +107,12 @@ class Scenario:
     """Everything a run depends on; equal scenarios produce identical output.
 
     Construction admits the scenario: it raises ValidationError for an
-    inconsistent one or one whose history cannot fit in physical memory, and
-    AssumptionViolatedError when the graph process fails the graph hypothesis:
-    every graph weight-balanced (in-weight equals out-weight at each vertex,
-    with ``weights[g][i][j]`` the weight of edge j -> i), and a connected
-    mirror union of the graphs of every closed class of the switching chain
-    that it can enter.  An unbalanced family converges to the optimum of a
+    inconsistent one or one whose history cannot fit in physical memory or
+    the soft RLIMIT_AS, and AssumptionViolatedError when the graph process
+    fails the graph hypothesis (``graph.stationary_weighting``): every graph
+    weight-balanced, with ``weights[g][i][j]`` the weight of edge j -> i,
+    and a connected mirror union of the graphs of every closed class of the
+    switching chain that it can enter.  An unbalanced family converges to the optimum of a
     pi-weighted sum of the costs.  A constructed scenario is one ``run``
     accepts, and its initial states, drawn or explicit, start inside the
     [-STATE_LIMIT, STATE_LIMIT] that ``run`` guards.  An ``attack_schedule``
@@ -153,11 +158,10 @@ class Scenario:
         n_steps = round(self.horizon / self.step)
         if abs(n_steps * self.step - self.horizon) > 1e-6 * max(1.0, self.horizon):
             raise ValidationError("horizon must be an integer multiple of step")
-        if {"SC_PHYS_PAGES", "SC_PAGE_SIZE"} <= set(getattr(os, "sysconf_names", ())):
-            memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-            if 0 < memory < (need := _run_bytes(agents, n_steps)):
-                raise ValidationError(f"a run of {n_steps} steps needs {need / 2**30:.1f} GiB"
-                                      f" of history, over the {memory / 2**30:.1f} GiB of RAM")
+        memory, limit = _memory_limit()
+        if 0 < memory < (need := _run_bytes(agents, n_steps)):
+            raise ValidationError(f"a run of {n_steps} steps needs {need / 2**30:.1f} GiB"
+                                  f" of history, over the {memory / 2**30:.1f} GiB {limit}")
         if self.attack_schedule is None:
             object.__setattr__(self, "attack_schedule", AttackSchedule.empty(self.horizon))
         if self.algorithm == "event_based" and self.trigger is None:
@@ -227,6 +231,16 @@ def _run_bytes(agents, n_steps: int) -> int:
     history row, u, eta, attempts, graph and attack series and their lists."""
     n, nx, pu = len(agents), sum(m.n for m in agents), sum(m.p for m in agents)
     return (n_steps + 1) * (8 * (1 + nx + 3 * n * agents[0].q + pu + 2 * n) + n + 25)
+
+
+def _memory_limit():
+    """``(bytes, name)`` of the smaller of RAM and a finite soft RLIMIT_AS, else ``(0, "")``."""
+    limits = []
+    if {"SC_PHYS_PAGES", "SC_PAGE_SIZE"} <= set(getattr(os, "sysconf_names", ())):
+        limits.append((os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), "of RAM"))
+    if RLIMIT_AS is not None and getrlimit(RLIMIT_AS)[0] != RLIM_INFINITY:
+        limits.append((getrlimit(RLIMIT_AS)[0], "address-space limit (RLIMIT_AS)"))
+    return min((limit for limit in limits if limit[0] > 0), default=(0, ""))
 
 
 def _block_diag(blocks) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import resopt
 from resopt import writer
 from resopt.attack import MAX_BUDGET_BURSTS, MAX_PERIODIC_BURSTS
-from resopt.cli import (SCENARIO_SCHEMA, _apply_override, _conditions_lines,
+from resopt.cli import (OUTPUT_NAMES, SCENARIO_SCHEMA, _apply_override, _conditions_lines,
                         _events_lines, _fmt, _walk, build_scenario,
                         load_scenario_file, main, parse_override, preset,
                         preset_scenario, run_command, validate_document)
@@ -126,8 +126,8 @@ class TestPresets:
             doc = preset(name)
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(doc, indent=2))
-            loaded = load_scenario_file(str(path))
-            assert loaded.raw == doc
+            assert json.loads(path.read_text()) == doc
+            assert load_scenario_file(str(path)).output_names == OUTPUT_NAMES
 
     def test_load_scenario_returns_validated_scenario(self, tmp_path):
         path = tmp_path / "case1.json"
@@ -368,9 +368,10 @@ class TestOverrides:
         gain = [[3.0, 5.0], [1.5, 2.0]]
         loaded = load_scenario_file(str(path), [parse_override(
             f"agents.0.K={json.dumps(gain)}")])
-        assert loaded.raw["agents"][0]["K"] == gain
-        assert loaded.raw["agents"][1] == doc["agents"][1]
-        np.testing.assert_array_equal(loaded.scenario.agents[0].K, gain)
+        agents = loaded.scenario.agents
+        np.testing.assert_array_equal(agents[0].K, gain)
+        np.testing.assert_array_equal(agents[0].A, doc["agents"][0]["A"])
+        np.testing.assert_array_equal(agents[1].K, doc["agents"][1]["K"])
 
     @pytest.mark.parametrize("key", ["agents.3.K", "agents.x.K", "agents.-1.K"])
     def test_bad_list_index_rejected(self, tmp_path, key):
@@ -1010,9 +1011,36 @@ class TestAdmission:
             assert "a run of 1000000000000 steps needs 242143.9 GiB of history" in err
             assert "GiB of RAM" in err and "Traceback" not in err
             assert not out.exists()
-        # where sysconf cannot tell the physical memory, nothing is checked
+        # where neither sysconf nor an address-space limit tells the memory,
+        # nothing is checked
         monkeypatch.setattr(os, "sysconf_names", {})
+        monkeypatch.setattr("resopt.sim.RLIMIT_AS", None)
         assert main(["check", str(path), "--set", "sim.horizon=1e9"]) == 0
+
+    def test_history_over_the_address_space_limit_refused(self, tmp_path):
+        # 8e6 steps of case1 need about 1.9 GiB of history, which fits the
+        # RAM of most hosts but not a 1 500 000 KiB RLIMIT_AS: set on the
+        # child process alone, it makes both commands refuse the run before
+        # anything is allocated or written
+        resource = pytest.importorskip("resource")
+        path, out = tmp_path / "case1.json", tmp_path / "o"
+        path.write_text(json.dumps(preset("case1")))
+
+        def limit_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, hard))
+
+        src = os.path.dirname(os.path.dirname(resopt.__file__))
+        for argv in (["check", str(path)], ["run", str(path), "--out", str(out)]):
+            result = subprocess.run(
+                [sys.executable, "-m", "resopt.cli", *argv, "--set", "sim.horizon=8000"],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                preexec_fn=limit_address_space, capture_output=True, text=True)
+            assert result.returncode == 2, result.stderr
+            assert result.stderr == (
+                "error: a run of 8000000 steps needs 1.9 GiB of history, over the "
+                "1.4 GiB address-space limit (RLIMIT_AS)\n")
+            assert not out.exists()
 
     def test_history_estimate_hand_count(self):
         # case1 per grid point, in bytes: the time 8; the history row of

@@ -6,7 +6,7 @@ import pytest
 
 from resopt.attack import AttackSchedule
 from resopt.controller import (RETRY_SLACK, AlgorithmParams, TriggerParams, _add_reduce,
-                               consensus_errors, eta_flow, team_law)
+                               eta_flow, team_law)
 from resopt.cost import CostSpec
 from resopt.errors import ValidationError
 from resopt.graph import GraphProcess, WeightedDigraph, laplacian
@@ -35,55 +35,75 @@ def table(y, s):
     return np.array([y, s], dtype=float)
 
 
+def parts(part, n, q=1):
+    """A law's returned (const, dz) as (N, q) tables.  With alpha = 2, beta
+    = 1 and step 1e-3, const = -e_s - 2 e_y and dz = 2e-3 e_y."""
+    return np.array(part[0]).reshape(n, q), part[1].reshape(n, q)
+
+
+def time_law_part(graph_lap, y, s, attacked=False):
+    """The time-based law's (const, dz) on the live table of y over s."""
+    live = table(y, s)
+    n, q = live.shape[1:]
+    law = team_law(AlgorithmParams(2.0, 1.0), None, n, q, 1e-3, live, None, None)
+    return parts(law(0, graph_lap, attacked), n, q)
+
+
 class TestTimeBasedErrors:
     def test_attacked_branch_exact_zero(self):
         s = column(4.0, 6.0)
         y = column(5.0, 6.0)
-        errs = consensus_errors(lap([[0.0, 1.0], [1.0, 0.0]]), table(y, s),
-                                np.ones(2, dtype=bool))
-        assert np.array_equal(errs, np.zeros((2, 2, 1)))
+        const, dz = time_law_part(lap([[0.0, 1.0], [1.0, 0.0]]), y, s, attacked=True)
+        assert bits(const) == bits(np.full((2, 1), -0.0))
+        assert bits(dz) == bits(np.zeros((2, 1)))
 
     def test_consensus_fixed_point(self):
         s = np.full((3, 1), 1.0)
         y = np.full((3, 1), 0.5)
-        errs = consensus_errors(lap(np.ones((3, 3)) - np.eye(3)), table(y, s),
-                                np.zeros(3, dtype=bool))
-        np.testing.assert_allclose(errs, 0.0)
+        const, dz = time_law_part(complete(3), y, s)
+        np.testing.assert_allclose(const, 0.0)
+        np.testing.assert_allclose(dz, 0.0)
 
     def test_two_agent_output_error(self):
         s = np.zeros((2, 1))
         y = column(1.0, 0.0)
-        # a_12 = 1: agent 1 hears agent 2
-        e_y, _ = consensus_errors(lap([[0.0, 1.0], [0.0, 0.0]]), table(y, s),
-                                  np.zeros(2, dtype=bool))
-        assert e_y[0, 0] == pytest.approx(1.0)
+        # a_12 = 1: agent 1 hears agent 2, so e_y = (1, 0)
+        const, dz = time_law_part(lap([[0.0, 1.0], [0.0, 0.0]]), y, s)
+        assert const[:, 0] == pytest.approx([-2.0, 0.0])
+        assert dz[:, 0] == pytest.approx([2e-3, 0.0])
 
 
 class TestEventBasedErrors:
+    """The event law's (const, dz) over the broadcast table that every
+    agent's first broadcast fills."""
+
     def test_attacked_governing_attempt(self):
-        # agent 0's governing attempt was attacked, agents 1-2 were not
+        # agent 0's governing attempt was attacked, agents 1-2's were not
         hats = column(1.0, 1.5, 1.5)
-        weights = np.ones((3, 3)) - np.eye(3)
-        silenced = np.array([True, False, False])
-        e_y, e_s = consensus_errors(lap(weights), table(hats, hats), silenced)
-        assert np.array_equal(e_s[0], np.zeros(1))
-        assert np.array_equal(e_y[0], np.zeros(1))
-        # rows 1 and 2 still see agent 0's broadcast of 1.0
-        np.testing.assert_allclose(e_y[1:, 0], 0.5)
+        run = Lockstep(trigger_params(), n=3, lap=complete(3))
+        run.step(hats, hats, 0.0)
+        assert run.step(hats + column(1e3, 0.0, 0.0), hats, 1e-3, attacked=True) == [0]
+        const, dz = parts(run.part, 3)
+        assert bits(const[0]) == bits([-0.0]) and bits(dz[0]) == bits([0.0])
+        # rows 1 and 2 still see agent 0's broadcast of 1.0: e_y = e_s = 0.5
+        np.testing.assert_allclose(const[1:, 0], -1.5)
+        np.testing.assert_allclose(dz[1:, 0], 1e-3)
 
     def test_equal_broadcasts(self):
         hats = np.full((3, 1), 1.5)
-        weights = np.ones((3, 3)) - np.eye(3)
-        errs = consensus_errors(lap(weights), table(hats, hats),
-                                np.zeros(3, dtype=bool))
-        np.testing.assert_allclose(errs, 0.0)
+        run = Lockstep(trigger_params(), n=3, lap=complete(3))
+        run.step(hats, hats, 0.0)
+        const, dz = parts(run.part, 3)
+        np.testing.assert_allclose(const, 0.0)
+        np.testing.assert_allclose(dz, 0.0)
 
     def test_broadcast_table_sum(self):
         y_hat = column(2.0, 0.0)
-        zeros = np.zeros((2, 1))
-        e_y, _ = consensus_errors(lap([[0.0, 1.0], [0.0, 0.0]]), table(y_hat, zeros),
-                                  np.zeros(2, dtype=bool))
-        assert e_y[0, 0] == pytest.approx(2.0)
+        run = Lockstep(trigger_params(), n=2, lap=lap([[0.0, 1.0], [0.0, 0.0]]))
+        run.step(y_hat, np.zeros((2, 1)), 0.0)
+        const, dz = parts(run.part, 2)
+        assert const[0, 0] == pytest.approx(-4.0)
+        assert dz[0, 0] == pytest.approx(4e-3)
 
 
 def complete(n):
@@ -99,8 +119,7 @@ class NumpyTrigger:
     """The event trigger as numpy expressions over the stacked (2, N, q) and
     (2, N) tables, with the integrator's bookkeeping around them: the
     thresholds, trigger functions, firing rule and eta flow that
-    ``team_law``'s event-based law compiles, written out as its oracle.  An
-    all-false frozen mask gives the bits that no mask gave."""
+    ``team_law``'s event-based law compiles, written out as its oracle."""
 
     def __init__(self, params, gains, n, q, step):
         self.params = params
@@ -116,8 +135,10 @@ class NumpyTrigger:
         self.threshold = None
 
     def refresh(self, lap):
-        """The consensus part of theta and z's increment; sets the thresholds."""
-        errs = consensus_errors(lap, self.hats, self.frozen)
+        """The consensus part of theta and z's increment from the masked
+        product, the frozen agents' errors +0.0; sets the thresholds."""
+        errs = np.matmul(lap, self.hats)
+        errs[:, self.frozen] = 0.0
         self.threshold = self.thetas * np.add.reduce(errs * errs, 2)
         pn = self.neg_gains * errs.reshape(2, -1)
         return (pn[1] + pn[0]).tolist(), self.neg_h * pn[0]
@@ -425,6 +446,24 @@ class TestTeamTriggerMatchesNumpy:
         assert bits(const[[0, 2]]) == bits(np.full((2, 2), -0.0))
         assert bits(dz[[0, 2]]) == bits(np.zeros((2, 2)))
         assert np.all(const[1] != 0.0)
+
+    def test_frozen_rows_across_a_graph_switch(self):
+        # agents 0 and 2 are frozen at 1e-3 and the graph switches at 2e-3,
+        # before their retries: the refresh the switch makes zeros their
+        # errors again.  const = -e_s - 2 e_y is -0.0 only when both errors
+        # are +0.0, and dz = 2e-3 e_y is +0.0 only when e_y is
+        run = Lockstep(trigger_params(), n=3, q=2, lap=complete(3))
+        y = np.array([[1.0, 2.0], [-1.0, 0.5], [3.0, -2.0]])
+        run.step(y, y, 0.0)
+        moved = y + [[10.0, 0.0], [0.0, 0.0], [0.0, -10.0]]
+        assert run.step(moved, y, 1e-3, attacked=True) == [0, 2]
+        switched = lap([[0.0, 2.0, 0.5], [1.0, 0.0, 3.0], [0.25, 4.0, 0.0]])
+        for t, graph in ((2e-3, switched), (3e-3, complete(3)), (4e-3, switched)):
+            assert run.step(moved, y, t, lap=graph) == []
+            const, dz = parts(run.part, 3, 2)
+            assert bits(const[[0, 2]]) == bits(np.full((2, 2), -0.0))
+            assert bits(dz[[0, 2]]) == bits(np.zeros((2, 2)))
+            assert np.all(const[1] != 0.0)
 
     def test_non_finite_live_values(self):
         # every comparison with nan is false, so a nan drift fires nothing,

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,21 @@ class TestStationaryWeighting:
         else:
             assert not (unbalanced or disconnected)
             np.testing.assert_array_equal(pi, np.full(n, 1.0 / n))
+
+    @pytest.mark.parametrize("k", [0, 255, 510])
+    def test_long_path_names_the_first_agent_cut_off(self, k):
+        # a balanced path of 512 agents, i <-> i + 1 with weight 1, is
+        # admitted; without the edge k <-> k + 1, agents k + 1 to 511 are
+        # cut off and the refusal names the first of them
+        a = np.eye(512, k=1) + np.eye(512, k=-1)
+        np.testing.assert_array_equal(stationary_weighting(one_graph(a)),
+                                      np.full(512, 1.0 / 512.0))
+        a[k, k + 1] = a[k + 1, k] = 0.0
+        with pytest.raises(AssumptionViolatedError, match=re.escape(
+                "the switching chain can enter the closed class of graphs [0] and never "
+                "leave it, and their mirror union has minimum cut 0.0: agent "
+                f"{k + 1} is cut off from agent 0 there, so joint connectivity fails")):
+            stationary_weighting(one_graph(a))
 
     def test_scenario_on_disconnected_union_rejected(self):
         agent = AgentModel.build([[0.0]], [[1.0]], [[1.0]], [[1.0]])

@@ -10,7 +10,7 @@ import pytest
 from conftest import THETA_STAR, load_workloads, reference_gradient
 from resopt.attack import AttackSchedule, activity_series
 from resopt.controller import (RETRY_SLACK, AlgorithmParams, TriggerParams,
-                               consensus_errors)
+                               team_law)
 from resopt.cost import CostSpec
 from resopt.errors import (DivergenceError, InvariantViolatedError,
                            ValidationError)
@@ -258,32 +258,67 @@ class TestZenoAudit:
         assert sum(s.count for s in dense_stats) > sum(s.count for s in sparse_stats)
 
 
-def reference_consensus_errors(weights, s, y, silenced):
-    """Per-agent definition: ``a_row @ (s[i] - s)``, zero rows when silenced."""
-    mask = np.broadcast_to(silenced, (s.shape[0],))
-    e_s = np.zeros_like(s)
-    e_y = np.zeros_like(y)
-    for i, a_row in enumerate(weights):
-        if not mask[i]:
-            e_s[i] = a_row @ (s[i] - s)
-            e_y[i] = a_row @ (y[i] - y)
+def reference_consensus_errors(lap, s, y, silenced):
+    """The masked product: ``lap @ s`` and ``lap @ y``, with the rows of the
+    silenced agents (an (N,) mask, or one flag for the whole team) +0.0."""
+    e_s = lap @ s
+    e_y = lap @ y
+    if np.any(silenced):
+        e_s[silenced] = 0.0
+        e_y[silenced] = 0.0
     return e_s, e_y
 
 
+def event_law_part(lap, y, s, silenced, gains, step):
+    """``team_law``'s event-based (const, dz), as (N, q) tables, over the
+    broadcast table of y over s with the agents in ``silenced`` frozen:
+    every agent broadcasts y and s at k = 0, then the silenced ones alone
+    drift and attempt under attack at k = 1."""
+    n, q = y.shape
+    live = np.array([y, s])
+    law = team_law(gains, default_trigger(), n, q, step, live,
+                   np.zeros((2, 2 * n)), np.zeros((2, n), dtype=bool))
+    law(0, lap, False)
+    live[:, silenced] += 1e3
+    const, dz = law(1, lap, True)
+    return np.array(const).reshape(n, q), dz.reshape(n, q)
+
+
 class TestConsensusErrorsMatchPerAgentDefinition:
+    """The consensus part and z increment that ``team_law`` returns, against
+    the per-agent errors ``a_row @ (v_i - v)``, and bit for bit against the
+    masked product; a silenced agent's part is -0.0 and its increment +0.0,
+    which they are only when both its errors are +0.0."""
+
     def test_bundled_graphs(self, bundled_process):
         rng = np.random.default_rng(3)
+        gains, step = AlgorithmParams(2.0, 1.0), 1e-3
+        nb, nab = -gains.beta, -(gains.alpha * gains.beta)
         masks = (np.zeros(3, dtype=bool), np.ones(3, dtype=bool),
                  np.array([False, True, False]))
         for q, silenced, g in itertools.product((1, 2), masks,
                                                 bundled_process.graphs):
             s = rng.standard_normal((3, q))
             y = rng.standard_normal((3, q))
-            e_y, e_s = consensus_errors(laplacian(g), np.array([y, s]), silenced)
-            ref_s, ref_y = reference_consensus_errors(g.weights, s, y, silenced)
-            np.testing.assert_allclose(e_s, ref_s, atol=1e-12)
-            np.testing.assert_allclose(e_y, ref_y, atol=1e-12)
-            assert np.all(e_s[silenced] == 0.0) and np.all(e_y[silenced] == 0.0)
+            lap = laplacian(g)
+            const, dz = event_law_part(lap, y, s, silenced, gains, step)
+            if not silenced.any() or silenced.all():
+                live = np.array([y, s])
+                law = team_law(gains, None, 3, q, step, live, None, None)
+                time_const, time_dz = law(0, lap, bool(silenced.all()))
+                assert np.array(time_const).tobytes() == const.tobytes()
+                assert time_dz.tobytes() == dz.tobytes()
+            per_agent = [np.where(silenced[:, None], 0.0,
+                                  [a_row @ (v[i] - v) for i, a_row in enumerate(g.weights)])
+                         for v in (s, y)]
+            np.testing.assert_allclose(const, nb * per_agent[0] + nab * per_agent[1],
+                                       atol=1e-12)
+            np.testing.assert_allclose(dz, -step * (nab * per_agent[1]), atol=1e-12)
+            e_s, e_y = reference_consensus_errors(lap, s, y, silenced)
+            assert const.tobytes() == (nb * e_s + nab * e_y).tobytes()
+            assert dz.tobytes() == (-step * (nab * e_y)).tobytes()
+            assert const[silenced].tobytes() == np.full((silenced.sum(), q), -0.0).tobytes()
+            assert dz[silenced].tobytes() == np.zeros((silenced.sum(), q)).tobytes()
 
 
 # --- Byte-identity oracle ----------------------------------------------------
@@ -296,15 +331,6 @@ class TestConsensusErrorsMatchPerAgentDefinition:
 # here as the oracle of the lean loop, which must reproduce every
 # Trajectory array bit for bit except the trigger variables, which must
 # agree to ``ETA_BOUND``.
-
-def _reference_consensus_errors(lap, s, y, silenced):
-    e_s = lap @ s
-    e_y = lap @ y
-    if np.any(silenced):
-        e_s[silenced] = 0.0
-        e_y[silenced] = 0.0
-    return e_s, e_y
-
 
 def _reference_trigger_functions(s_hat, y_hat, s, y, e_s, e_y, trig):
     drift_y = y_hat - y
@@ -384,7 +410,7 @@ def reference_run(scenario):
             y_m = y.reshape(big_n, q)
             s_m = rho.reshape(big_n, q) + z.reshape(big_n, q)
             if event_mode:
-                e_s, e_y = _reference_consensus_errors(lap, s_hat, y_hat, attacked_last)
+                e_s, e_y = reference_consensus_errors(lap, s_hat, y_hat, attacked_last)
                 g, h_val = _reference_trigger_functions(s_hat, y_hat, s_m, y_m,
                                                         e_s, e_y, trig)
                 if k == 0:
@@ -400,13 +426,13 @@ def reference_run(scenario):
                     y_hat[fired] = y_m[fired]
                     s_hat[fired] = s_m[fired]
                 attacked_last[fired] = attacked
-                e_s, e_y = _reference_consensus_errors(lap, s_hat, y_hat, attacked_last)
+                e_s, e_y = reference_consensus_errors(lap, s_hat, y_hat, attacked_last)
                 g, h_val = _reference_trigger_functions(s_hat, y_hat, s_m, y_m,
                                                         e_s, e_y, trig)
                 hist_eg[k] = eta_g
                 hist_eh[k] = eta_h
             else:
-                e_s, e_y = _reference_consensus_errors(lap, s_m, y_m, attacked)
+                e_s, e_y = reference_consensus_errors(lap, s_m, y_m, attacked)
 
             e_s_flat = e_s.reshape(-1)
             e_y_flat = e_y.reshape(-1)
