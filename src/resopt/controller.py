@@ -190,7 +190,7 @@ def team_law(gains: AlgorithmParams, trigger: TriggerParams | None, n_agents: in
         return _compile([
             "def law(k, lap, attacked):",
             "if attacked:", "    return silenced",
-            "matmul(lap, live, out=errs)", names + "= errs_list()",
+            "matmul(lap, live, errs)", names + "= errs_list()",
             f"return {_consensus_part(nq)}"], namespace)
 
     decay, gain = (column.tolist() for column in eta_flow(trigger, step))

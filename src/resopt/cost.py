@@ -16,11 +16,13 @@ Each kind's gradient is written once, as a short statement template over
 function is compiled per team, ``team_theta``: the integrator (``sim``)
 calls it at every RK4 stage, and the optimum oracle bisects on its summed
 outputs, so both run the same floating-point expressions.  It packs the
-outputs into ``out``'s buffer by one precompiled ``struct`` call.
+outputs into ``out``'s buffer by one precompiled ``struct`` call.  The last
+few compiled functions are kept, so a run after the oracle compiles none.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -120,7 +122,8 @@ def _suffixed(params: dict, lines: list, suffix: str, namespace: dict) -> list:
 
 def team_theta(costs, q: int):
     """``theta(y, const, out)``: ``out = -grad f(y) + const`` for a whole
-    team, compiled into one function.
+    team, compiled into one function, or taken from the last few compiled
+    (the oracle and ``sim.run`` ask for the same team's).
 
     y, the list const and out run over the team's n scalar coordinates,
     agent i's coordinate d at index i q + d.  Every cost applies its
@@ -129,7 +132,17 @@ def team_theta(costs, q: int):
     coordinate's statements in line, in float arithmetic, and packs the n
     doubles into ``out``'s buffer by one precompiled ``struct`` call: ``out``
     must be a C-contiguous float64 array of n values (an int64 one would be
-    silently reinterpreted; this is stated, not checked on every call)."""
+    silently reinterpreted; this is stated, not checked on every call).
+    The function keeps no state, so one serves every caller."""
+    costs = tuple(costs)
+    # Equal costs may differ in the sign of a zero parameter, which the
+    # compiled constants keep; those signs, in order, complete the key.
+    return _compiled_theta(costs, q, tuple(math.copysign(1.0, p) for c in costs
+                                           for p in c.parameters if p == 0.0))
+
+
+@functools.lru_cache(maxsize=4)
+def _compiled_theta(costs: tuple, q: int, zero_signs: tuple):
     coords = [c for c in costs for _ in range(q)]
     n = len(coords)
     namespace = dict(_KERNEL_NAMES, pack=struct.Struct(f"{n}d").pack_into)

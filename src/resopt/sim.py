@@ -22,8 +22,13 @@ construction.
 
 The step loop, almost all numpy dispatch on short vectors, writes into
 preallocated arrays only: a work row ``[x; rho; z; y; rho + z]`` (the
-history row, then the live table), the RK4 stages and the ``np.dot``
-products.  Its table of stages 2-4 and its ufuncs are set up once per run.
+history row, then the live table), the RK4 stages and the matrix-vector
+products.  Its table of stages 2-4, its ufuncs and its products are set up
+once per run, so that a step makes no Python-level numpy call beyond the C
+ones: the products are the matrices' bound ``ndarray.dot`` methods (np.dot's
+C product without its dispatcher), every ufunc takes its output
+positionally, and the step's coefficients are 0-d float64 arrays, which
+multiply as the Python floats do.
 x and rho are one RK4 state ``xr``, z is advanced exactly, and eta_g, eta_h
 take the exact flow of their linear ODE.  At every grid point the loop makes
 one call into the control law, which ``controller.team_law`` compiles once
@@ -62,6 +67,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -108,8 +114,9 @@ class Scenario:
 
     Construction admits the scenario: it raises ValidationError for an
     inconsistent one or one whose history cannot fit in physical memory or
-    the soft RLIMIT_AS, and AssumptionViolatedError when the graph process
-    fails the graph hypothesis (``graph.stationary_weighting``): every graph
+    in what the soft RLIMIT_AS leaves of the address space, and
+    AssumptionViolatedError when the graph process fails the graph
+    hypothesis (``graph.stationary_weighting``): every graph
     weight-balanced, with ``weights[g][i][j]`` the weight of edge j -> i,
     and a connected mirror union of the graphs of every closed class of the
     switching chain that it can enter.  An unbalanced family converges to the optimum of a
@@ -233,13 +240,29 @@ def _run_bytes(agents, n_steps: int) -> int:
     return (n_steps + 1) * (8 * (1 + nx + 3 * n * agents[0].q + pu + 2 * n) + n + 25)
 
 
+def _mapped_bytes() -> int:
+    """The address space this process has mapped: the first field of Linux's
+    /proc/self/statm, in pages; 0 where there is no such file."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError):
+        return 0
+
+
 def _memory_limit():
-    """``(bytes, name)`` of the smaller of RAM and a finite soft RLIMIT_AS, else ``(0, "")``."""
+    """``(bytes, name)`` of the smaller of RAM and what a finite soft
+    RLIMIT_AS leaves once the address space already mapped is taken off,
+    else ``(0, "")``."""
     limits = []
     if {"SC_PHYS_PAGES", "SC_PAGE_SIZE"} <= set(getattr(os, "sysconf_names", ())):
         limits.append((os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), "of RAM"))
-    if RLIMIT_AS is not None and getrlimit(RLIMIT_AS)[0] != RLIM_INFINITY:
-        limits.append((getrlimit(RLIMIT_AS)[0], "address-space limit (RLIMIT_AS)"))
+    if RLIMIT_AS is not None and (soft := getrlimit(RLIMIT_AS)[0]) != RLIM_INFINITY:
+        name = "address-space limit (RLIMIT_AS)"
+        if mapped := _mapped_bytes():
+            name = f"left of the {soft / 2**30:.1f} GiB {name}"
+        # At least one byte: a limit already used up admits no history.
+        limits.append((max(soft - mapped, 1), name))
     return min((limit for limit in limits if limit[0] > 0), default=(0, ""))
 
 
@@ -342,27 +365,36 @@ def run(scenario: Scenario) -> Trajectory:
     theta_block, u_prod = np.empty((U_BLOCK, nq)), np.empty((U_BLOCK, pu, 1))
 
     neg_k = -k_blk
-    half_h, sixth_h = 0.5 * h, h / 6.0
     r_list, on_list = r_series.tolist(), attack_on.tolist()
+    # The step's coefficients as 0-d float64 arrays: the same float64
+    # multiplies as by the Python floats, without converting one per call.
+    half_h, full_h, two, sixth_h = map(np.array, (0.5 * h, h, 2.0, h / 6.0))
     # The stage loop's table (stage 2-4 coefficients, the stage before each,
-    # its output views) and its ufuncs, looked up once per run.
-    stages = tuple(zip((half_h, half_h, h), ks, k_parts[1:]))
+    # its output views) and its ufuncs, looked up once per run.  Every ufunc
+    # in the step takes its output positionally.
+    stages = tuple(zip((half_h, half_h, full_h), ks, k_parts[1:]))
     k_first, k_mid = k_parts[0], ks[1:3]
-    multiply, add, add_reduce = np.multiply, np.add, np.add.reduce
+    multiply, add, subtract, add_reduce = np.multiply, np.add, np.subtract, np.add.reduce
 
-    # np.dot multiplies a 1 x 1 matrix as a scalar, which keeps the sign of a
-    # zero product that ``@`` drops; only a team with one scalar state has one.
-    dot = np.dot if nx > 1 else lambda a, b, out: np.matmul(a, b, out=out)
+    # The products, bound once per run: ``ndarray.dot`` runs np.dot's C
+    # product without its Python-level dispatcher.  np.dot multiplies a 1 x 1
+    # matrix as a scalar, which keeps the sign of a zero product that ``@``
+    # drops; only a team with one scalar state has one, and it uses matmul.
+    if nx > 1:
+        a_dot, bukx_dot, bw_dot, c_dot = m_a.dot, m_bukx.dot, m_bw.dot, c_blk.dot
+    else:
+        a_dot, bukx_dot, bw_dot, c_dot = (partial(np.matmul, mat)
+                                          for mat in (m_a, m_bukx, m_bw, c_blk))
 
     def rhs(x_s, rho_s, y_s, out):
         """d[x; rho] at (x_s, rho_s), y_s = C x_s, into the views (dx, theta)."""
         dx, theta = out
         theta_eval(y_s, const_theta, theta)
-        dot(m_a, x_s, dx)
-        dot(m_bukx, rho_s, prod)
-        dx -= prod
-        dot(m_bw, theta, prod)
-        dx += prod
+        a_dot(x_s, dx)
+        bukx_dot(rho_s, prod)
+        subtract(dx, prod, dx)
+        bw_dot(theta, prod)
+        add(dx, prod, dx)
 
     def fill_u(r0: int, r1: int):
         """u = -K x - (U - K X) rho + W theta at grid points r0..r1-1, per row."""
@@ -415,8 +447,8 @@ def run(scenario: Scenario) -> Trajectory:
     # guards, so arithmetic warnings along that path are expected noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
-            dot(c_blk, x, y)
-            add(rho, z, out=s_live)
+            c_dot(x, y)
+            add(rho, z, s_live)
             const_theta, dz = law(k, laplacians[r_list[k]], on_list[k])
 
             rhs(x, rho, y, k_first)
@@ -430,18 +462,19 @@ def run(scenario: Scenario) -> Trajectory:
                 break
 
             for c, k_prev, out in stages:
-                multiply(c, k_prev, out=stage)
-                add(xr, stage, out=stage)
-                dot(c_blk, stage_x, y_stage)
+                multiply(c, k_prev, stage)
+                add(xr, stage, stage)
+                c_dot(stage_x, y_stage)
                 rhs(stage_x, stage_rho, y_stage, out)
-            # k1 + 2 k2 + 2 k3 + k4 by one reduce, which adds the rows one
-            # after another onto -0.0; without that start, a column of -0.0s
-            # would sum to +0.0.
-            k_mid *= 2.0
-            add_reduce(ks, 0, out=stage, initial=-0.0)
-            stage *= sixth_h
-            xr += stage
-            z += dz
+            # k1 + 2 k2 + 2 k3 + k4 by one reduce (axis 0, no dtype, out
+            # stage, no keepdims), which adds the rows one after another onto
+            # the initial -0.0; without that start, a column of -0.0s would
+            # sum to +0.0.
+            multiply(k_mid, two, k_mid)
+            add_reduce(ks, 0, None, stage, False, -0.0)
+            multiply(stage, sixth_h, stage)
+            add(xr, stage, xr)
+            add(z, dz, z)
 
         check(n_steps - n_steps % U_BLOCK, n_steps + 1)
         return finish(n_steps, None)

@@ -120,6 +120,34 @@ class TestRunBasics:
         with pytest.raises(ValidationError):
             single_agent_scenario(cost, horizon=1.0005)
 
+    def test_run_after_the_oracle_compiles_the_law_only(self, monkeypatch):
+        # the oracle compiles the team's gradient function, and the run
+        # reuses it: the team's costs, built here, are in no earlier cache
+        from resopt import controller, cost
+        scen = pair_scenario(centers=(0.25, 1.75), horizon=0.1)
+        compiled, real = [], cost._compile
+
+        def counting(lines, namespace):
+            compiled.append(lines[0])
+            return real(lines, namespace)
+
+        monkeypatch.setattr(cost, "_compile", counting)
+        monkeypatch.setattr(controller, "_compile", counting)
+        assert cost.centralized_optimum(scen.costs) == pytest.approx(1.0)
+        assert compiled == ["def theta(y, const, out):"]
+        run(scen)
+        assert compiled[1:] == ["def law(k, lap, attacked):"]
+
+    def test_gradient_cache_tells_signed_zero_parameters_apart(self):
+        from resopt.cost import team_theta
+        plus, minus = CostSpec("quartic", (0.0, 0.0, 1.0)), CostSpec("quartic", (-0.0, 0.0, 1.0))
+        assert plus == minus
+        assert team_theta([plus], 1) is team_theta((plus,), 1)
+        out = np.empty((2, 1))
+        team_theta([plus], 1)(np.array([-0.0]), [-0.0], out[0])
+        team_theta([minus], 1)(np.array([-0.0]), [-0.0], out[1])
+        assert np.signbit(out).tolist() == [[False], [True]]
+
 
 class TestAttackEffects:
     def test_saturating_attack_prevents_consensus(self):
